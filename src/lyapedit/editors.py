@@ -7,12 +7,17 @@ perturbation.  C is factored with Cholesky; on factorization failure or a
 condition estimate above 1e12 the diagonal is ridged with escalating
 lambda in {1e-10, 1e-8, 1e-6} * tr(C)/dim, and the applied lambda is recorded
 in the report.  No explicit inverse is ever formed.
+
+The ``*_step`` forms serve a step loop: they take the products W K0K0^T
+(and W KpKp^T) that the loop carries instead of recomputing them, and leave
+them at the post-edit weights, where the residual check computed them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
 
 from .errors import DimensionMismatchError, InputError, SingularSystemError
@@ -43,6 +48,15 @@ class SolveReport:
     condition_estimate: float
 
 
+def _norm(x: np.ndarray) -> float:
+    """Frobenius norm by BLAS nrm2, which rescales as it sums.
+
+    ``np.linalg.norm`` squares the entries first, so it overflows to inf or
+    underflows to 0 far inside the range of representable matrices.
+    """
+    return float(scipy.linalg.norm(x.ravel(), check_finite=False))
+
+
 def _ridge_attempts(matrix: np.ndarray, max_ridge: float):
     """Yield (lam, cho_factorization, condition_estimate) over the ladder.
 
@@ -53,10 +67,12 @@ def _ridge_attempts(matrix: np.ndarray, max_ridge: float):
     dim = matrix.shape[0]
     scale = float(np.trace(matrix)) / dim
     (pocon,) = get_lapack_funcs(("pocon",), (matrix,))
-    eye = np.eye(dim)
     for factor_scale in (0.0,) + tuple(f for f in RIDGE_LADDER if f <= max_ridge):
         lam = factor_scale * scale
-        ridged = matrix if lam == 0.0 else matrix + lam * eye
+        ridged = matrix
+        if lam > 0.0:
+            ridged = matrix.copy()
+            ridged.flat[:: dim + 1] += lam
         try:
             factorization = cho_factor(ridged, lower=True, check_finite=False)
         except np.linalg.LinAlgError:
@@ -72,12 +88,13 @@ def _ridge_attempts(matrix: np.ndarray, max_ridge: float):
 
 
 def _normal_solve(w: np.ndarray, c: np.ndarray, target: np.ndarray,
-                  rhs_full: np.ndarray, max_ridge: float) -> SolveReport:
-    """Solve ``delta @ C = target`` and report the full-form residual.
+                  rhs_full: np.ndarray, max_ridge: float, times_c):
+    """Solve ``delta @ C = target``; return the report and ``W + delta``.
 
     ``target`` is RHS - W @ C assembled from residual products by the caller;
     ``rhs_full`` is only used to measure the reported relative residual
-    ||(W + delta) @ C - RHS|| / ||RHS||.
+    ||(W + delta) @ C - RHS|| / ||RHS||.  ``times_c(w_new)`` returns
+    ``w_new @ C``; callers assemble it from the products they keep.
     """
     with np.errstate(over="ignore"):
         c = (c + c.T) * 0.5
@@ -87,23 +104,24 @@ def _normal_solve(w: np.ndarray, c: np.ndarray, target: np.ndarray,
             "normal-equation assembly overflowed; the weighted system is not "
             "representable in double precision"
         )
-    ref = max(float(np.linalg.norm(rhs_full)), _TINY)
-    if float(np.linalg.norm(target)) <= SNAP_THRESHOLD * ref:
-        delta = np.zeros_like(w)
-        residual = float(np.linalg.norm(w @ c - rhs_full)) / ref
-        return SolveReport(delta=delta, residual=residual, ridge_applied=0.0,
-                           condition_estimate=float("nan"))
+    ref = max(_norm(rhs_full), _TINY)
+    if _norm(target) <= SNAP_THRESHOLD * ref:
+        residual = _norm(times_c(w) - rhs_full) / ref
+        return SolveReport(delta=np.zeros_like(w), residual=residual,
+                           ridge_applied=0.0,
+                           condition_estimate=float("nan")), w
     last_cond = float("inf")
     for lam, factorization, cond in _ridge_attempts(c, max_ridge):
         last_cond = cond
         if factorization is None:
             continue
         delta = cho_solve(factorization, target.T, check_finite=False).T
-        residual = float(np.linalg.norm((w + delta) @ c - rhs_full)) / ref
-        if lam == 0.0 and residual > RESIDUAL_TARGET:
+        w_new = w + delta
+        residual = _norm(times_c(w_new) - rhs_full) / ref
+        if not np.isfinite(residual) or (lam == 0.0 and residual > RESIDUAL_TARGET):
             continue
         return SolveReport(delta=delta, residual=residual, ridge_applied=lam,
-                           condition_estimate=cond)
+                           condition_estimate=cond), w_new
     raise SingularSystemError(
         f"normal-equation matrix is numerically singular "
         f"(condition estimate {last_cond:.3e}) after maximum ridge escalation",
@@ -124,6 +142,20 @@ def _check_batch(mem: AssociativeMemory, batch: EditBatch) -> None:
         )
 
 
+def _check_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
+                    batch: EditBatch, v_weight: float, az: float) -> None:
+    if not (v_weight > 0.0) or not np.isfinite(v_weight):
+        raise InputError(f"v_weight must be positive and finite, got {v_weight!r}")
+    if az < 0.0 or not np.isfinite(az):
+        raise InputError(f"az must be nonnegative and finite, got {az!r}")
+    _check_batch(mem, batch)
+    if bk.kp_gram.shape[0] != mem.dims.d0:
+        raise DimensionMismatchError(
+            f"backlog Gram is {bk.kp_gram.shape[0]} x {bk.kp_gram.shape[1]} but "
+            f"the memory input dimension is {mem.dims.d0}"
+        )
+
+
 def solve_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
                    batch: EditBatch, v_weight: float, az: float,
                    *, max_ridge: float = 1e-6) -> SolveReport:
@@ -140,27 +172,40 @@ def solve_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
     The perturbation is the unique minimizer whenever
     C = v_weight*(K1 K1^T + Kp Kp^T) + az*K0 K0^T is positive definite.
     """
-    if not (v_weight > 0.0) or not np.isfinite(v_weight):
-        raise InputError(f"v_weight must be positive and finite, got {v_weight!r}")
-    if az < 0.0 or not np.isfinite(az):
-        raise InputError(f"az must be nonnegative and finite, got {az!r}")
-    _check_batch(mem, batch)
-    if bk.kp_gram.shape[0] != mem.dims.d0:
-        raise DimensionMismatchError(
-            f"backlog Gram is {bk.kp_gram.shape[0]} x {bk.kp_gram.shape[1]} but "
-            f"the memory input dimension is {mem.dims.d0}"
-        )
+    _check_lyaplock(mem, bk, batch, v_weight, az)
+    report, _ = lyaplock_step(mem, bk, batch, v_weight, az,
+                              mem.w @ mem.k0_gram, mem.w @ bk.kp_gram, max_ridge)
+    return report
+
+
+def lyaplock_step(mem: AssociativeMemory, bk: BacklogAccumulator,
+                  batch: EditBatch, v_weight: float, az: float,
+                  m0: np.ndarray, mp: np.ndarray, max_ridge: float):
+    """:func:`solve_lyaplock` from the products m0 = W K0K0^T and mp = W KpKp^T.
+
+    Returns the report and W' = W + delta.  The residual check needs W' C,
+    which it assembles from W' K0K0^T and W' KpKp^T; those are written into
+    ``m0`` and ``mp`` in place, so on return they hold the products of W'.
+    """
+    _check_lyaplock(mem, bk, batch, v_weight, az)
     w, k1, v1 = mem.w, batch.k1, batch.v1
     with np.errstate(over="ignore"):
         c = v_weight * (k1 @ k1.T + bk.kp_gram) + az * mem.k0_gram
         # Residual assembly: exact zeros survive, unlike rhs_full - w @ c.
         target = (
             v_weight * ((v1 - w @ k1) @ k1.T)
-            + v_weight * (bk.vpkpt - w @ bk.kp_gram)
-            + az * (mem.v0k0t - w @ mem.k0_gram)
+            + v_weight * (bk.vpkpt - mp)
+            + az * (mem.v0k0t - m0)
         )
         rhs_full = v_weight * (v1 @ k1.T + bk.vpkpt) + az * mem.v0k0t
-    return _normal_solve(w, c, target, rhs_full, max_ridge)
+
+    def times_c(w_new):
+        np.matmul(w_new, mem.k0_gram, out=m0)
+        np.matmul(w_new, bk.kp_gram, out=mp)
+        with np.errstate(over="ignore"):
+            return v_weight * ((w_new @ k1) @ k1.T + mp) + az * m0
+
+    return _normal_solve(w, c, target, rhs_full, max_ridge, times_c)
 
 
 def solve_baseline(mem: AssociativeMemory, batch: EditBatch,
@@ -171,12 +216,27 @@ def solve_baseline(mem: AssociativeMemory, batch: EditBatch,
     preservation; it carries no backlog and no queue weighting, so its
     preservation loss accumulates over sequential use.
     """
+    report, _ = baseline_step(mem, batch, mem.w @ mem.k0_gram, max_ridge)
+    return report
+
+
+def baseline_step(mem: AssociativeMemory, batch: EditBatch, m0: np.ndarray,
+                  max_ridge: float):
+    """:func:`solve_baseline` from the product m0 = W K0K0^T.
+
+    Returns the report and W' = W + delta; on return ``m0`` holds W' K0K0^T.
+    """
     _check_batch(mem, batch)
     w, k1, v1 = mem.w, batch.k1, batch.v1
     c = mem.k0_gram + k1 @ k1.T
     target = (v1 - w @ k1) @ k1.T
-    rhs_full = w @ c + target
-    return _normal_solve(w, c, target, rhs_full, max_ridge)
+    rhs_full = m0 + v1 @ k1.T  # W C + target
+
+    def times_c(w_new):
+        np.matmul(w_new, mem.k0_gram, out=m0)
+        return m0 + (w_new @ k1) @ k1.T
+
+    return _normal_solve(w, c, target, rhs_full, max_ridge, times_c)
 
 
 def solve_edit_only(mem: AssociativeMemory, batch: EditBatch,
@@ -191,7 +251,7 @@ def solve_edit_only(mem: AssociativeMemory, batch: EditBatch,
     w, k1, v1 = mem.w, batch.k1, batch.v1
     resid = v1 - w @ k1
     small_gram = k1.T @ k1
-    ref = max(float(np.linalg.norm(v1)), _TINY)
+    ref = max(_norm(v1), _TINY)
     last_cond = float("inf")
     for lam, factorization, cond in _ridge_attempts(small_gram, max_ridge):
         last_cond = cond
@@ -199,7 +259,7 @@ def solve_edit_only(mem: AssociativeMemory, batch: EditBatch,
             continue
         # delta = resid @ (K1^T K1)^-1 K1^T is the least-norm interpolant.
         delta = resid @ cho_solve(factorization, k1.T, check_finite=False)
-        residual = float(np.linalg.norm((w + delta) @ k1 - v1)) / ref
+        residual = _norm((w + delta) @ k1 - v1) / ref
         if lam == 0.0 and residual > RESIDUAL_TARGET:
             continue
         return SolveReport(delta=delta, residual=residual, ridge_applied=lam,

@@ -11,13 +11,21 @@ then discarded and appears in neither the records nor the backlog.
 All losses are measured at the post-edit weights, one convention applied
 everywhere.  The queue value entering a step's solve is Z(t), before that
 step's update.
+
+Runs over one stream share one step loop.  ``run`` is its one-member case;
+``compare`` and ``sweep_alpha`` step all their members together.  Set-up
+happens once: one stream, one memory, one probe per distinct
+``ridge_max_lambda``.  Each batch is generated once per step and absorbed
+once into the one backlog, which depends only on the batches.  Every member
+carries the products ``W K0K0^T`` and ``W KpKp^T`` of its current weights:
+the residual check of one step leaves them at the post-edit weights, the
+losses read them, and the next step's target starts from them, so a step
+makes two dense d1 x d0^2 passes besides the factorization and solve.
 """
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,20 +37,30 @@ from .controller import (
     stability_ratio,
     update_queue,
 )
-from .editors import solve_baseline, solve_edit_only, solve_lyaplock
+# solve_lyaplock and backlog_loss have no caller here.  They stay importable
+# from this module because perfbench's traced run wraps them here.
+from .editors import (  # noqa: F401
+    baseline_step,
+    lyaplock_step,
+    solve_baseline,
+    solve_edit_only,
+    solve_lyaplock,
+)
 from .errors import (
     InputError,
+    LyapeditError,
     NonFiniteError,
     NumericalInstabilityError,
     RunAborted,
     SingularSystemError,
 )
-from .memory import (
+from .memory import (  # noqa: F401
     AssociativeMemory,
     BacklogAccumulator,
     absorb,
     backlog_loss,
     editing_loss,
+    gram_loss,
     new_memory,
     preservation_loss,
 )
@@ -53,8 +71,6 @@ EDITOR_NAMES = ("lyaplock", "baseline", "edit-only")
 # Floor for the probed base loss: an exactly representable stream probes to a
 # preservation loss of 0, which the schedule cannot accept.
 _D_BASE_FLOOR = float(np.finfo(np.float64).tiny)
-
-THREADS_ENV_VAR = "LYAPEDIT_THREADS"
 
 
 @dataclass(frozen=True)
@@ -130,7 +146,6 @@ class RunResult:
     z_history: np.ndarray  # Z(1) .. Z(T+1)
     w_initial: np.ndarray
     w_final: np.ndarray
-    delta_total: np.ndarray = field(default=None)
 
 
 def estimate_d_base(stream: EditStream, mem: AssociativeMemory,
@@ -148,60 +163,67 @@ def estimate_d_base(stream: EditStream, mem: AssociativeMemory,
 
 def _solve_step(config: RunConfig, mem: AssociativeMemory,
                 backlog: BacklogAccumulator, batch, params: QueueParams,
-                z: float):
-    if config.editor == "lyaplock":
-        return solve_lyaplock(mem, backlog, batch, v_weight=params.v_weight,
-                              az=params.a * z, max_ridge=config.ridge_max_lambda)
-    if config.editor == "baseline":
-        return solve_baseline(mem, batch, max_ridge=config.ridge_max_lambda)
-    return solve_edit_only(mem, batch, max_ridge=config.ridge_max_lambda)
+                z: float, m0: np.ndarray, mp: np.ndarray):
+    """One member's solve: the report and W' = W + delta.
 
-
-def run(config: RunConfig) -> RunResult:
-    """Execute one full sequential-editing run.
-
-    Raises :class:`RunAborted` (carrying the partial records) if a solve comes
-    out singular or a loss goes non-finite mid-run.
+    ``m0`` and ``mp`` hold W K0K0^T and W KpKp^T on entry and W' K0K0^T and
+    W' KpKp^T on return, whichever editor ran.
     """
-    stream = EditStream(config.stream)
-    w0, k0 = stream.generate_preserved()
-    mem = new_memory(w0, k0)
-    d_base = estimate_d_base(stream, mem, max_ridge=config.ridge_max_lambda)
-    params = derive_params(config.alpha, d_base)
-    if config.v_weight != 1.0:
-        params = replace(params, v_weight=config.v_weight)
+    max_ridge = config.ridge_max_lambda
+    if config.editor == "lyaplock":
+        return lyaplock_step(mem, backlog, batch, params.v_weight,
+                             params.a * z, m0, mp, max_ridge)
+    if config.editor == "baseline":
+        report, w_new = baseline_step(mem, batch, m0, max_ridge)
+    else:
+        report = solve_edit_only(mem, batch, max_ridge=max_ridge)
+        w_new = mem.w + report.delta
+        np.matmul(w_new, mem.k0_gram, out=m0)
+    np.matmul(w_new, backlog.kp_gram, out=mp)
+    return report, w_new
 
-    state = QueueState.initial(params)
-    backlog = BacklogAccumulator.empty(mem.dims)
-    total = config.stream.total_batches
 
-    records: list[StepRecord] = []
-    pl_hist = np.empty(total)
-    el_hist = np.empty(total)
-    bl_hist = np.empty(total)
-    z_hist = np.empty(total + 1)
-    z_hist[0] = state.z
-    sum_pl = 0.0
-    sum_el = 0.0
-    sum_wall = 0.0
-    delta_total = np.zeros_like(mem.w)
+class _Member:
+    """One configuration's queue, weights, products and records in the loop."""
 
-    for t in range(1, total + 1):
+    def __init__(self, config: RunConfig, mem: AssociativeMemory, d_base: float):
+        params = derive_params(config.alpha, d_base)
+        if config.v_weight != 1.0:
+            params = replace(params, v_weight=config.v_weight)
+        total = config.stream.total_batches
+        self.config = config
+        self.params = params
+        self.state = QueueState.initial(params)
+        self.mem = mem
+        self.m0 = mem.w @ mem.k0_gram   # W K0K0^T
+        self.mp = np.zeros_like(mem.w)  # W KpKp^T of the empty backlog
+        self.records: list[StepRecord] = []
+        self.pl_hist = np.empty(total)
+        self.el_hist = np.empty(total)
+        self.bl_hist = np.empty(total)
+        self.z_hist = np.empty(total + 1)
+        self.z_hist[0] = self.state.z
+        self.sum_pl = 0.0
+        self.sum_el = 0.0
+        self.sum_wall = 0.0
+
+    def step(self, t: int, batch, backlog: BacklogAccumulator) -> None:
+        """Solve, apply and measure step t against the backlog of steps < t."""
         started = time.perf_counter()
-        z = state.z
-        batch = stream.batch(t)
+        config, params, records = self.config, self.params, self.records
+        z = self.state.z
         try:
-            report = _solve_step(config, mem, backlog, batch, params, z)
+            report, w_new = _solve_step(config, self.mem, backlog, batch, params,
+                                        z, self.m0, self.mp)
         except SingularSystemError as exc:
             raise RunAborted(
                 f"solver aborted at step {t}: {exc}", step=t, records=records
             ) from exc
-        w_new = mem.w + report.delta
         try:
-            mem = mem.with_weights(w_new)
+            self.mem = mem = self.mem.with_weights(w_new)
             el = editing_loss(w_new, batch)
-            pl = preservation_loss(mem, w_new)
-            bl = backlog_loss(w_new, backlog)
+            pl = gram_loss(w_new, self.m0, mem.v0k0t, mem.tr_v0v0)
+            bl = gram_loss(w_new, self.mp, backlog.vpkpt, backlog.tr_vpvp)
         except (NonFiniteError, NumericalInstabilityError) as exc:
             raise RunAborted(
                 f"loss measurement failed at step {t}: {exc}; z={z!r} "
@@ -214,66 +236,105 @@ def run(config: RunConfig) -> RunResult:
                 f"z={z!r} |delta|={float(np.linalg.norm(report.delta))!r}",
                 step=t, records=records,
             )
-        state = update_queue(state, params, pl)
-        absorb(backlog, batch)
+        self.state = update_queue(self.state, params, pl)
 
-        sum_pl += pl
-        sum_el += el
-        pl_hist[t - 1] = pl
-        el_hist[t - 1] = el
-        bl_hist[t - 1] = bl
-        z_hist[t] = state.z
-        delta_total += report.delta
+        self.sum_pl += pl
+        self.sum_el += el
+        self.pl_hist[t - 1] = pl
+        self.el_hist[t - 1] = el
+        self.bl_hist[t - 1] = bl
+        self.z_hist[t] = self.state.z
         wall_ms = (time.perf_counter() - started) * 1e3
-        sum_wall += wall_ms
+        self.sum_wall += wall_ms
+        total = config.stream.total_batches
         if t % config.record_every == 0 or t == total:
             records.append(StepRecord(
                 t=t, el=el, pl=pl, bl=bl, z=z,
-                avg_pl=sum_pl / t, avg_el=sum_el / t,
+                avg_pl=self.sum_pl / t, avg_el=self.sum_el / t,
                 delta_fro=float(np.linalg.norm(report.delta)),
                 ridge=report.ridge_applied, wall_ms=wall_ms,
             ))
 
-    summary = RunSummary(
-        editor=config.editor,
-        alpha=config.alpha,
-        steps=total,
-        d_base=d_base,
-        d_threshold=params.d_threshold,
-        final_avg_pl=sum_pl / total,
-        final_avg_el=sum_el / total,
-        constraint_satisfied=(sum_pl / total) <= params.d_threshold,
-        final_z=float(z_hist[-1]),
-        stability=stability_ratio(z_hist[:total]),
-        mean_wall_ms=sum_wall / total,
-    )
-    return RunResult(
-        config=config, params=params, d_base=d_base, records=records,
-        summary=summary, pl_history=pl_hist, el_history=el_hist,
-        bl_history=bl_hist, z_history=z_hist, w_initial=w0, w_final=mem.w,
-        delta_total=delta_total,
-    )
+    def absorbed(self, batch) -> None:
+        """Carry W KpKp^T across the absorb of ``batch``: a rank-n update."""
+        self.mp += (self.mem.w @ batch.k1) @ batch.k1.T
+
+    def result(self) -> RunResult:
+        config, params = self.config, self.params
+        total = config.stream.total_batches
+        summary = RunSummary(
+            editor=config.editor,
+            alpha=config.alpha,
+            steps=total,
+            d_base=params.d_base,
+            d_threshold=params.d_threshold,
+            final_avg_pl=self.sum_pl / total,
+            final_avg_el=self.sum_el / total,
+            constraint_satisfied=(self.sum_pl / total) <= params.d_threshold,
+            final_z=float(self.z_hist[-1]),
+            stability=stability_ratio(self.z_hist[:total]),
+            mean_wall_ms=self.sum_wall / total,
+        )
+        return RunResult(
+            config=config, params=params, d_base=params.d_base,
+            records=self.records, summary=summary, pl_history=self.pl_hist,
+            el_history=self.el_hist, bl_history=self.bl_hist,
+            z_history=self.z_hist, w_initial=self.mem.w0, w_final=self.mem.w,
+        )
 
 
-def _worker_cap(n_jobs: int) -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise InputError(f"{THREADS_ENV_VAR} must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise InputError(f"{THREADS_ENV_VAR} must be >= 1, got {cap}")
-    return min(cap, n_jobs)
+def _run_lockstep(configs: list[RunConfig]) -> list[RunResult]:
+    """Run configurations that share one stream specification, in lockstep.
+
+    The results equal ``[run(c) for c in configs]`` bit for bit.  Errors do
+    too: a member that fails is dropped together with every later member,
+    earlier members keep stepping, and at the end the failure of the lowest
+    index is raised, which is the one serial execution would have raised.
+    """
+    spec = configs[0].stream
+    stream = EditStream(spec)
+    mem = new_memory(*stream.generate_preserved())
+    d_bases: dict[float, float] = {}
+    members: list[_Member] = []
+    failure = None
+    for config in configs:
+        ridge = config.ridge_max_lambda
+        try:
+            if ridge not in d_bases:
+                d_bases[ridge] = estimate_d_base(stream, mem, max_ridge=ridge)
+            members.append(_Member(config, mem, d_bases[ridge]))
+        except LyapeditError as exc:
+            failure = exc
+            break
+
+    backlog = BacklogAccumulator.empty(mem.dims)
+    for t in range(1, spec.total_batches + 1):
+        if not members:
+            break
+        batch = stream.batch(t)
+        for i, member in enumerate(members):
+            try:
+                member.step(t, batch, backlog)
+            except LyapeditError as exc:
+                failure = exc
+                del members[i:]
+                break
+        absorb(backlog, batch)
+        for member in members:
+            member.absorbed(batch)
+
+    if failure is not None:
+        raise failure
+    return [member.result() for member in members]
 
 
-def _run_many(configs: list[RunConfig]) -> list[RunResult]:
-    workers = _worker_cap(len(configs))
-    if workers <= 1:
-        return [run(c) for c in configs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, configs))
+def run(config: RunConfig) -> RunResult:
+    """Execute one full sequential-editing run.
+
+    Raises :class:`RunAborted` (carrying the partial records) if a solve comes
+    out singular or a loss goes non-finite mid-run.
+    """
+    return _run_lockstep([config])[0]
 
 
 def compare(configs: list[RunConfig]) -> list[RunSummary]:
@@ -287,7 +348,7 @@ def compare(configs: list[RunConfig]) -> list[RunSummary]:
                 "compare requires every configuration to share one stream "
                 f"specification; {cfg.editor!r} differs"
             )
-    return [result.summary for result in _run_many(configs)]
+    return [result.summary for result in _run_lockstep(configs)]
 
 
 def sweep_alpha(config: RunConfig, alphas) -> list[RunSummary]:
@@ -300,4 +361,4 @@ def sweep_alpha(config: RunConfig, alphas) -> list[RunSummary]:
             raise InputError(f"alphas must be positive and finite, got {value!r}")
     ordered = sorted(values)
     configs = [replace(config, alpha=a) for a in ordered]
-    return [result.summary for result in _run_many(configs)]
+    return [result.summary for result in _run_lockstep(configs)]

@@ -39,15 +39,17 @@ def _symmetrized(gram: np.ndarray) -> np.ndarray:
     return (gram + gram.T) * 0.5
 
 
-def _gram_quadratic(w: np.ndarray, gram: np.ndarray, cross: np.ndarray,
-                    trace_term: float) -> float:
-    """Evaluate ||W*K - V||_F^2 from K*K^T, V*K^T and tr(V*V^T).
+def gram_loss(w: np.ndarray, w_gram: np.ndarray, cross: np.ndarray,
+              trace_term: float) -> float:
+    """Evaluate ||W*K - V||_F^2 from the product W*(K*K^T), V*K^T and tr(V*V^T).
 
-    Clamps tiny negative round-off to zero; a deficit beyond the guard band
-    means the accumulated state is inconsistent and raises instead.
+    Taking the product rather than the Gram lets a caller that already holds
+    W*(K*K^T) skip the one dense d1 x d0^2 pass.  Clamps tiny negative
+    round-off to zero; a deficit beyond the guard band means the accumulated
+    state is inconsistent and raises instead.
     """
     raw = (
-        float(np.einsum("ij,ij->", w @ gram, w))
+        float(np.einsum("ij,ij->", w_gram, w))
         - 2.0 * float(np.einsum("ij,ij->", w, cross))
         + trace_term
     )
@@ -125,8 +127,9 @@ class AssociativeMemory:
 class BacklogAccumulator:
     """Running Grams of every batch edited so far.
 
-    Mutated in place by :func:`absorb`; an accumulator belongs to exactly one
-    run and must not be shared.
+    Mutated in place by :func:`absorb`.  The backlog depends only on the
+    batches, so every run over one stream may share a single accumulator, as
+    long as it is absorbed once per step.
     """
 
     kp_gram: np.ndarray
@@ -203,7 +206,7 @@ def preservation_loss(mem: AssociativeMemory, w) -> float:
         raise DimensionMismatchError(
             f"w has shape {w.shape}, expected ({mem.dims.d1}, {mem.dims.d0})"
         )
-    return _gram_quadratic(w, mem.k0_gram, mem.v0k0t, mem.tr_v0v0)
+    return gram_loss(w, w @ mem.k0_gram, mem.v0k0t, mem.tr_v0v0)
 
 
 def editing_loss(w, batch: EditBatch) -> float:
@@ -235,7 +238,7 @@ def backlog_loss(w, bk: BacklogAccumulator) -> float:
             f"w has {w.shape[1]} columns but the backlog Gram is "
             f"{bk.kp_gram.shape[0]} x {bk.kp_gram.shape[1]}"
         )
-    return _gram_quadratic(w, bk.kp_gram, bk.vpkpt, bk.tr_vpvp)
+    return gram_loss(w, w @ bk.kp_gram, bk.vpkpt, bk.tr_vpvp)
 
 
 def absorb(bk: BacklogAccumulator, batch: EditBatch) -> BacklogAccumulator:

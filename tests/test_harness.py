@@ -46,11 +46,6 @@ class TestZeroEditStream:
 
 
 class TestRunInvariants:
-    def test_deltas_telescope_to_weight_change(self):
-        result = run(small_config(total=150))
-        assert result.delta_total == pytest.approx(
-            result.w_final - result.w_initial, rel=1e-9, abs=1e-12)
-
     def test_queue_recomputation_matches_records(self):
         result = run(small_config(total=100))
         state_z = result.params.z_init
@@ -121,11 +116,11 @@ class TestAbortPaths:
         calls = {"n": 0}
         original = harness._solve_step
 
-        def explode(config, mem, backlog, batch, params, z):
+        def explode(config, mem, backlog, batch, params, z, m0, mp):
             calls["n"] += 1
             if calls["n"] >= 4:  # probe happens outside _solve_step
                 raise SingularSystemError("synthetic failure", 1e99)
-            return original(config, mem, backlog, batch, params, z)
+            return original(config, mem, backlog, batch, params, z, m0, mp)
 
         monkeypatch.setattr(harness, "_solve_step", explode)
         with pytest.raises(RunAborted) as err:
@@ -137,10 +132,10 @@ class TestAbortPaths:
         import lyapedit.harness as harness
         from lyapedit.editors import SolveReport
 
-        def diverge(config, mem, backlog, batch, params, z):
-            return SolveReport(delta=np.full_like(mem.w, np.inf),
-                               residual=0.0, ridge_applied=0.0,
-                               condition_estimate=1.0)
+        def diverge(config, mem, backlog, batch, params, z, m0, mp):
+            delta = np.full_like(mem.w, np.inf)
+            return SolveReport(delta=delta, residual=0.0, ridge_applied=0.0,
+                               condition_estimate=1.0), mem.w + delta
 
         monkeypatch.setattr(harness, "_solve_step", diverge)
         with pytest.raises(RunAborted) as err:
@@ -205,6 +200,143 @@ class TestExplicitReplay:
         assert w == pytest.approx(result.w_final, rel=1e-7, abs=1e-10)
 
 
+class TestPublicStepReplay:
+    def test_run_matches_replay_without_carried_products(self):
+        """Replay a run through the public per-step functions.
+
+        The replay recomputes every product from the weights and the Grams,
+        where the run carries them from step to step; the two may differ
+        only in rounding.
+        """
+        from lyapedit import (EditStream, QueueState, absorb, backlog_loss,
+                              derive_params, editing_loss, estimate_d_base,
+                              new_memory, preservation_loss, solve_lyaplock)
+        from lyapedit.memory import BacklogAccumulator
+
+        config = small_config(total=80, drift=0.2, seed=5)
+        result = run(config)
+
+        stream = EditStream(config.stream)
+        mem = new_memory(*stream.generate_preserved())
+        params = derive_params(config.alpha, estimate_d_base(stream, mem))
+        state = QueueState.initial(params)
+        backlog = BacklogAccumulator.empty(mem.dims)
+        histories = {"pl": [], "el": [], "bl": [], "z": [state.z]}
+        for t in range(1, config.stream.total_batches + 1):
+            batch = stream.batch(t)
+            report = solve_lyaplock(mem, backlog, batch, v_weight=params.v_weight,
+                                    az=params.a * state.z)
+            mem = mem.with_weights(mem.w + report.delta)
+            pl = preservation_loss(mem, mem.w)
+            histories["el"].append(editing_loss(mem.w, batch))
+            histories["pl"].append(pl)
+            histories["bl"].append(backlog_loss(mem.w, backlog))
+            state = update_queue(state, params, pl)
+            histories["z"].append(state.z)
+            absorb(backlog, batch)
+
+        for name, replayed in histories.items():
+            got = getattr(result, f"{name}_history")
+            assert np.allclose(got, replayed, rtol=1e-10, atol=0.0), name
+        assert np.allclose(result.w_final, mem.w, rtol=1e-10, atol=1e-14)
+
+
+class TestLockstep:
+    def mixed_configs(self):
+        from dataclasses import replace
+        base = small_config(total=60, record_every=7)
+        return [base, replace(base, editor="baseline"),
+                replace(base, editor="edit-only"),
+                replace(base, alpha=5.0, v_weight=0.5),
+                replace(base, ridge_max_lambda=1e-8)]
+
+    def test_members_bit_identical_to_standalone_runs(self):
+        import lyapedit.harness as harness
+        configs = self.mixed_configs()
+        alone = [run(c) for c in configs]
+        together = harness._run_lockstep(configs)
+        for a, b in zip(alone, together):
+            assert a.summary == b.summary
+            assert a.records == b.records
+            for name in ("pl_history", "el_history", "bl_history", "z_history",
+                         "w_initial", "w_final"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert compare(configs) == [r.summary for r in alone]
+
+    def test_sweep_members_bit_identical_to_standalone_runs(self):
+        from dataclasses import replace
+        cfg = small_config(total=60)
+        alphas = [80.0, 5.0, 40.0]
+        assert sweep_alpha(cfg, alphas) == [
+            run(replace(cfg, alpha=a)).summary for a in sorted(alphas)]
+
+    @pytest.mark.parametrize("fail_at", [{20.0: 7, 40.0: 3}, {20.0: 3, 40.0: 7}])
+    def test_abort_matches_serial_execution(self, monkeypatch, fail_at):
+        """Two members abort at different steps; the same error as serial wins."""
+        from dataclasses import replace
+        import lyapedit.harness as harness
+
+        original = harness._solve_step
+        calls = {}
+
+        def explode(config, mem, backlog, batch, params, z, m0, mp):
+            calls[config.alpha] = calls.get(config.alpha, 0) + 1
+            if calls[config.alpha] == fail_at.get(config.alpha):
+                raise SingularSystemError(f"synthetic failure of {config.alpha}")
+            return original(config, mem, backlog, batch, params, z, m0, mp)
+
+        monkeypatch.setattr(harness, "_solve_step", explode)
+        configs = [replace(small_config(total=30), alpha=a)
+                   for a in (20.0, 40.0, 80.0)]
+        with pytest.raises(RunAborted) as serial:
+            for config in configs:
+                run(config)
+        calls.clear()
+        with pytest.raises(RunAborted) as lockstep:
+            sweep_alpha(configs[0], [80.0, 40.0, 20.0])
+        assert serial.value.step == fail_at[20.0]
+        assert lockstep.value.step == serial.value.step
+        assert str(lockstep.value) == str(serial.value)
+        assert lockstep.value.records == serial.value.records
+        assert [r.t for r in lockstep.value.records] == list(range(1, fail_at[20.0]))
+
+
+class TestScaleCovariance:
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    def test_extreme_key_scale_reproduces_unit_scale(self, monkeypatch, scale):
+        """Scaled keys and values give the same edits and the same PL/D.
+
+        Squared norms of the scaled systems overflow or underflow; the solver
+        must neither snap to a zero edit nor floor the probed threshold.
+        """
+        from dataclasses import replace
+        from pathlib import Path
+        import lyapedit.harness as harness
+        from lyapedit.cli import load_config
+
+        reports = []
+        original = harness._solve_step
+
+        def recording(*args):
+            report, w_new = original(*args)
+            reports.append(report)
+            return report, w_new
+
+        monkeypatch.setattr(harness, "_solve_step", recording)
+        path = Path(__file__).resolve().parent.parent / "configs" / "quick.cfg"
+        config = load_config(path)["run"]
+        unit = run(config)
+        scaled = run(replace(config, stream=replace(config.stream, key_scale=scale)))
+        assert scaled.d_base == pytest.approx(unit.d_base * scale ** 2, rel=1e-9)
+        for a, b in zip(scaled.records, unit.records):
+            assert a.delta_fro > 0.0
+            assert a.delta_fro == pytest.approx(b.delta_fro, rel=1e-9)
+            assert (a.avg_pl / scaled.params.d_threshold
+                    == pytest.approx(b.avg_pl / unit.params.d_threshold, rel=1e-9))
+        assert len(reports) == 2 * config.stream.total_batches
+        assert all(r.residual <= 1e-8 for r in reports if r.ridge_applied == 0.0)
+
+
 class TestCompare:
     def test_single_config_matches_run(self):
         cfg = small_config(total=40)
@@ -227,20 +359,6 @@ class TestCompare:
         # Ignoring preservation lets edit-only fit each batch exactly.
         assert by_name["edit-only"].final_avg_el <= by_name["lyaplock"].final_avg_el
         assert by_name["edit-only"].final_avg_pl > by_name["lyaplock"].final_avg_pl
-
-    def test_parallel_execution_matches_serial(self, monkeypatch):
-        from dataclasses import replace
-        base = small_config(total=60)
-        configs = [base, replace(base, editor="baseline")]
-        serial = compare(configs)
-        monkeypatch.setenv("LYAPEDIT_THREADS", "2")
-        threaded = compare(configs)
-        assert serial == threaded
-
-    def test_threads_env_validated(self, monkeypatch):
-        monkeypatch.setenv("LYAPEDIT_THREADS", "zero")
-        with pytest.raises(InputError):
-            compare([small_config(total=5)])
 
 
 class TestSweep:
