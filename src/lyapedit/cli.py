@@ -440,7 +440,10 @@ def _cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else 0
     all_ok = True
     for name, check in _verify_checks(seed):
-        ok, detail = check()
+        try:
+            ok, detail = check()
+        except LyapeditError as exc:
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
         all_ok = all_ok and ok
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     print(f"verify: {'all checks passed' if all_ok else 'FAILURES detected'}")

@@ -4,8 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from lyapedit import cli
 from lyapedit.cli import main
-from lyapedit.errors import RunAborted
+from lyapedit.errors import OracleFailure, RunAborted
 from lyapedit.harness import StepRecord
 
 BASE_CONFIG = """\
@@ -200,6 +201,18 @@ class TestVerify:
         out = capsys.readouterr().out
         assert out.count("PASS") >= 6
         assert "FAIL" not in out
+
+    def test_raising_check_reports_fail_and_continues(self, capsys, monkeypatch):
+        def diverging(*args, **kwargs):
+            raise OracleFailure("iterate diverged")
+
+        monkeypatch.setattr(cli, "minimize_iteratively", diverging)
+        assert main(["verify", "--seed", "7"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert ("FAIL closed-form-optimality: OracleFailure: iterate diverged"
+                in lines)
+        assert sum(line.startswith("PASS ") for line in lines) == 5
+        assert lines[-1] == "verify: FAILURES detected"
 
 
 class TestShippedConfigs:

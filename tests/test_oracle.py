@@ -1,17 +1,20 @@
-"""Independent verifiers: residuals, gradient descent, fuzzing, queue bounds."""
+"""Independent verifiers: residuals, conjugate gradient, fuzzing, queue bounds."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lyapedit import (
     Dims,
     RunConfig,
     StreamSpec,
+    oracle,
     run,
     solve_lyaplock,
 )
-from lyapedit.errors import InputError
+from lyapedit.errors import InputError, OracleFailure
 from lyapedit.oracle import (
     check_inequality_fuzz,
     check_sufficiency_empirical,
@@ -21,6 +24,8 @@ from lyapedit.oracle import (
     quadratic_objective,
     verify_normal_equations,
 )
+
+from conftest import build_instance
 
 
 class TestVerifyNormalEquations:
@@ -126,6 +131,51 @@ class TestMinimizeIteratively:
         inst = make_instance()
         with pytest.raises(InputError):
             minimize_iteratively(inst.mem, inst.bk, inst.batch, 1.0, 1.0, steps=0)
+
+
+@st.composite
+def _shapes(draw):
+    d0 = draw(st.integers(1, 8))
+    return dict(d0=d0, d1=draw(st.integers(1, 6)), n=draw(st.integers(1, 4)),
+                m0=draw(st.integers(d0, 64)), absorbed=draw(st.integers(0, 3)))
+
+
+class TestConjugateGradient:
+    def test_gradient_call_budget(self, make_instance, monkeypatch):
+        d0 = 8
+        inst = make_instance(d0=d0, d1=6, n=3, m0=32, absorbed=2, seed=80)
+        calls = []
+        real_gradient = oracle.objective_gradient
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return real_gradient(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "objective_gradient", counting)
+        _, iterated = minimize_iteratively(inst.mem, inst.bk, inst.batch, 1.0, 0.8)
+        assert len(calls) <= 2 * d0 + 4
+        report = solve_lyaplock(inst.mem, inst.bk, inst.batch, v_weight=1.0, az=0.8)
+        closed = quadratic_objective(inst.mem, inst.bk, inst.batch, 1.0, 0.8,
+                                     report.delta)
+        assert iterated == pytest.approx(closed, rel=1e-12)
+
+    def test_indefinite_objective_raises(self, make_instance):
+        inst = make_instance(d0=4, d1=3, n=2, m0=16, absorbed=1, seed=90)
+        with pytest.raises(OracleFailure):
+            minimize_iteratively(inst.mem, inst.bk, inst.batch,
+                                 v_weight=1e-3, az=-1.0)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(shape=_shapes(), seed=st.integers(0, 2**32 - 1),
+           az=st.floats(0.1, 3.0))
+    def test_agrees_with_closed_form(self, shape, seed, az):
+        inst = build_instance(np.random.default_rng(seed), **shape)
+        report = solve_lyaplock(inst.mem, inst.bk, inst.batch, v_weight=1.0, az=az)
+        closed = quadratic_objective(inst.mem, inst.bk, inst.batch, 1.0, az,
+                                     report.delta)
+        _, iterated = minimize_iteratively(inst.mem, inst.bk, inst.batch, 1.0, az)
+        assert iterated <= closed + 1e-9 * abs(closed)
+        assert closed <= iterated + 1e-9 * abs(iterated)
 
 
 class TestInequalityFuzz:
