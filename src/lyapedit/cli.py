@@ -91,12 +91,13 @@ def _bool(value: bool) -> str:
 
 # --- configuration document --------------------------------------------------
 
+_U64_MAX = 0xFFFFFFFFFFFFFFFF
 _INT_KEYS = {
     "dims.d0": (1, None),
     "dims.d1": (1, None),
     "stream.n_per_batch": (1, None),
     "stream.total_batches": (1, None),
-    "stream.seed": (0, 0xFFFFFFFFFFFFFFFF),
+    "stream.seed": (0, _U64_MAX),
     "stream.m0": (1, None),
     "record_every": (1, None),
 }
@@ -475,6 +476,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.seed is not None and not 0 <= args.seed <= _U64_MAX:
+        # Checked here, not by an argparse type, whose usage errors exit 2.
+        print(f"error: --seed must be in [0, {_U64_MAX}], got {args.seed}",
+              file=sys.stderr)
+        return 1
     try:
         return args.func(args)
     except (ConfigError, InputError) as exc:

@@ -8,6 +8,12 @@ condition estimate above 1e12 the diagonal is ridged with escalating
 lambda in {1e-10, 1e-8, 1e-6} * tr(C)/dim, and the applied lambda is recorded
 in the report.  No explicit inverse is ever formed.
 
+LAPACK ``potrf``, ``potrs`` and ``pocon`` and BLAS ``nrm2`` are bound once,
+at import, and called directly: the same routines with the same arguments
+that scipy's ``cho_factor``, ``cho_solve`` and ``norm`` would call, without
+their per-call validation and lookup.  A step at d0=64 costs about a
+megaflop, so that fixed cost mattered.
+
 The ``*_step`` forms serve a step loop: they take the products W K0K0^T
 (and W KpKp^T) that the loop carries instead of recomputing them, and leave
 them at the post-edit weights, where the residual check computed them.
@@ -17,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import cho_factor, cho_solve, get_lapack_funcs
+from scipy.linalg import get_blas_funcs, get_lapack_funcs
 
 from .errors import DimensionMismatchError, InputError, SingularSystemError
 from .memory import AssociativeMemory, BacklogAccumulator, EditBatch
@@ -30,6 +35,11 @@ RESIDUAL_TARGET = 1e-8
 # the solver returns an exactly zero perturbation instead of amplifying them.
 SNAP_THRESHOLD = 1e-10
 _TINY = float(np.finfo(np.float64).tiny)
+
+# The float64 routines, bound once (see the module docstring).
+_potrf, _potrs, _pocon = get_lapack_funcs(("potrf", "potrs", "pocon"),
+                                          dtype=np.float64)
+_nrm2 = get_blas_funcs("nrm2", dtype=np.float64, ilp64="preferred")
 
 
 @dataclass(frozen=True)
@@ -54,37 +64,46 @@ def _norm(x: np.ndarray) -> float:
     ``np.linalg.norm`` squares the entries first, so it overflows to inf or
     underflows to 0 far inside the range of representable matrices.
     """
-    return float(scipy.linalg.norm(x.ravel(), check_finite=False))
+    return float(_nrm2(x.ravel()))
 
 
 def _ridge_attempts(matrix: np.ndarray, max_ridge: float):
-    """Yield (lam, cho_factorization, condition_estimate) over the ladder.
+    """Yield (lam, lower Cholesky factor, condition_estimate) over the ladder.
 
     Attempts that fail to factor or whose condition estimate exceeds the
-    limit yield a ``None`` factorization so the caller can keep escalating
-    (and report the final condition estimate on exhaustion).
+    limit yield a ``None`` factor so the caller can keep escalating (and
+    report the final condition estimate on exhaustion).  The factor is
+    ``potrf``'s output: L in the lower triangle, the input above it.
     """
     dim = matrix.shape[0]
     scale = float(np.trace(matrix)) / dim
-    (pocon,) = get_lapack_funcs(("pocon",), (matrix,))
     for factor_scale in (0.0,) + tuple(f for f in RIDGE_LADDER if f <= max_ridge):
         lam = factor_scale * scale
         ridged = matrix
         if lam > 0.0:
             ridged = matrix.copy()
             ridged.flat[:: dim + 1] += lam
-        try:
-            factorization = cho_factor(ridged, lower=True, check_finite=False)
-        except np.linalg.LinAlgError:
+        factor, info = _potrf(ridged, lower=True, clean=False)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of potrf")
+        if info > 0:  # a leading minor is not positive definite
             yield lam, None, float("inf")
             continue
-        anorm = float(np.linalg.norm(ridged, 1))
-        rcond, info = pocon(factorization[0], anorm, uplo="L")
+        anorm = float(np.abs(ridged).sum(axis=0).max())  # the 1-norm
+        rcond, info = _pocon(factor, anorm, uplo="L")
         if info != 0 or not (rcond > 0.0):
             cond = float("inf")
         else:
             cond = 1.0 / float(rcond)
-        yield lam, (factorization if cond <= CONDITION_LIMIT else None), cond
+        yield lam, (factor if cond <= CONDITION_LIMIT else None), cond
+
+
+def _cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """X with ``L L^T X = b`` for a factor from :func:`_ridge_attempts`."""
+    x, info = _potrs(factor, b, lower=True)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x
 
 
 def _normal_solve(w: np.ndarray, c: np.ndarray, target: np.ndarray,
@@ -111,11 +130,11 @@ def _normal_solve(w: np.ndarray, c: np.ndarray, target: np.ndarray,
                            ridge_applied=0.0,
                            condition_estimate=float("nan")), w
     last_cond = float("inf")
-    for lam, factorization, cond in _ridge_attempts(c, max_ridge):
+    for lam, factor, cond in _ridge_attempts(c, max_ridge):
         last_cond = cond
-        if factorization is None:
+        if factor is None:
             continue
-        delta = cho_solve(factorization, target.T, check_finite=False).T
+        delta = _cho_solve(factor, target.T).T
         w_new = w + delta
         residual = _norm(times_c(w_new) - rhs_full) / ref
         if not np.isfinite(residual) or (lam == 0.0 and residual > RESIDUAL_TARGET):
@@ -253,12 +272,12 @@ def solve_edit_only(mem: AssociativeMemory, batch: EditBatch,
     small_gram = k1.T @ k1
     ref = max(_norm(v1), _TINY)
     last_cond = float("inf")
-    for lam, factorization, cond in _ridge_attempts(small_gram, max_ridge):
+    for lam, factor, cond in _ridge_attempts(small_gram, max_ridge):
         last_cond = cond
-        if factorization is None:
+        if factor is None:
             continue
         # delta = resid @ (K1^T K1)^-1 K1^T is the least-norm interpolant.
-        delta = resid @ cho_solve(factorization, k1.T, check_finite=False)
+        delta = resid @ _cho_solve(factor, k1.T)
         residual = _norm((w + delta) @ k1 - v1) / ref
         if lam == 0.0 and residual > RESIDUAL_TARGET:
             continue

@@ -6,6 +6,14 @@ produced by the Box-Muller transform.  Both algorithms are fully specified
 here, so streams are reproducible independent of any library RNG and identical
 across platforms up to libm rounding of log/cos/sin.
 
+One kernel, ``_normal_rows``, makes the normals of many sub-streams at once,
+in place, in passes of a fixed number of pairs; ``SplitMix64.normal`` is its
+one-row case.  ``EditStream`` generates a block of consecutive batches per
+kernel call (about 2**17 values: 36 batches of the d0=64 acceptance stream),
+because at small d0 the fixed cost of a numpy call, not the arithmetic,
+dominated a per-batch generator.  Blocks change no bit: ``batch(t)`` is the
+same pure function of (spec, t) in any access order.
+
 KVMX matrix files are little-endian: magic ``KVMX``, format version u32 = 1,
 rows u64, cols u64, then rows*cols IEEE-754 binary64 values in row-major
 order.  A batch file is the magic ``KVB1`` followed by two concatenated KVMX
@@ -32,43 +40,108 @@ from .errors import (
 )
 from .memory import Dims, EditBatch
 
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+# Normal pairs per pass of the kernel: each of its five work buffers is 64 KiB.
+_CHUNK_PAIRS = 1 << 13
 
 
-def _mix64(z: np.ndarray) -> np.ndarray:
-    # uint64 arithmetic is meant to wrap modulo 2**64.
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+def _mix64_int(z: int) -> int:
+    """SplitMix64's output mix on a Python integer below 2**64."""
+    z = ((z ^ (z >> 30)) * _MIX1) & _U64_MASK
+    z = ((z ^ (z >> 27)) * _MIX2) & _U64_MASK
+    return z ^ (z >> 31)
+
+
+def _mix64(z: np.ndarray, tmp: np.ndarray) -> None:
+    """SplitMix64's output mix, in place on a uint64 array (wraps mod 2**64)."""
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(z, shift, out=tmp)
+        np.bitwise_xor(z, tmp, out=z)
+        np.multiply(z, np.uint64(mult), out=z)
+    np.right_shift(z, 31, out=tmp)
+    np.bitwise_xor(z, tmp, out=z)
+
+
+def _steps(first: int, count: int) -> np.ndarray:
+    """k * GOLDEN mod 2**64 for the counters k = first .. first + count - 1."""
+    return np.arange(first, first + count, dtype=np.uint64) * np.uint64(_GOLDEN)
 
 
 def derive_seed(seed: int, *tags: int) -> int:
     """Fold integer tags into a seed, giving independent sub-streams."""
-    state = np.uint64(seed & _U64_MASK)
+    state = int(seed) & _U64_MASK
     for tag in tags:
-        with np.errstate(over="ignore"):
-            folded = (state + np.uint64(1)) * _GOLDEN + np.uint64(tag & _U64_MASK)
-        state = _mix64(folded)
-    return int(state)
+        state = _mix64_int(((state + 1) * _GOLDEN + (int(tag) & _U64_MASK))
+                           & _U64_MASK)
+    return state
+
+
+def _normal_rows(seeds, n: int, drawn: int = 0) -> np.ndarray:
+    """Box-Muller normals of many SplitMix64 sub-streams, one row per seed.
+
+    Row r equals ``SplitMix64(seeds[r]).normal(n)`` after ``drawn`` earlier
+    words.  Of the 2p words a row draws (p = ceil(n/2)), the first p give
+    u1 in (0, 1], so log(u1) is finite, and the last p give u2 in [0, 1);
+    pair k yields ``r cos(a)`` and ``r sin(a)`` at positions 2k and 2k+1,
+    with ``r = sqrt(-2 log u1_k)`` and ``a = 2 pi u2_k``.  The rows are made
+    in passes of at most ``_CHUNK_PAIRS`` pairs (whole rows while they fit)
+    in fixed work buffers, so the transcendental functions always run on
+    contiguous arrays.
+    """
+    pairs = (n + 1) // 2
+    seeds = np.array(seeds, dtype=np.uint64)
+    rows = seeds.size
+    out = np.empty((rows, 2 * pairs))
+    steps1 = _steps(drawn + 1, pairs)
+    steps2 = _steps(drawn + 1 + pairs, pairs)
+    width = max(1, min(pairs, _CHUNK_PAIRS))
+    height = min(rows, _CHUNK_PAIRS // width)
+    words, tmp = np.empty((2, height * width), dtype=np.uint64)
+    u1, u2, cos = np.empty((3, height * width))
+    for r0 in range(0, rows, height):
+        r1 = min(rows, r0 + height)
+        seed = seeds[r0:r1, None]
+        for p0 in range(0, pairs, width):
+            p1 = min(pairs, p0 + width)
+            size = (r1 - r0) * (p1 - p0)
+            shape = (r1 - r0, p1 - p0)
+            w, t = words[:size].reshape(shape), tmp[:size].reshape(shape)
+            a, b, c = (buf[:size].reshape(shape) for buf in (u1, u2, cos))
+            np.add(seed, steps1[p0:p1], out=w)
+            _mix64(w, t)
+            np.right_shift(w, 11, out=w)
+            np.add(w, 1, out=w)
+            np.multiply(w, 2.0 ** -53, out=a)
+            np.add(seed, steps2[p0:p1], out=w)
+            _mix64(w, t)
+            np.right_shift(w, 11, out=w)
+            np.multiply(w, 2.0 ** -53, out=b)
+            np.log(a, out=a)
+            np.multiply(a, -2.0, out=a)
+            np.sqrt(a, out=a)          # radius
+            np.multiply(b, 2.0 * np.pi, out=b)  # angle
+            np.cos(b, out=c)
+            np.sin(b, out=b)
+            np.multiply(a, c, out=out[r0:r1, 2 * p0:2 * p1:2])
+            np.multiply(a, b, out=out[r0:r1, 2 * p0 + 1:2 * p1:2])
+    return out[:, :n]
 
 
 class SplitMix64:
     """Seeded, counter-based uniform/normal generator over float64 arrays."""
 
     def __init__(self, seed: int):
-        self._seed = np.uint64(seed & _U64_MASK)
+        self._seed = int(seed) & _U64_MASK
         self._drawn = 0
 
     def uint64(self, n: int) -> np.ndarray:
-        counters = np.arange(self._drawn + 1, self._drawn + n + 1, dtype=np.uint64)
+        words = np.uint64(self._seed) + _steps(self._drawn + 1, n)
         self._drawn += n
-        with np.errstate(over="ignore"):
-            words = self._seed + counters * _GOLDEN
-        return _mix64(words)
+        _mix64(words, np.empty_like(words))
+        return words
 
     def uniform(self, n: int) -> np.ndarray:
         """n uniforms in [0, 1), using the top 53 bits of each word."""
@@ -76,17 +149,9 @@ class SplitMix64:
 
     def normal(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller on consecutive uniform pairs."""
-        pairs = (n + 1) // 2
-        words = self.uint64(2 * pairs)
-        # u1 lives in (0, 1] so log(u1) is finite.
-        u1 = ((words[:pairs] >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
-        u2 = (words[pairs:] >> np.uint64(11)) * 2.0 ** -53
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = (2.0 * np.pi) * u2
-        out = np.empty(2 * pairs)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
-        return out[:n]
+        out = _normal_rows([self._seed], n, self._drawn)[0]
+        self._drawn += 2 * ((n + 1) // 2)
+        return out
 
     def matrix(self, rows: int, cols: int) -> np.ndarray:
         return self.normal(rows * cols).reshape(rows, cols)
@@ -99,6 +164,10 @@ _TAG_W0 = 0
 _TAG_K0 = 1
 _TAG_KEYS = 2
 _TAG_TEACHER = 3
+
+# Normals generated per block of batches: 36 batches of the d0=64 acceptance
+# stream, one batch at d0=1024.
+_BLOCK_VALUES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -142,13 +211,26 @@ class EditStream:
     """Deterministic batch source for one run.
 
     ``batch(t)`` is a pure function of (spec, t), so prefixes agree across
-    streams that share a seed but differ in total_batches.
+    streams that share a seed but differ in total_batches.  Batches are made
+    in blocks of consecutive timestamps, sized to about ``_BLOCK_VALUES``
+    generated normals; the stream keeps the latest block and serves any
+    ``t`` inside it without generating again.  Every batch's arrays are
+    read-only, since repeated calls return the same object.
     """
 
     def __init__(self, spec: StreamSpec):
         self.spec = spec
         self._emitted = 0
         self._preserved = None
+        d0, d1, n = spec.dims.d0, spec.dims.d1, spec.n_per_batch
+        per_batch = d0 * n
+        if spec.value_mode == "random-target":
+            per_batch += d1 * n
+        elif spec.teacher_drift != 0.0:
+            per_batch += d1 * d0
+        self._block_size = max(1, _BLOCK_VALUES // per_batch)
+        self._block_first = 0
+        self._block: list[EditBatch] = []
 
     def generate_preserved(self):
         """Return (w0, k0): original weights and preserved keys.
@@ -185,19 +267,45 @@ class EditStream:
             raise StreamExhausted(
                 f"batch index {t} outside 1..{spec.total_batches}"
             )
+        first = t - (t - 1) % self._block_size
+        if first != self._block_first:
+            self._block = self._make_block(first)
+            self._block_first = first
+        return self._block[t - first]
+
+    def _make_block(self, first: int) -> list[EditBatch]:
+        """Batches first .. first + block size - 1, capped at total_batches.
+
+        One kernel call makes every batch's keys and one makes every
+        teacher wobble (or random target); the values come from one stacked
+        matmul.  Each batch's numbers are exactly those of generating it
+        alone: row i of each kernel call is sub-stream ``first + i``.
+        """
+        spec = self.spec
         d0, d1, n = spec.dims.d0, spec.dims.d1, spec.n_per_batch
-        k1 = SplitMix64(derive_seed(spec.seed, _TAG_KEYS, t)).matrix(d0, n) * spec.key_scale
+        times = range(first, min(first + self._block_size, spec.total_batches + 1))
+        rows = len(times)
+
+        def normals(tag, size):
+            return _normal_rows([derive_seed(spec.seed, tag, t) for t in times], size)
+
+        k1 = (normals(_TAG_KEYS, d0 * n) * spec.key_scale).reshape(rows, d0, n)
         if spec.value_mode == "random-target":
-            v1 = SplitMix64(derive_seed(spec.seed, _TAG_TEACHER, t)).matrix(d1, n)
+            v1 = normals(_TAG_TEACHER, d1 * n).reshape(rows, d1, n)
         else:
             w0, _ = self.generate_preserved()
             if spec.teacher_drift == 0.0:
                 # Exactly representable stream: values come straight from w0.
-                v1 = w0 @ k1
+                v1 = np.matmul(w0, k1)
             else:
-                wobble = SplitMix64(derive_seed(spec.seed, _TAG_TEACHER, t)).matrix(d1, d0)
-                v1 = (w0 + spec.teacher_drift * wobble) @ k1
-        return EditBatch(k1=k1, v1=v1)
+                wobble = normals(_TAG_TEACHER, d1 * d0)
+                np.multiply(wobble, spec.teacher_drift, out=wobble)
+                teacher = wobble.reshape(rows, d1, d0)
+                np.add(w0, teacher, out=teacher)
+                v1 = np.matmul(teacher, k1)
+        k1.flags.writeable = False
+        v1.flags.writeable = False
+        return [EditBatch(k1=keys, v1=values) for keys, values in zip(k1, v1)]
 
     def next_batch(self) -> EditBatch:
         if self._emitted >= self.spec.total_batches:

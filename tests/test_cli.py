@@ -215,6 +215,22 @@ class TestVerify:
         assert lines[-1] == "verify: FAILURES detected"
 
 
+class TestSeedRange:
+    """--seed must fit in 64 bits; a bad one is a usage error, not a FAIL."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--seed", "-1"],
+        ["verify", "--seed", str(2 ** 64)],
+        ["simulate", "--config", "unused.cfg", "--seed", "-1"],
+    ])
+    def test_out_of_range_seed_exits_1(self, argv, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: --seed must be in [0, 18446744073709551615], got {argv[-1]}\n")
+        assert "PASS" not in captured.out and "FAIL" not in captured.out
+
+
 class TestShippedConfigs:
     def test_acceptance_config_satisfies_constraint(self, tmp_path, capsys):
         from pathlib import Path

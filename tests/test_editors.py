@@ -16,6 +16,7 @@ from lyapedit import (
     solve_edit_only,
     solve_lyaplock,
 )
+from lyapedit import editors
 from lyapedit.errors import InputError, SingularSystemError
 from lyapedit.oracle import quadratic_objective
 
@@ -238,3 +239,127 @@ class TestSolveEditOnly:
         batch = EditBatch(k1=np.zeros((2, 2)), v1=np.ones((2, 2)))
         with pytest.raises(SingularSystemError):
             solve_edit_only(mem, batch)
+
+
+# The scipy-wrapper forms of the factor, solve and norm helpers that the
+# bound LAPACK/BLAS routines replaced, kept as the reference.
+def reference_ridge_attempts(matrix, max_ridge):
+    from scipy.linalg import cho_factor, get_lapack_funcs
+    dim = matrix.shape[0]
+    scale = float(np.trace(matrix)) / dim
+    (pocon,) = get_lapack_funcs(("pocon",), (matrix,))
+    for factor_scale in (0.0,) + tuple(f for f in editors.RIDGE_LADDER
+                                       if f <= max_ridge):
+        lam = factor_scale * scale
+        ridged = matrix
+        if lam > 0.0:
+            ridged = matrix.copy()
+            ridged.flat[:: dim + 1] += lam
+        try:
+            factorization = cho_factor(ridged, lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            yield lam, None, float("inf")
+            continue
+        anorm = float(np.linalg.norm(ridged, 1))
+        rcond, info = pocon(factorization[0], anorm, uplo="L")
+        cond = float("inf") if info != 0 or not (rcond > 0.0) else 1.0 / float(rcond)
+        yield lam, (factorization if cond <= editors.CONDITION_LIMIT else None), cond
+
+
+def reference_cho_solve(factorization, b):
+    from scipy.linalg import cho_solve
+    return cho_solve(factorization, b, check_finite=False)
+
+
+def reference_norm(x):
+    import scipy.linalg
+    return float(scipy.linalg.norm(x.ravel(), check_finite=False))
+
+
+@pytest.fixture
+def scipy_wrappers(monkeypatch):
+    """Route the solvers through the scipy wrappers instead of bound LAPACK."""
+    def use():
+        monkeypatch.setattr(editors, "_ridge_attempts", reference_ridge_attempts)
+        monkeypatch.setattr(editors, "_cho_solve", reference_cho_solve)
+        monkeypatch.setattr(editors, "_norm", reference_norm)
+    return use
+
+
+def same_report(a, b):
+    assert a.delta.tobytes() == b.delta.tobytes()
+    for field in ("residual", "ridge_applied", "condition_estimate"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x == y or (np.isnan(x) and np.isnan(y)), field
+
+
+def spd_with_spectrum(rng, eigenvalues):
+    q, _ = np.linalg.qr(rng.standard_normal((len(eigenvalues),) * 2))
+    c = (q * np.asarray(eigenvalues)) @ q.T
+    return (c + c.T) * 0.5
+
+
+class TestDirectLapack:
+    """The bound routines give the scipy wrappers' results bit for bit."""
+
+    def solve_both(self, scipy_wrappers, *args):
+        bound = editors._normal_solve(*args)
+        scipy_wrappers()
+        wrapped = editors._normal_solve(*args)
+        same_report(bound[0], wrapped[0])
+        assert bound[1].tobytes() == wrapped[1].tobytes()
+        return bound[0]
+
+    def test_random_systems(self, make_instance, scipy_wrappers):
+        cases = [make_instance(d0=d0, d1=d1, n=n, m0=4 * d0, absorbed=a, seed=s)
+                 for s, (d0, d1, n, a) in enumerate(
+                     [(4, 3, 2, 0), (6, 4, 3, 2), (9, 7, 5, 1), (16, 12, 8, 3)] * 3)]
+        bound = []
+        for i, inst in enumerate(cases):
+            az = 0.5 + 0.25 * i
+            bound.append((
+                solve_lyaplock(inst.mem, inst.bk, inst.batch, v_weight=1.0, az=az),
+                solve_baseline(inst.mem, inst.batch),
+                solve_edit_only(inst.mem, inst.batch)))
+        scipy_wrappers()
+        for i, inst in enumerate(cases):
+            az = 0.5 + 0.25 * i
+            wrapped = (
+                solve_lyaplock(inst.mem, inst.bk, inst.batch, v_weight=1.0, az=az),
+                solve_baseline(inst.mem, inst.batch),
+                solve_edit_only(inst.mem, inst.batch))
+            for a, b in zip(bound[i], wrapped):
+                same_report(a, b)
+
+    # Smallest eigenvalue as a multiple of tr(C)/dim, and the rung it lands
+    # on: indefinite matrices fail potrf until the ridge covers the deficit,
+    # and the tiny positive one factors but fails the condition limit.
+    @pytest.mark.parametrize("low,rung", [(1.0, 0.0), (1e-14, 1e-10),
+                                          (-0.5e-10, 1e-10), (-0.5e-8, 1e-8),
+                                          (-0.5e-6, 1e-6)])
+    def test_each_ridge_rung(self, rng, scipy_wrappers, low, rung):
+        dim = 6
+        eigs = np.array([1.0, 2.0, 3.0, 1.5, 2.5, 0.0])
+        eigs[-1] = low * eigs.sum() / (dim - 1)
+        c = spd_with_spectrum(rng, eigs)
+        w = rng.standard_normal((4, dim))
+        target = rng.standard_normal((4, dim))
+        rhs_full = w @ c + target
+        report = self.solve_both(scipy_wrappers, w, c, target, rhs_full, 1e-6,
+                                 lambda w_new: w_new @ c)
+        scale = float(np.trace(c)) / dim
+        assert report.ridge_applied == rung * scale
+
+    def test_exhausted_ladder_raises_alike(self, rng, scipy_wrappers):
+        dim = 5
+        c = spd_with_spectrum(rng, [1.0, 2.0, 3.0, 4.0, -1e-3])
+        w = rng.standard_normal((3, dim))
+        target = rng.standard_normal((3, dim))
+        args = (w, c, target, w @ c + target, 1e-6, lambda w_new: w_new @ c)
+        with pytest.raises(SingularSystemError) as bound:
+            editors._normal_solve(*args)
+        scipy_wrappers()
+        with pytest.raises(SingularSystemError) as wrapped:
+            editors._normal_solve(*args)
+        assert str(bound.value) == str(wrapped.value)
+        assert bound.value.condition_estimate == wrapped.value.condition_estimate

@@ -1,10 +1,13 @@
 """Stream determinism, planted-mode feasibility, and the KVMX format."""
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lyapedit import (
     Dims,
@@ -28,6 +31,9 @@ from lyapedit.errors import (
     KvmxTruncatedError,
     StreamExhausted,
 )
+from lyapedit import harness
+from lyapedit import stream as stream_module
+from lyapedit.harness import RunConfig
 
 
 def spec(d0=8, d1=6, n=4, total=10, seed=99, mode="planted-teacher",
@@ -35,6 +41,205 @@ def spec(d0=8, d1=6, n=4, total=10, seed=99, mode="planted-teacher",
     return StreamSpec(dims=Dims(d0=d0, d1=d1), n_per_batch=n, total_batches=total,
                       key_scale=key_scale, value_mode=mode, teacher_drift=drift,
                       seed=seed, m0=m0)
+
+
+# The per-generator formulas the stream kernel replaced, kept as the reference:
+# one sub-stream at a time, numpy uint64 arithmetic throughout.
+_REF_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_REF_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_REF_MIX2 = np.uint64(0x94D049BB133111EB)
+_U64_MAX = 0xFFFFFFFFFFFFFFFF
+
+
+def reference_mix64(z):
+    with np.errstate(over="ignore"):
+        z = (z ^ (z >> np.uint64(30))) * _REF_MIX1
+        z = (z ^ (z >> np.uint64(27))) * _REF_MIX2
+        return z ^ (z >> np.uint64(31))
+
+
+def reference_derive_seed(seed, *tags):
+    state = np.uint64(seed & _U64_MAX)
+    for tag in tags:
+        with np.errstate(over="ignore"):
+            folded = (state + np.uint64(1)) * _REF_GOLDEN + np.uint64(tag & _U64_MAX)
+        state = reference_mix64(folded)
+    return int(state)
+
+
+def reference_uint64(seed, drawn, n):
+    counters = np.arange(drawn + 1, drawn + n + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        return reference_mix64(np.uint64(seed) + counters * _REF_GOLDEN)
+
+
+def reference_normal(seed, drawn, n):
+    pairs = (n + 1) // 2
+    words = reference_uint64(seed, drawn, 2 * pairs)
+    u1 = ((words[:pairs] >> np.uint64(11)) + np.uint64(1)) * 2.0 ** -53
+    u2 = (words[pairs:] >> np.uint64(11)) * 2.0 ** -53
+    radius = np.sqrt(-2.0 * np.log(u1))
+    angle = (2.0 * np.pi) * u2
+    out = np.empty(2 * pairs)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out[:n]
+
+
+class TestNormalKernel:
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seeds=st.lists(st.integers(0, _U64_MAX), min_size=1, max_size=5),
+           drawn=st.integers(0, 7),
+           n=st.integers(1, 3 * stream_module._CHUNK_PAIRS))
+    def test_rows_equal_reference(self, seeds, drawn, n):
+        rows = stream_module._normal_rows(seeds, n, drawn)
+        assert rows.shape == (len(seeds), n)
+        for row, seed in zip(rows, seeds):
+            assert row.tobytes() == reference_normal(seed, drawn, n).tobytes()
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(seed=st.integers(0, _U64_MAX), drawn=st.integers(0, 7),
+           n=st.integers(1, 3 * stream_module._CHUNK_PAIRS))
+    def test_generator_equals_reference(self, seed, drawn, n):
+        gen = SplitMix64(seed)
+        assert gen.uint64(drawn).tobytes() == reference_uint64(seed, 0, drawn).tobytes()
+        assert gen.normal(n).tobytes() == reference_normal(seed, drawn, n).tobytes()
+        drawn += 2 * ((n + 1) // 2)
+        uniform = (reference_uint64(seed, drawn, n) >> np.uint64(11)) * 2.0 ** -53
+        assert gen.uniform(n).tobytes() == uniform.tobytes()
+
+    @settings(derandomize=True, deadline=None)
+    @given(seed=st.integers(0, _U64_MAX),
+           tags=st.lists(st.integers(0, _U64_MAX), max_size=4))
+    def test_derive_seed_equals_reference(self, seed, tags):
+        assert derive_seed(seed, *tags) == reference_derive_seed(seed, *tags)
+
+    def test_chunk_boundaries_and_odd_lengths(self):
+        chunk = stream_module._CHUNK_PAIRS
+        for n in (1, 2, 3, 2 * chunk - 1, 2 * chunk, 2 * chunk + 1, 2 * chunk + 2):
+            seeds = [0, 7, _U64_MAX]
+            rows = stream_module._normal_rows(seeds, n, 5)
+            for row, seed in zip(rows, seeds):
+                assert row.tobytes() == reference_normal(seed, 5, n).tobytes()
+
+
+def _digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+def _pinned_spec(mode, drift, total, seed):
+    return StreamSpec(dims=Dims(d0=64, d1=48), n_per_batch=8, total_batches=total,
+                      key_scale=1.0, value_mode=mode, teacher_drift=drift,
+                      seed=seed, m0=128)
+
+
+# SHA-256 of generate_preserved() (w0 then k0) and of batch(t) (k1 then v1),
+# computed with the per-batch generator before block generation existed.  The
+# timestamps are batches 1 and 2, the last of block 1, the first of block 2,
+# and T.
+PINNED_STREAMS = {
+    "planted": (
+        _pinned_spec("planted-teacher", 0.1, 80, 188), 36,
+        "2f15f657a058b836d8881cbcf698648580c8e7b9378cb1526b80a3d914f025a4",
+        {1: "d7a74038d803a1b4dd8873dd56fe249ebe8ba287455b537d4adf3edfcb6007c0",
+         2: "548a55a011408bc11920195c0f26e567523befba0a7e3df099300cb2b42582da",
+         36: "e6487846c58eea90b0f01c9826bf5cef704118dde753dd6f8a492bcb4204f555",
+         37: "3fe2885fbc5fab6f25e55c189c4602e62b5926f2d0197363d1011253f2660958",
+         80: "2849c9f07b75047e8b415966dcc8d6e138089ccc8c18f8d9d01197c13cb37f66"},
+    ),
+    "exact": (
+        _pinned_spec("planted-teacher", 0.0, 300, 101), 256,
+        "2095d2c5c1aa41a7d050706d9b982e25affb8415add0f1a74d00a56ca5baca0d",
+        {1: "e624d65692441b85081076ae6a50b255671a9095aba5dc847fb5aa239b100076",
+         2: "e6ac7aa823bb7b3b765d4373b8007ba98b559c6e7190d37f74d3358e680bf7eb",
+         256: "a2b35f74c9947573c9e195f63af91c878aae59320bc0218eb30ba50d50432858",
+         257: "6aef5ee0246f9a88748b472b22d173246c855dead78dc1aceb1fc4c736b5ec97",
+         300: "f74b3ebfd2d75c33ee3350763fcc8a9a519ad0e8a1b2b0d645e80278571fb2a9"},
+    ),
+    "random": (
+        _pinned_spec("random-target", 0.1, 150, 7), 146,
+        "6b38642d37a18f54dbc8bd1610ee78f6b4d9e57411b0dbefc4f58338c9e324c6",
+        {1: "4c2cb84ae4e737aef8cb15850a36949b92915d8876bc65d5e7031caf5ddb8e2f",
+         2: "4a503b4ac3538364777427092c886d20b00b17ce623f1d1b2a9100d4594a9909",
+         146: "550ed4289c244838ac1a6743ccbcb2b8b5f1b0a62a1ce3840cbb2f28735631be",
+         147: "c0258c241f603d6d6cbed103e45589379e70c5f44bb93bdd9267b49457d03ad0",
+         150: "15dc9f107daacd0c63f1b59cc9a2340a53fe4c216495c09c46f319f03c013646"},
+    ),
+}
+
+
+class TestPinnedStreams:
+    @pytest.mark.parametrize("name", sorted(PINNED_STREAMS))
+    def test_known_answers(self, name):
+        spec_, block, preserved, batches = PINNED_STREAMS[name]
+        stream = EditStream(spec_)
+        assert stream._block_size == block
+        assert _digest(*stream.generate_preserved()) == preserved
+        for t, expected in batches.items():
+            batch = stream.batch(t)
+            assert _digest(batch.k1, batch.v1) == expected, t
+
+
+class TestBlockCache:
+    # Blocks of 36 batches: 1..36, 37..72 and the partial block 73..80.
+    SPEC = _pinned_spec("planted-teacher", 0.1, 80, 188)
+
+    def test_any_access_order_gives_identical_arrays(self):
+        # Each reference batch comes from a fresh stream, asked for t alone.
+        times = [80, 1, 36, 37, 73, 72, 2, 80, 36, 5, 79, 37, 1]
+        reference = {t: EditStream(self.SPEC).batch(t) for t in set(times)}
+        stream = EditStream(self.SPEC)
+        for t in times + times[::-1]:
+            got, want = stream.batch(t), reference[t]
+            assert got.k1.tobytes() == want.k1.tobytes(), t
+            assert got.v1.tobytes() == want.v1.tobytes(), t
+
+    @pytest.mark.parametrize("mode,drift", [("planted-teacher", 0.1),
+                                            ("planted-teacher", 0.0),
+                                            ("random-target", 0.1)])
+    def test_block_arrays_are_read_only(self, mode, drift):
+        stream = EditStream(spec(mode=mode, drift=drift))
+        for t in (1, 10):
+            batch = stream.batch(t)
+            with pytest.raises(ValueError):
+                batch.k1[0, 0] = 1.0
+            with pytest.raises(ValueError):
+                batch.v1[0, 0] = 1.0
+
+    def test_exhaustion_bounds_unchanged(self):
+        stream = EditStream(self.SPEC)
+        for t in (0, -1, 81):
+            with pytest.raises(StreamExhausted):
+                stream.batch(t)
+        stream.batch(80)
+        stream.batch(1)
+        for t in (0, 81, 1000):
+            with pytest.raises(StreamExhausted):
+                stream.batch(t)
+
+    def test_lockstep_compare_generates_each_batch_once(self, monkeypatch):
+        # The d_base probe and step 1 both read batch 1; the kernel must
+        # still make every sub-stream exactly once.
+        made = []
+        kernel = stream_module._normal_rows
+
+        def counting(seeds, n, drawn=0):
+            made.extend(seeds)
+            return kernel(seeds, n, drawn)
+
+        monkeypatch.setattr(stream_module, "_normal_rows", counting)
+        total = 40
+        spec_ = _pinned_spec("planted-teacher", 0.1, total, 188)
+        base = RunConfig(stream=spec_, editor="lyaplock", alpha=60.0)
+        harness.compare([base, RunConfig(stream=spec_, editor="baseline", alpha=60.0),
+                         RunConfig(stream=spec_, editor="edit-only", alpha=60.0)])
+        keys = [reference_derive_seed(188, 2, t) for t in range(1, total + 1)]
+        wobbles = [reference_derive_seed(188, 3, t) for t in range(1, total + 1)]
+        preserved = [reference_derive_seed(188, tag, 0) for tag in (0, 1)]
+        assert sorted(made) == sorted(keys + wobbles + preserved)
 
 
 class TestSplitMix64:
