@@ -9,9 +9,7 @@ threshold while editing loss stays low.
 
 from .controller import (
     QueueParams,
-    QueueState,
     derive_params,
-    drift_upper_bound,
     stability_ratio,
     update_queue,
 )
@@ -60,7 +58,6 @@ __all__ = [
     "EditBatch",
     "EditStream",
     "QueueParams",
-    "QueueState",
     "RunConfig",
     "RunResult",
     "RunSummary",
@@ -73,7 +70,6 @@ __all__ = [
     "compare",
     "derive_params",
     "derive_seed",
-    "drift_upper_bound",
     "editing_loss",
     "estimate_d_base",
     "load_batch_file",

@@ -24,14 +24,14 @@ comment.  Recognized keys:
     editor                 lyaplock | baseline | edit-only  (required)
     record_every           int >= 1   (default 1)
     v_weight               float > 0  (default 1.0)
-    ridge.max_lambda       float >= 0 (default 1e-6)
     sweep.alphas           comma-separated floats > 0 (required by sweep)
     compare.editors        comma-separated editor names
                            (default lyaplock,baseline,edit-only)
 
-Unknown keys are errors.  Exit status: 0 on success, 1 on configuration or
-verification failure, 2 when a solver aborts a run (the partial CSV is
-flushed with a final ``# status=aborted`` row).
+Unknown keys are errors, and every key present is checked, even
+``stream.seed`` under ``--seed``.  Exit status: 0 on success, 1 on
+configuration or verification failure, 2 when a solver aborts a run (the
+partial CSV is flushed with a final ``# status=aborted`` row).
 
 CSV output uses ``.`` as the decimal separator, ``\\n`` line endings and 17
 significant digits.  Wall-clock columns are written as 0 so that identical
@@ -92,31 +92,72 @@ def _bool(value: bool) -> str:
 # --- configuration document --------------------------------------------------
 
 _U64_MAX = 0xFFFFFFFFFFFFFFFF
-_INT_KEYS = {
-    "dims.d0": (1, None),
-    "dims.d1": (1, None),
-    "stream.n_per_batch": (1, None),
-    "stream.total_batches": (1, None),
-    "stream.seed": (0, _U64_MAX),
-    "stream.m0": (1, None),
-    "record_every": (1, None),
+_REQUIRED = object()
+
+
+def _integer(lo: int, hi: int | None = None):
+    def parse(key: str, text: str) -> int:
+        try:
+            value = int(text, 0)
+        except ValueError as exc:
+            raise ConfigError(f"{key} must be an integer, got {text!r}") from exc
+        if value < lo or (hi is not None and value > hi):
+            bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+            raise ConfigError(f"{key} must be {bound}, got {value}")
+        return value
+    return parse
+
+
+def _number(positive: bool):
+    def parse(key: str, text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError as exc:
+            raise ConfigError(f"{key} must be a number, got {text!r}") from exc
+        if not np.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
+        if value < 0.0 or (positive and value == 0.0):
+            kind = "positive" if positive else "nonnegative"
+            raise ConfigError(f"{key} must be {kind}, got {value!r}")
+        return value
+    return parse
+
+
+def _choice(choices):
+    def parse(key: str, text: str) -> str:
+        if text not in choices:
+            raise ConfigError(
+                f"{key} must be one of {', '.join(choices)}, got {text!r}")
+        return text
+    return parse
+
+
+def _list_of(item):
+    def parse(key: str, text: str) -> list:
+        return [item(f"{key} entries", part.strip()) for part in text.split(",")]
+    return parse
+
+
+# key -> (parser with its bound, default).  ``_REQUIRED`` marks a key that
+# must be present; ``None`` leaves the value to ``load_config`` (stream.m0
+# defaults to 4 * d0) or to the command (sweep.alphas).
+_SCHEMA = {
+    "dims.d0": (_integer(1), _REQUIRED),
+    "dims.d1": (_integer(1), _REQUIRED),
+    "stream.n_per_batch": (_integer(1), _REQUIRED),
+    "stream.total_batches": (_integer(1), _REQUIRED),
+    "stream.seed": (_integer(0, _U64_MAX), _REQUIRED),
+    "stream.mode": (_choice(VALUE_MODES), "planted-teacher"),
+    "stream.m0": (_integer(1), None),
+    "stream.key_scale": (_number(positive=True), 1.0),
+    "stream.teacher_drift": (_number(positive=False), 0.1),
+    "alpha": (_number(positive=True), _REQUIRED),
+    "editor": (_choice(EDITOR_NAMES), _REQUIRED),
+    "record_every": (_integer(1), 1),
+    "v_weight": (_number(positive=True), 1.0),
+    "sweep.alphas": (_list_of(_number(positive=True)), None),
+    "compare.editors": (_list_of(_choice(EDITOR_NAMES)), EDITOR_NAMES),
 }
-_FLOAT_KEYS = {
-    "stream.key_scale": "positive",
-    "stream.teacher_drift": "nonnegative",
-    "alpha": "positive",
-    "v_weight": "positive",
-    "ridge.max_lambda": "nonnegative",
-}
-_CHOICE_KEYS = {
-    "stream.mode": VALUE_MODES,
-    "editor": EDITOR_NAMES,
-}
-_LIST_KEYS = ("sweep.alphas", "compare.editors")
-_REQUIRED = ("dims.d0", "dims.d1", "stream.n_per_batch", "stream.total_batches",
-             "stream.seed", "alpha", "editor")
-_ALL_KEYS = (set(_INT_KEYS) | set(_FLOAT_KEYS) | set(_CHOICE_KEYS)
-             | set(_LIST_KEYS))
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
@@ -130,7 +171,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _SCHEMA:
             raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"{origin}:{lineno}: duplicate key {key!r}")
@@ -140,130 +181,77 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
     return values
 
 
-def _get_int(values: dict, key: str) -> int:
-    lo, hi = _INT_KEYS[key]
-    try:
-        parsed = int(values[key], 0)
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be an integer, got {values[key]!r}") from exc
-    if parsed < lo or (hi is not None and parsed > hi):
-        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise ConfigError(f"{key} must be {bound}, got {parsed}")
-    return parsed
-
-
-def _get_float(values: dict, key: str) -> float:
-    kind = _FLOAT_KEYS[key]
-    try:
-        parsed = float(values[key])
-    except ValueError as exc:
-        raise ConfigError(f"{key} must be a number, got {values[key]!r}") from exc
-    if not np.isfinite(parsed):
-        raise ConfigError(f"{key} must be finite, got {parsed!r}")
-    if kind == "positive" and parsed <= 0.0:
-        raise ConfigError(f"{key} must be positive, got {parsed!r}")
-    if kind == "nonnegative" and parsed < 0.0:
-        raise ConfigError(f"{key} must be nonnegative, got {parsed!r}")
-    return parsed
-
-
-def _get_choice(values: dict, key: str) -> str:
-    choices = _CHOICE_KEYS[key]
-    value = values[key]
-    if value not in choices:
-        raise ConfigError(f"{key} must be one of {', '.join(choices)}, got {value!r}")
-    return value
-
-
 def load_config(path, seed_override: int | None = None) -> dict:
-    """Read, validate and materialize a configuration document."""
+    """Read, validate and materialize a configuration document.
+
+    Every key present is parsed before ``seed_override`` replaces
+    ``stream.seed``, so an invalid seed in the file is an error either way.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    values = parse_config_text(text, origin=str(path))
-    for key in _REQUIRED:
-        if key not in values:
+    present = parse_config_text(text, origin=str(path))
+    for key, (_, default) in _SCHEMA.items():
+        if default is _REQUIRED and key not in present:
             raise ConfigError(f"missing required key {key}")
+    values = {key: parse(key, present[key]) if key in present else default
+              for key, (parse, default) in _SCHEMA.items()}
+    if seed_override is not None:
+        values["stream.seed"] = seed_override
 
-    d0 = _get_int(values, "dims.d0")
-    d1 = _get_int(values, "dims.d1")
-    seed = seed_override if seed_override is not None else _get_int(values, "stream.seed")
+    d0 = values["dims.d0"]
     spec = StreamSpec(
-        dims=Dims(d0=d0, d1=d1),
-        n_per_batch=_get_int(values, "stream.n_per_batch"),
-        total_batches=_get_int(values, "stream.total_batches"),
-        key_scale=_get_float(values, "stream.key_scale") if "stream.key_scale" in values else 1.0,
-        value_mode=_get_choice(values, "stream.mode") if "stream.mode" in values else "planted-teacher",
-        teacher_drift=_get_float(values, "stream.teacher_drift") if "stream.teacher_drift" in values else 0.1,
-        seed=seed,
-        m0=_get_int(values, "stream.m0") if "stream.m0" in values else 4 * d0,
+        dims=Dims(d0=d0, d1=values["dims.d1"]),
+        n_per_batch=values["stream.n_per_batch"],
+        total_batches=values["stream.total_batches"],
+        key_scale=values["stream.key_scale"],
+        value_mode=values["stream.mode"],
+        teacher_drift=values["stream.teacher_drift"],
+        seed=values["stream.seed"],
+        m0=4 * d0 if values["stream.m0"] is None else values["stream.m0"],
     )
     config = RunConfig(
         stream=spec,
-        editor=_get_choice(values, "editor"),
-        alpha=_get_float(values, "alpha"),
-        v_weight=_get_float(values, "v_weight") if "v_weight" in values else 1.0,
-        ridge_max_lambda=_get_float(values, "ridge.max_lambda") if "ridge.max_lambda" in values else 1e-6,
-        record_every=_get_int(values, "record_every") if "record_every" in values else 1,
+        editor=values["editor"],
+        alpha=values["alpha"],
+        v_weight=values["v_weight"],
+        record_every=values["record_every"],
     )
-
-    alphas = None
-    if "sweep.alphas" in values:
-        alphas = []
-        for part in values["sweep.alphas"].split(","):
-            try:
-                alpha = float(part.strip())
-            except ValueError as exc:
-                raise ConfigError(f"sweep.alphas must be comma-separated numbers, got {part.strip()!r}") from exc
-            if not np.isfinite(alpha) or alpha <= 0.0:
-                raise ConfigError(f"sweep.alphas entries must be positive, got {alpha!r}")
-            alphas.append(alpha)
-
-    editors = list(EDITOR_NAMES)
-    if "compare.editors" in values:
-        editors = [part.strip() for part in values["compare.editors"].split(",")]
-        for editor in editors:
-            if editor not in EDITOR_NAMES:
-                raise ConfigError(
-                    f"compare.editors must name editors among {', '.join(EDITOR_NAMES)}, got {editor!r}"
-                )
-        if not editors:
-            raise ConfigError("compare.editors must name at least one editor")
-
-    return {"run": config, "sweep_alphas": alphas, "compare_editors": editors}
+    return {"run": config, "sweep_alphas": values["sweep.alphas"],
+            "compare_editors": list(values["compare.editors"])}
 
 
 # --- CSV emission -------------------------------------------------------------
 
-def records_to_csv(records: list[StepRecord], status: str | None = None) -> str:
-    lines = [RECORD_HEADER]
-    for r in records:
-        lines.append(",".join((
-            str(r.t), _fmt(r.el), _fmt(r.pl), _fmt(r.bl), _fmt(r.z),
-            _fmt(r.avg_pl), _fmt(r.avg_el), _fmt(r.delta_fro), _fmt(r.ridge),
-            _fmt(0.0),
-        )))
+def _csv(header: str, row, items, status: str | None = None) -> str:
+    lines = [header] + [row(item) for item in items]
     if status is not None:
         lines.append(f"# status={status}")
     return "\n".join(lines) + "\n"
 
 
-def summaries_to_csv(summaries, header: str) -> str:
-    lines = [header]
-    for s in summaries:
-        if header == COMPARE_HEADER:
-            lines.append(",".join((
-                s.editor, _fmt(s.final_avg_pl), _fmt(s.final_avg_el),
-                _bool(s.constraint_satisfied), _fmt(0.0),
-            )))
-        else:
-            lines.append(",".join((
-                _fmt(s.alpha), _fmt(s.d_threshold), _fmt(s.final_avg_pl),
-                _fmt(s.final_avg_el), _bool(s.constraint_satisfied),
-                _fmt(s.final_z), _fmt(0.0),
-            )))
-    return "\n".join(lines) + "\n"
+def _record_row(r: StepRecord) -> str:
+    return ",".join((
+        str(r.t), _fmt(r.el), _fmt(r.pl), _fmt(r.bl), _fmt(r.z),
+        _fmt(r.avg_pl), _fmt(r.avg_el), _fmt(r.delta_fro), _fmt(r.ridge),
+        _fmt(0.0),
+    ))
+
+
+def _compare_row(s) -> str:
+    return ",".join((
+        s.editor, _fmt(s.final_avg_pl), _fmt(s.final_avg_el),
+        _bool(s.constraint_satisfied), _fmt(0.0),
+    ))
+
+
+def _sweep_row(s) -> str:
+    return ",".join((
+        _fmt(s.alpha), _fmt(s.d_threshold), _fmt(s.final_avg_pl),
+        _fmt(s.final_avg_el), _bool(s.constraint_satisfied),
+        _fmt(s.final_z), _fmt(0.0),
+    ))
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -297,55 +285,51 @@ def _cmd_simulate(args) -> int:
     try:
         result = run(loaded["run"])
     except RunAborted as exc:
-        _emit(records_to_csv(exc.records, status=f"aborted step={exc.step} reason={exc}"),
-              args.out)
+        _emit(_csv(RECORD_HEADER, _record_row, exc.records,
+                   status=f"aborted step={exc.step} reason={exc}"), args.out)
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(records_to_csv(result.records), args.out)
+    _emit(_csv(RECORD_HEADER, _record_row, result.records), args.out)
     _say(args, _summary_line(result.summary))
+    return 0
+
+
+def _summary_table(args, header: str, row, members) -> int:
+    """Write one CSV row and one summary line per member of ``members()``."""
+    try:
+        summaries = members()
+    except RunAborted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    _emit(_csv(header, row, summaries), args.out)
+    for s in summaries:
+        _say(args, _summary_line(s))
     return 0
 
 
 def _cmd_compare(args) -> int:
     loaded = load_config(args.config, args.seed)
     configs = [replace(loaded["run"], editor=name) for name in loaded["compare_editors"]]
-    try:
-        summaries = compare(configs)
-    except RunAborted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(summaries_to_csv(summaries, COMPARE_HEADER), args.out)
-    for s in summaries:
-        _say(args, _summary_line(s))
-    return 0
+    return _summary_table(args, COMPARE_HEADER, _compare_row,
+                          lambda: compare(configs))
 
 
 def _cmd_sweep(args) -> int:
     loaded = load_config(args.config, args.seed)
     if loaded["sweep_alphas"] is None:
         raise ConfigError("missing required key sweep.alphas")
-    try:
-        summaries = sweep_alpha(loaded["run"], loaded["sweep_alphas"])
-    except RunAborted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(summaries_to_csv(summaries, SWEEP_HEADER), args.out)
-    for s in summaries:
-        _say(args, _summary_line(s))
-    return 0
+    return _summary_table(args, SWEEP_HEADER, _sweep_row,
+                          lambda: sweep_alpha(loaded["run"], loaded["sweep_alphas"]))
 
 
 def _cmd_dbase(args) -> int:
     loaded = load_config(args.config, args.seed)
-    config = loaded["run"]
-    stream = EditStream(config.stream)
-    w0, k0 = stream.generate_preserved()
-    mem = new_memory(w0, k0)
-    d_base = estimate_d_base(stream, mem, max_ridge=config.ridge_max_lambda)
-    line = f"d_base={_fmt(d_base)}"
+    stream = EditStream(loaded["run"].stream)
+    mem = new_memory(*stream.generate_preserved())
+    d_base = estimate_d_base(stream, mem)
     if args.out is not None:
-        _emit(f"d_base\n{_fmt(d_base)}\n", args.out)
-    print(line)
+        _emit(_csv("d_base", _fmt, [d_base]), args.out)
+    print(f"d_base={_fmt(d_base)}")
     return 0
 
 

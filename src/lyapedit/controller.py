@@ -1,9 +1,11 @@
-"""Virtual-queue dynamics, the hyperparameter schedule, and drift diagnostics.
+"""Virtual-queue dynamics and the hyperparameter schedule.
 
 The queue accumulates scaled constraint violation a*(PL - D) + b and is floored
 at z_max, so it can never drop below that value.  Its growth rate Z(T)/T is the
 stability signal: when it vanishes, the long-run average preservation loss is
-provably within the threshold D.
+provably within the threshold D.  The queue is a plain float: a run's drift
+samples 0.5*Z(t+1)^2 - 0.5*Z(t)^2 and its peak loss follow from the Z and PL
+histories it records.
 """
 from __future__ import annotations
 
@@ -27,20 +29,6 @@ class QueueParams:
     v_weight: float
     alpha: float
     d_base: float
-
-
-@dataclass(frozen=True)
-class QueueState:
-    """Queue value Z(t) at timestamp t, plus running drift diagnostics."""
-
-    z: float
-    t: int
-    pl_max_seen: float
-    drift_last: float
-
-    @classmethod
-    def initial(cls, params: QueueParams) -> "QueueState":
-        return cls(z=params.z_init, t=1, pl_max_seen=0.0, drift_last=0.0)
 
 
 def derive_params(alpha: float, d_base: float) -> QueueParams:
@@ -69,38 +57,13 @@ def derive_params(alpha: float, d_base: float) -> QueueParams:
     )
 
 
-def update_queue(state: QueueState, params: QueueParams, pl: float) -> QueueState:
-    """Advance the queue one timestamp with the realized preservation loss."""
+def update_queue(z: float, params: QueueParams, pl: float) -> float:
+    """Z(t+1) from Z(t) = ``z`` and the realized preservation loss."""
     if not math.isfinite(pl):
         raise InputError(f"preservation loss must be finite, got {pl!r}")
     if pl < 0.0:
         raise InputError(f"preservation loss must be nonnegative, got {pl!r}")
-    z_new = max(state.z + params.a * (pl - params.d_threshold) + params.b,
-                params.z_max)
-    drift = 0.5 * z_new * z_new - 0.5 * state.z * state.z
-    return QueueState(
-        z=z_new,
-        t=state.t + 1,
-        pl_max_seen=max(state.pl_max_seen, pl),
-        drift_last=drift,
-    )
-
-
-def drift_upper_bound(state: QueueState, params: QueueParams, pl: float) -> float:
-    """Bound on the one-step drift of 0.5*Z^2 that the update with ``pl`` incurs.
-
-    Uses the largest preservation loss observed so far (including ``pl``) as
-    the peak-loss constant; the realized drift sample never exceeds the value
-    returned here.
-    """
-    d_max = max(state.pl_max_seen, pl)
-    peak = 0.5 * (
-        (params.a * d_max + params.b) ** 2
-        + (params.a * params.d_threshold) ** 2
-        + params.z_max ** 2
-    )
-    return peak + state.z * (params.a * pl + params.b
-                             - params.a * params.d_threshold)
+    return max(z + params.a * (pl - params.d_threshold) + params.b, params.z_max)
 
 
 def stability_ratio(z_history) -> float:

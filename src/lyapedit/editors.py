@@ -67,7 +67,7 @@ def _norm(x: np.ndarray) -> float:
     return float(_nrm2(x.ravel()))
 
 
-def _ridge_attempts(matrix: np.ndarray, max_ridge: float):
+def _ridge_attempts(matrix: np.ndarray):
     """Yield (lam, lower Cholesky factor, condition_estimate) over the ladder.
 
     Attempts that fail to factor or whose condition estimate exceeds the
@@ -77,7 +77,7 @@ def _ridge_attempts(matrix: np.ndarray, max_ridge: float):
     """
     dim = matrix.shape[0]
     scale = float(np.trace(matrix)) / dim
-    for factor_scale in (0.0,) + tuple(f for f in RIDGE_LADDER if f <= max_ridge):
+    for factor_scale in (0.0,) + RIDGE_LADDER:
         lam = factor_scale * scale
         ridged = matrix
         if lam > 0.0:
@@ -107,7 +107,7 @@ def _cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _normal_solve(w: np.ndarray, c: np.ndarray, target: np.ndarray,
-                  rhs_full: np.ndarray, max_ridge: float, times_c):
+                  rhs_full: np.ndarray, times_c):
     """Solve ``delta @ C = target``; return the report and ``W + delta``.
 
     ``target`` is RHS - W @ C assembled from residual products by the caller;
@@ -130,7 +130,7 @@ def _normal_solve(w: np.ndarray, c: np.ndarray, target: np.ndarray,
                            ridge_applied=0.0,
                            condition_estimate=float("nan")), w
     last_cond = float("inf")
-    for lam, factor, cond in _ridge_attempts(c, max_ridge):
+    for lam, factor, cond in _ridge_attempts(c):
         last_cond = cond
         if factor is None:
             continue
@@ -176,8 +176,7 @@ def _check_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
 
 
 def solve_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
-                   batch: EditBatch, v_weight: float, az: float,
-                   *, max_ridge: float = 1e-6) -> SolveReport:
+                   batch: EditBatch, v_weight: float, az: float) -> SolveReport:
     """Queue-weighted update: minimize v_weight*(EL + BL) + az*PL.
 
     Parameters
@@ -193,13 +192,13 @@ def solve_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
     """
     _check_lyaplock(mem, bk, batch, v_weight, az)
     report, _ = lyaplock_step(mem, bk, batch, v_weight, az,
-                              mem.w @ mem.k0_gram, mem.w @ bk.kp_gram, max_ridge)
+                              mem.w @ mem.k0_gram, mem.w @ bk.kp_gram)
     return report
 
 
 def lyaplock_step(mem: AssociativeMemory, bk: BacklogAccumulator,
                   batch: EditBatch, v_weight: float, az: float,
-                  m0: np.ndarray, mp: np.ndarray, max_ridge: float):
+                  m0: np.ndarray, mp: np.ndarray):
     """:func:`solve_lyaplock` from the products m0 = W K0K0^T and mp = W KpKp^T.
 
     Returns the report and W' = W + delta.  The residual check needs W' C,
@@ -224,23 +223,21 @@ def lyaplock_step(mem: AssociativeMemory, bk: BacklogAccumulator,
         with np.errstate(over="ignore"):
             return v_weight * ((w_new @ k1) @ k1.T + mp) + az * m0
 
-    return _normal_solve(w, c, target, rhs_full, max_ridge, times_c)
+    return _normal_solve(w, c, target, rhs_full, times_c)
 
 
-def solve_baseline(mem: AssociativeMemory, batch: EditBatch,
-                   *, max_ridge: float = 1e-6) -> SolveReport:
+def solve_baseline(mem: AssociativeMemory, batch: EditBatch) -> SolveReport:
     """Bi-objective update: delta = (V1 - W K1) K1^T (K0 K0^T + K1 K1^T)^-1.
 
     This is the conventional one-shot trade-off between editing and
     preservation; it carries no backlog and no queue weighting, so its
     preservation loss accumulates over sequential use.
     """
-    report, _ = baseline_step(mem, batch, mem.w @ mem.k0_gram, max_ridge)
+    report, _ = baseline_step(mem, batch, mem.w @ mem.k0_gram)
     return report
 
 
-def baseline_step(mem: AssociativeMemory, batch: EditBatch, m0: np.ndarray,
-                  max_ridge: float):
+def baseline_step(mem: AssociativeMemory, batch: EditBatch, m0: np.ndarray):
     """:func:`solve_baseline` from the product m0 = W K0K0^T.
 
     Returns the report and W' = W + delta; on return ``m0`` holds W' K0K0^T.
@@ -255,11 +252,10 @@ def baseline_step(mem: AssociativeMemory, batch: EditBatch, m0: np.ndarray,
         np.matmul(w_new, mem.k0_gram, out=m0)
         return m0 + (w_new @ k1) @ k1.T
 
-    return _normal_solve(w, c, target, rhs_full, max_ridge, times_c)
+    return _normal_solve(w, c, target, rhs_full, times_c)
 
 
-def solve_edit_only(mem: AssociativeMemory, batch: EditBatch,
-                    *, max_ridge: float = 1e-6) -> SolveReport:
+def solve_edit_only(mem: AssociativeMemory, batch: EditBatch) -> SolveReport:
     """Ablation: minimum-Frobenius-norm perturbation fitting the batch exactly.
 
     Ignores preservation entirely.  With full-column-rank keys the post-edit
@@ -272,7 +268,7 @@ def solve_edit_only(mem: AssociativeMemory, batch: EditBatch,
     small_gram = k1.T @ k1
     ref = max(_norm(v1), _TINY)
     last_cond = float("inf")
-    for lam, factor, cond in _ridge_attempts(small_gram, max_ridge):
+    for lam, factor, cond in _ridge_attempts(small_gram):
         last_cond = cond
         if factor is None:
             continue

@@ -39,7 +39,7 @@ class GenerationError(LyapeditError):
 
 
 class StreamExhausted(LyapeditError):
-    """Every batch of the stream has already been emitted."""
+    """A batch index lies outside the stream's 1..total_batches."""
 
 
 class OracleFailure(LyapeditError):

@@ -14,13 +14,15 @@ step's update.
 
 Runs over one stream share one step loop.  ``run`` is its one-member case;
 ``compare`` and ``sweep_alpha`` step all their members together.  Set-up
-happens once: one stream, one memory, one probe per distinct
-``ridge_max_lambda``.  Each batch is generated once per step and absorbed
-once into the one backlog, which depends only on the batches.  Every member
-carries the products ``W K0K0^T`` and ``W KpKp^T`` of its current weights:
-the residual check of one step leaves them at the post-edit weights, the
-losses read them, and the next step's target starts from them, so a step
-makes two dense d1 x d0^2 passes besides the factorization and solve.
+happens once: one stream, one memory, one probe.  Each batch is generated
+once per step and absorbed once into the one backlog, which depends only on
+the batches.  Each member keeps its queue value as a plain float; the PL and
+Z histories a run returns hold all its certificate and drift samples need.
+Every member carries the products ``W K0K0^T`` and ``W KpKp^T`` of its
+current weights: the residual check of one step leaves them at the post-edit
+weights, the losses read them, and the next step's target starts from them,
+so a step makes two dense d1 x d0^2 passes besides the factorization and
+solve.
 """
 from __future__ import annotations
 
@@ -32,7 +34,6 @@ import numpy as np
 
 from .controller import (
     QueueParams,
-    QueueState,
     derive_params,
     stability_ratio,
     update_queue,
@@ -81,7 +82,6 @@ class RunConfig:
     editor: str
     alpha: float
     v_weight: float = 1.0
-    ridge_max_lambda: float = 1e-6
     record_every: int = 1
 
     def __post_init__(self):
@@ -94,10 +94,6 @@ class RunConfig:
         if not (self.v_weight > 0.0) or not math.isfinite(self.v_weight):
             raise InputError(
                 f"v_weight must be positive and finite, got {self.v_weight!r}"
-            )
-        if self.ridge_max_lambda < 0.0:
-            raise InputError(
-                f"ridge_max_lambda must be >= 0, got {self.ridge_max_lambda!r}"
             )
         if self.record_every < 1:
             raise InputError(f"record_every must be >= 1, got {self.record_every}")
@@ -114,8 +110,6 @@ class StepRecord:
     avg_el: float
     delta_fro: float
     ridge: float
-    # Wall timing is a diagnostic, not part of the record's identity.
-    wall_ms: float = field(compare=False, default=0.0)
 
 
 @dataclass(frozen=True)
@@ -148,15 +142,14 @@ class RunResult:
     w_final: np.ndarray
 
 
-def estimate_d_base(stream: EditStream, mem: AssociativeMemory,
-                    max_ridge: float = 1e-6) -> float:
+def estimate_d_base(stream: EditStream, mem: AssociativeMemory) -> float:
     """Preservation loss after one probe bi-objective edit of the first batch.
 
     The probe is applied to the original weights and then thrown away; only
     the measured loss survives.  Floored at the smallest positive normal so an
     exactly representable stream still yields a usable threshold.
     """
-    probe = solve_baseline(mem, stream.batch(1), max_ridge=max_ridge)
+    probe = solve_baseline(mem, stream.batch(1))
     pl = preservation_loss(mem, mem.w + probe.delta)
     return max(pl, _D_BASE_FLOOR)
 
@@ -169,14 +162,13 @@ def _solve_step(config: RunConfig, mem: AssociativeMemory,
     ``m0`` and ``mp`` hold W K0K0^T and W KpKp^T on entry and W' K0K0^T and
     W' KpKp^T on return, whichever editor ran.
     """
-    max_ridge = config.ridge_max_lambda
     if config.editor == "lyaplock":
         return lyaplock_step(mem, backlog, batch, params.v_weight,
-                             params.a * z, m0, mp, max_ridge)
+                             params.a * z, m0, mp)
     if config.editor == "baseline":
-        report, w_new = baseline_step(mem, batch, m0, max_ridge)
+        report, w_new = baseline_step(mem, batch, m0)
     else:
-        report = solve_edit_only(mem, batch, max_ridge=max_ridge)
+        report = solve_edit_only(mem, batch)
         w_new = mem.w + report.delta
         np.matmul(w_new, mem.k0_gram, out=m0)
     np.matmul(w_new, backlog.kp_gram, out=mp)
@@ -184,7 +176,7 @@ def _solve_step(config: RunConfig, mem: AssociativeMemory,
 
 
 class _Member:
-    """One configuration's queue, weights, products and records in the loop."""
+    """One configuration's queue value, weights, products and records."""
 
     def __init__(self, config: RunConfig, mem: AssociativeMemory, d_base: float):
         params = derive_params(config.alpha, d_base)
@@ -193,7 +185,7 @@ class _Member:
         total = config.stream.total_batches
         self.config = config
         self.params = params
-        self.state = QueueState.initial(params)
+        self.z = params.z_init
         self.mem = mem
         self.m0 = mem.w @ mem.k0_gram   # W K0K0^T
         self.mp = np.zeros_like(mem.w)  # W KpKp^T of the empty backlog
@@ -202,7 +194,7 @@ class _Member:
         self.el_hist = np.empty(total)
         self.bl_hist = np.empty(total)
         self.z_hist = np.empty(total + 1)
-        self.z_hist[0] = self.state.z
+        self.z_hist[0] = self.z
         self.sum_pl = 0.0
         self.sum_el = 0.0
         self.sum_wall = 0.0
@@ -211,7 +203,7 @@ class _Member:
         """Solve, apply and measure step t against the backlog of steps < t."""
         started = time.perf_counter()
         config, params, records = self.config, self.params, self.records
-        z = self.state.z
+        z = self.z
         try:
             report, w_new = _solve_step(config, self.mem, backlog, batch, params,
                                         z, self.m0, self.mp)
@@ -236,23 +228,22 @@ class _Member:
                 f"z={z!r} |delta|={float(np.linalg.norm(report.delta))!r}",
                 step=t, records=records,
             )
-        self.state = update_queue(self.state, params, pl)
+        self.z = update_queue(z, params, pl)
 
         self.sum_pl += pl
         self.sum_el += el
         self.pl_hist[t - 1] = pl
         self.el_hist[t - 1] = el
         self.bl_hist[t - 1] = bl
-        self.z_hist[t] = self.state.z
-        wall_ms = (time.perf_counter() - started) * 1e3
-        self.sum_wall += wall_ms
+        self.z_hist[t] = self.z
+        self.sum_wall += time.perf_counter() - started
         total = config.stream.total_batches
         if t % config.record_every == 0 or t == total:
             records.append(StepRecord(
                 t=t, el=el, pl=pl, bl=bl, z=z,
                 avg_pl=self.sum_pl / t, avg_el=self.sum_el / t,
                 delta_fro=float(np.linalg.norm(report.delta)),
-                ridge=report.ridge_applied, wall_ms=wall_ms,
+                ridge=report.ridge_applied,
             ))
 
     def absorbed(self, batch) -> None:
@@ -273,7 +264,7 @@ class _Member:
             constraint_satisfied=(self.sum_pl / total) <= params.d_threshold,
             final_z=float(self.z_hist[-1]),
             stability=stability_ratio(self.z_hist[:total]),
-            mean_wall_ms=self.sum_wall / total,
+            mean_wall_ms=self.sum_wall * 1e3 / total,
         )
         return RunResult(
             config=config, params=params, d_base=params.d_base,
@@ -294,18 +285,12 @@ def _run_lockstep(configs: list[RunConfig]) -> list[RunResult]:
     spec = configs[0].stream
     stream = EditStream(spec)
     mem = new_memory(*stream.generate_preserved())
-    d_bases: dict[float, float] = {}
-    members: list[_Member] = []
+    # Every member shares the probe and the threshold base it yields, and a
+    # validated config fails set-up only on that base; so a set-up failure is
+    # the first one that serial execution would raise too.
+    d_base = estimate_d_base(stream, mem)
+    members = [_Member(config, mem, d_base) for config in configs]
     failure = None
-    for config in configs:
-        ridge = config.ridge_max_lambda
-        try:
-            if ridge not in d_bases:
-                d_bases[ridge] = estimate_d_base(stream, mem, max_ridge=ridge)
-            members.append(_Member(config, mem, d_bases[ridge]))
-        except LyapeditError as exc:
-            failure = exc
-            break
 
     backlog = BacklogAccumulator.empty(mem.dims)
     for t in range(1, spec.total_batches + 1):

@@ -92,10 +92,6 @@ class EditBatch:
         object.__setattr__(self, "k1", k1)
         object.__setattr__(self, "v1", v1)
 
-    @property
-    def n(self) -> int:
-        return self.k1.shape[1]
-
 
 @dataclass(frozen=True)
 class AssociativeMemory:

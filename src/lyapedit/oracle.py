@@ -194,7 +194,6 @@ class SufficiencyReport:
     bound_ok: bool
     implied_bound: float
     measured_avg_pl: float
-    queue_final: float
 
     @property
     def passed(self) -> bool:
@@ -235,18 +234,5 @@ def check_sufficiency_empirical(pl_history, z_history,
         bound_ok=bound_ok,
         implied_bound=implied,
         measured_avg_pl=measured,
-        queue_final=float(z[-1]),
     )
 
-
-def explicit_objective(w, delta, k0, v0, k1, v1, kp=None, vp=None,
-                       v_weight: float = 1.0, az: float = 1.0) -> float:
-    """The per-step objective evaluated entirely from raw matrices.
-
-    Retains nothing in Gram form; used by tests to cross-check the Gram path.
-    """
-    wd = np.asarray(w) + np.asarray(delta)
-    el = float(np.sum((wd @ k1 - v1) ** 2))
-    pl = float(np.sum((wd @ k0 - v0) ** 2))
-    bl = 0.0 if kp is None else float(np.sum((wd @ kp - vp) ** 2))
-    return v_weight * (el + bl) + az * pl

@@ -220,7 +220,6 @@ class EditStream:
 
     def __init__(self, spec: StreamSpec):
         self.spec = spec
-        self._emitted = 0
         self._preserved = None
         d0, d1, n = spec.dims.d0, spec.dims.d1, spec.n_per_batch
         per_batch = d0 * n
@@ -306,18 +305,6 @@ class EditStream:
         k1.flags.writeable = False
         v1.flags.writeable = False
         return [EditBatch(k1=keys, v1=values) for keys, values in zip(k1, v1)]
-
-    def next_batch(self) -> EditBatch:
-        if self._emitted >= self.spec.total_batches:
-            raise StreamExhausted(
-                f"stream exhausted after {self.spec.total_batches} batches"
-            )
-        self._emitted += 1
-        return self.batch(self._emitted)
-
-    @property
-    def emitted(self) -> int:
-        return self._emitted
 
 
 # --- KVMX file format -------------------------------------------------------

@@ -1,6 +1,9 @@
 """Command-line contracts: config validation, CSV emission, exit codes."""
 from __future__ import annotations
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,10 +28,30 @@ record_every = 5
 """
 
 
+REQUIRED_ONLY = """\
+dims.d0 = 12
+dims.d1 = 8
+stream.n_per_batch = 3
+stream.total_batches = 40
+stream.seed = 17
+alpha = 40
+editor = lyaplock
+"""
+
+REPO = Path(__file__).resolve().parent.parent
+
+
 def write_config(tmp_path, text=BASE_CONFIG, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def with_value(key, value, text=BASE_CONFIG):
+    """``text`` with ``key`` set to ``value``, replacing any earlier line."""
+    lines = [line for line in text.splitlines()
+             if line.partition("=")[0].strip() != key]
+    return "\n".join(lines + [f"{key} = {value}"]) + "\n"
 
 
 class TestConfigValidation:
@@ -69,6 +92,92 @@ class TestConfigValidation:
                            BASE_CONFIG.replace("editor = lyaplock", "editor = turbo"))
         assert main(["simulate", "--config", str(cfg)]) == 1
         assert "editor" in capsys.readouterr().err
+
+
+class TestConfigSchema:
+    """Every key's rejection and every default, pinned."""
+
+    @pytest.mark.parametrize("key,value", [
+        ("dims.d0", "0"),
+        ("dims.d1", "eight"),
+        ("stream.n_per_batch", "0"),
+        ("stream.total_batches", "1.5"),
+        ("stream.seed", str(2 ** 64)),
+        ("stream.seed", "-1"),
+        ("stream.mode", "teacher"),
+        ("stream.m0", "-4"),
+        ("stream.key_scale", "0"),
+        ("stream.key_scale", "nan"),
+        ("stream.teacher_drift", "-0.1"),
+        ("stream.teacher_drift", "inf"),
+        ("alpha", "nan"),
+        ("alpha", "-inf"),
+        ("editor", "turbo"),
+        ("record_every", "0"),
+        ("v_weight", "0"),
+        ("sweep.alphas", "20, banana"),
+        ("sweep.alphas", "20, -1"),
+        ("sweep.alphas", "20, inf"),
+        ("compare.editors", "lyaplock, turbo"),
+        ("compare.editors", "lyaplock,"),
+    ])
+    def test_invalid_value_exits_1_naming_key(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, with_value(key, value))
+        assert main(["simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / "o.csv")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} ")
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("key", [line.partition("=")[0].strip()
+                                     for line in REQUIRED_ONLY.splitlines()])
+    def test_missing_required_key_exits_1(self, tmp_path, capsys, key):
+        text = "".join(line + "\n" for line in REQUIRED_ONLY.splitlines()
+                       if not line.startswith(key + " "))
+        cfg = write_config(tmp_path, text)
+        assert main(["simulate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: missing required key {key}\n"
+
+    def test_required_keys_alone_give_documented_defaults(self, tmp_path):
+        from lyapedit import Dims, RunConfig, StreamSpec
+        loaded = cli.load_config(write_config(tmp_path, REQUIRED_ONLY))
+        spec = StreamSpec(dims=Dims(d0=12, d1=8), n_per_batch=3,
+                          total_batches=40, key_scale=1.0,
+                          value_mode="planted-teacher", teacher_drift=0.1,
+                          seed=17, m0=48)
+        expected = RunConfig(stream=spec, editor="lyaplock", alpha=40.0)
+        assert loaded["run"] == expected
+        assert loaded["run"].v_weight == 1.0
+        assert loaded["run"].record_every == 1
+        assert loaded["compare_editors"] == ["lyaplock", "baseline", "edit-only"]
+        assert loaded["sweep_alphas"] is None
+
+    def test_invalid_seed_rejected_under_seed_override(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, with_value("stream.seed", "banana"))
+        assert main(["simulate", "--config", str(cfg), "--seed", "5",
+                     "--out", str(tmp_path / "o.csv")]) == 1
+        assert "stream.seed" in capsys.readouterr().err
+
+
+class TestDocumentedConfigs:
+    """The README's config block and the shipped configs load as documented."""
+
+    def readme_block(self):
+        text = (REPO / "README.md").read_text(encoding="utf-8")
+        section = text.split("### Configuration documents", 1)[1]
+        return re.search(r"```\n(.*?)```", section, re.S).group(1)
+
+    def test_readme_block_loads(self, tmp_path):
+        loaded = cli.load_config(write_config(tmp_path, self.readme_block()))
+        assert loaded["run"].stream.dims.d0 == 64
+
+    def test_readme_block_names_every_key(self):
+        named = set(cli.parse_config_text(self.readme_block()))
+        assert named == set(cli._SCHEMA)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in
+                                            (REPO / "configs").glob("*.cfg")))
+    def test_shipped_config_loads(self, name):
+        cli.load_config(REPO / "configs" / name)
 
 
 class TestSimulate:

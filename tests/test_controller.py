@@ -1,4 +1,4 @@
-"""Queue dynamics, schedule derivation, and the drift bounds."""
+"""Queue dynamics, schedule derivation, and the queue bounds."""
 from __future__ import annotations
 
 import math
@@ -8,9 +8,7 @@ import pytest
 
 from lyapedit import (
     QueueParams,
-    QueueState,
     derive_params,
-    drift_upper_bound,
     stability_ratio,
     update_queue,
 )
@@ -57,64 +55,33 @@ def _params(a=0.5, d=4.0, b=0.0, z_max=1.0):
 class TestUpdateQueue:
     def test_boundary_loss_leaves_queue_unchanged(self):
         params = _params(a=0.7, d=3.0, z_max=0.5)
-        state = QueueState(z=2.0, t=1, pl_max_seen=0.0, drift_last=0.0)
-        new = update_queue(state, params, pl=3.0)
-        assert new.z == 2.0
-        assert new.t == 2
+        assert update_queue(2.0, params, pl=3.0) == 2.0
 
     def test_growth_arithmetic(self):
         params = _params(a=0.5, d=4.0, z_max=1.0)
-        state = QueueState(z=2.0, t=1, pl_max_seen=0.0, drift_last=0.0)
-        new = update_queue(state, params, pl=6.0)
-        assert new.z == pytest.approx(3.0)
+        assert update_queue(2.0, params, pl=6.0) == pytest.approx(3.0)
 
     def test_floor_engages(self):
         params = _params(a=0.5, d=4.0, z_max=1.0)
-        state = QueueState(z=1.0, t=3, pl_max_seen=1.0, drift_last=0.0)
-        new = update_queue(state, params, pl=0.0)
-        assert new.z == 1.0
+        assert update_queue(1.0, params, pl=0.0) == 1.0
 
     def test_floor_invariant_random_walk(self):
         params = _params(a=0.3, d=2.0, z_max=1.5)
-        state = QueueState(z=params.z_init, t=1, pl_max_seen=0.0, drift_last=0.0)
+        z = params.z_init
         rng = np.random.default_rng(11)
         for _ in range(500):
-            state = update_queue(state, params, pl=float(rng.uniform(0, 5)))
-            assert state.z >= params.z_max
-
-    def test_drift_sample_definition(self):
-        params = _params(a=1.0, d=1.0, z_max=0.0)
-        state = QueueState(z=2.0, t=1, pl_max_seen=0.0, drift_last=0.0)
-        new = update_queue(state, params, pl=3.0)
-        assert new.drift_last == pytest.approx(0.5 * new.z ** 2 - 0.5 * 4.0)
+            z = update_queue(z, params, pl=float(rng.uniform(0, 5)))
+            assert z >= params.z_max
 
     def test_rejects_bad_losses(self):
         params = _params()
-        state = QueueState(z=1.0, t=1, pl_max_seen=0.0, drift_last=0.0)
         with pytest.raises(InputError):
-            update_queue(state, params, pl=float("nan"))
+            update_queue(1.0, params, pl=float("nan"))
         with pytest.raises(InputError):
-            update_queue(state, params, pl=-0.5)
+            update_queue(1.0, params, pl=-0.5)
 
 
 class TestDriftBound:
-    def test_peak_constant_arithmetic(self):
-        params = _params(a=1.0, d=1.0, b=0.0, z_max=0.0)
-        state = QueueState(z=0.0, t=1, pl_max_seen=1.0, drift_last=0.0)
-        bound = drift_upper_bound(state, params, pl=1.0)
-        # peak term is 0.5*((a*Dmax+b)^2 + (a*D)^2 + z_max^2) = 1 here
-        assert bound == pytest.approx(1.0 + 0.0)
-
-    def test_bound_dominates_realized_drift(self):
-        params = _params(a=0.4, d=3.0, b=0.2, z_max=1.0)
-        state = QueueState(z=params.z_init, t=1, pl_max_seen=0.0, drift_last=0.0)
-        rng = np.random.default_rng(23)
-        for _ in range(400):
-            pl = float(rng.uniform(0, 8))
-            bound = drift_upper_bound(state, params, pl)
-            state = update_queue(state, params, pl)
-            assert state.drift_last <= bound + 1e-9
-
     def test_square_inequality_fuzz(self):
         rng = np.random.default_rng(7)
         a, b, c, z_max = rng.uniform(0, 10, size=(4, 100_000))
@@ -149,13 +116,13 @@ class TestStabilityRatio:
 class TestTelescopingBound:
     def test_direct_summation(self):
         params = _params(a=0.6, d=2.5, b=0.1, z_max=2.0)
-        state = QueueState(z=params.z_init, t=1, pl_max_seen=0.0, drift_last=0.0)
+        z = params.z_init
         rng = np.random.default_rng(31)
         pls = rng.uniform(0, 6, size=300)
-        history = [state.z]
+        history = [z]
         for pl in pls:
-            state = update_queue(state, params, float(pl))
-            history.append(state.z)
+            z = update_queue(z, params, float(pl))
+            history.append(z)
         t = len(pls)
         lhs = history[-1]
         rhs = history[0] + params.a * float(np.sum(pls)) - params.a * t * params.d_threshold + t * params.b
@@ -165,13 +132,13 @@ class TestTelescopingBound:
     def test_empirical_sufficiency_direction(self):
         # When the queue stays bounded the running mean respects the bound.
         params = _params(a=0.5, d=2.0, b=0.0, z_max=1.0)
-        state = QueueState(z=params.z_init, t=1, pl_max_seen=0.0, drift_last=0.0)
+        z = params.z_init
         rng = np.random.default_rng(41)
         pls = rng.uniform(0, 3.9, size=2000)
-        history = [state.z]
+        history = [z]
         for pl in pls:
-            state = update_queue(state, params, float(pl))
-            history.append(state.z)
+            z = update_queue(z, params, float(pl))
+            history.append(z)
         t = len(pls)
         implied = params.d_threshold + (history[-1] - history[0]) / (params.a * t)
         assert float(np.mean(pls)) <= implied + 1e-12 * max(1.0, implied)

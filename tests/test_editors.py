@@ -243,13 +243,12 @@ class TestSolveEditOnly:
 
 # The scipy-wrapper forms of the factor, solve and norm helpers that the
 # bound LAPACK/BLAS routines replaced, kept as the reference.
-def reference_ridge_attempts(matrix, max_ridge):
+def reference_ridge_attempts(matrix):
     from scipy.linalg import cho_factor, get_lapack_funcs
     dim = matrix.shape[0]
     scale = float(np.trace(matrix)) / dim
     (pocon,) = get_lapack_funcs(("pocon",), (matrix,))
-    for factor_scale in (0.0,) + tuple(f for f in editors.RIDGE_LADDER
-                                       if f <= max_ridge):
+    for factor_scale in (0.0,) + editors.RIDGE_LADDER:
         lam = factor_scale * scale
         ridged = matrix
         if lam > 0.0:
@@ -345,7 +344,7 @@ class TestDirectLapack:
         w = rng.standard_normal((4, dim))
         target = rng.standard_normal((4, dim))
         rhs_full = w @ c + target
-        report = self.solve_both(scipy_wrappers, w, c, target, rhs_full, 1e-6,
+        report = self.solve_both(scipy_wrappers, w, c, target, rhs_full,
                                  lambda w_new: w_new @ c)
         scale = float(np.trace(c)) / dim
         assert report.ridge_applied == rung * scale
@@ -355,7 +354,7 @@ class TestDirectLapack:
         c = spd_with_spectrum(rng, [1.0, 2.0, 3.0, 4.0, -1e-3])
         w = rng.standard_normal((3, dim))
         target = rng.standard_normal((3, dim))
-        args = (w, c, target, w @ c + target, 1e-6, lambda w_new: w_new @ c)
+        args = (w, c, target, w @ c + target, lambda w_new: w_new @ c)
         with pytest.raises(SingularSystemError) as bound:
             editors._normal_solve(*args)
         scipy_wrappers()

@@ -57,13 +57,12 @@ class TestRunInvariants:
         assert state_z == result.z_history[-1]
 
     def test_update_queue_reproduces_history(self):
-        from lyapedit import QueueState
         result = run(small_config(total=80))
-        state = QueueState.initial(result.params)
+        z = result.params.z_init
         for t, pl in enumerate(result.pl_history, start=1):
-            assert state.z == result.z_history[t - 1]
-            state = update_queue(state, result.params, float(pl))
-        assert state.z == result.z_history[-1]
+            assert z == result.z_history[t - 1]
+            z = update_queue(z, result.params, float(pl))
+        assert z == result.z_history[-1]
 
     def test_running_averages_recompute(self):
         result = run(small_config(total=90))
@@ -208,7 +207,7 @@ class TestPublicStepReplay:
         where the run carries them from step to step; the two may differ
         only in rounding.
         """
-        from lyapedit import (EditStream, QueueState, absorb, backlog_loss,
+        from lyapedit import (EditStream, absorb, backlog_loss,
                               derive_params, editing_loss, estimate_d_base,
                               new_memory, preservation_loss, solve_lyaplock)
         from lyapedit.memory import BacklogAccumulator
@@ -219,20 +218,20 @@ class TestPublicStepReplay:
         stream = EditStream(config.stream)
         mem = new_memory(*stream.generate_preserved())
         params = derive_params(config.alpha, estimate_d_base(stream, mem))
-        state = QueueState.initial(params)
+        z = params.z_init
         backlog = BacklogAccumulator.empty(mem.dims)
-        histories = {"pl": [], "el": [], "bl": [], "z": [state.z]}
+        histories = {"pl": [], "el": [], "bl": [], "z": [z]}
         for t in range(1, config.stream.total_batches + 1):
             batch = stream.batch(t)
             report = solve_lyaplock(mem, backlog, batch, v_weight=params.v_weight,
-                                    az=params.a * state.z)
+                                    az=params.a * z)
             mem = mem.with_weights(mem.w + report.delta)
             pl = preservation_loss(mem, mem.w)
             histories["el"].append(editing_loss(mem.w, batch))
             histories["pl"].append(pl)
             histories["bl"].append(backlog_loss(mem.w, backlog))
-            state = update_queue(state, params, pl)
-            histories["z"].append(state.z)
+            z = update_queue(z, params, pl)
+            histories["z"].append(z)
             absorb(backlog, batch)
 
         for name, replayed in histories.items():
@@ -247,8 +246,7 @@ class TestLockstep:
         base = small_config(total=60, record_every=7)
         return [base, replace(base, editor="baseline"),
                 replace(base, editor="edit-only"),
-                replace(base, alpha=5.0, v_weight=0.5),
-                replace(base, ridge_max_lambda=1e-8)]
+                replace(base, alpha=5.0, v_weight=0.5)]
 
     def test_members_bit_identical_to_standalone_runs(self):
         import lyapedit.harness as harness
@@ -262,6 +260,33 @@ class TestLockstep:
                          "w_initial", "w_final"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert compare(configs) == [r.summary for r in alone]
+
+    def test_one_probe_for_all_members(self, monkeypatch):
+        import lyapedit.harness as harness
+        calls = []
+        original = harness.estimate_d_base
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "estimate_d_base", counting)
+        compare(self.mixed_configs())
+        assert len(calls) == 1
+
+    def test_probe_failure_matches_serial_execution(self, monkeypatch):
+        import lyapedit.harness as harness
+
+        def singular(*args):
+            raise SingularSystemError("synthetic probe failure")
+
+        monkeypatch.setattr(harness, "solve_baseline", singular)
+        configs = self.mixed_configs()
+        with pytest.raises(SingularSystemError) as serial:
+            run(configs[0])
+        with pytest.raises(SingularSystemError) as lockstep:
+            compare(configs)
+        assert str(lockstep.value) == str(serial.value)
 
     def test_sweep_members_bit_identical_to_standalone_runs(self):
         from dataclasses import replace

@@ -18,7 +18,6 @@ from lyapedit.errors import InputError, OracleFailure
 from lyapedit.oracle import (
     check_inequality_fuzz,
     check_sufficiency_empirical,
-    explicit_objective,
     minimize_iteratively,
     objective_gradient,
     quadratic_objective,
@@ -26,6 +25,19 @@ from lyapedit.oracle import (
 )
 
 from conftest import build_instance
+
+
+def explicit_objective(w, delta, k0, v0, k1, v1, kp=None, vp=None,
+                       v_weight: float = 1.0, az: float = 1.0) -> float:
+    """The per-step objective evaluated entirely from raw matrices.
+
+    Retains nothing in Gram form, so it cross-checks the Gram path.
+    """
+    wd = np.asarray(w) + np.asarray(delta)
+    el = float(np.sum((wd @ k1 - v1) ** 2))
+    pl = float(np.sum((wd @ k0 - v0) ** 2))
+    bl = 0.0 if kp is None else float(np.sum((wd @ kp - vp) ** 2))
+    return v_weight * (el + bl) + az * pl
 
 
 class TestVerifyNormalEquations:

@@ -296,8 +296,8 @@ class TestGeneratePreserved:
 class TestBatches:
     def test_sequences_deterministic(self):
         s1, s2 = EditStream(spec()), EditStream(spec())
-        for _ in range(10):
-            b1, b2 = s1.next_batch(), s2.next_batch()
+        for t in range(1, 11):
+            b1, b2 = s1.batch(t), s2.batch(t)
             assert np.array_equal(b1.k1, b2.k1)
             assert np.array_equal(b1.v1, b2.v1)
 
@@ -310,10 +310,10 @@ class TestBatches:
 
     def test_exhaustion(self):
         stream = EditStream(spec(total=2))
-        stream.next_batch()
-        stream.next_batch()
+        stream.batch(1)
+        stream.batch(2)
         with pytest.raises(StreamExhausted):
-            stream.next_batch()
+            stream.batch(3)
 
     def test_zero_drift_is_exactly_representable(self):
         stream = EditStream(spec(drift=0.0))
