@@ -46,6 +46,9 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+# numpy loads numpy.random on first use; load it with the CLI, so that
+# ``verify``'s first draw does not pay for the import.
+import numpy.random  # noqa: F401
 
 from .editors import solve_lyaplock
 from .errors import ConfigError, InputError, LyapeditError, RunAborted
@@ -201,6 +204,11 @@ def load_config(path, seed_override: int | None = None) -> dict:
         values["stream.seed"] = seed_override
 
     d0 = values["dims.d0"]
+    m0 = 4 * d0 if values["stream.m0"] is None else values["stream.m0"]
+    if m0 < d0:
+        raise ConfigError(
+            f"stream.m0 must be >= dims.d0 to keep the preserved Gram full "
+            f"rank, got {m0} with dims.d0 = {d0}")
     spec = StreamSpec(
         dims=Dims(d0=d0, d1=values["dims.d1"]),
         n_per_batch=values["stream.n_per_batch"],
@@ -209,7 +217,7 @@ def load_config(path, seed_override: int | None = None) -> dict:
         value_mode=values["stream.mode"],
         teacher_drift=values["stream.teacher_drift"],
         seed=values["stream.seed"],
-        m0=4 * d0 if values["stream.m0"] is None else values["stream.m0"],
+        m0=m0,
     )
     config = RunConfig(
         stream=spec,
@@ -325,8 +333,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_dbase(args) -> int:
     loaded = load_config(args.config, args.seed)
     stream = EditStream(loaded["run"].stream)
-    mem = new_memory(*stream.generate_preserved())
-    d_base = estimate_d_base(stream, mem)
+    d_base = estimate_d_base(stream, stream.preserved_memory())
     if args.out is not None:
         _emit(_csv("d_base", _fmt, [d_base]), args.out)
     print(f"d_base={_fmt(d_base)}")

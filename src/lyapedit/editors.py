@@ -14,16 +14,30 @@ that scipy's ``cho_factor``, ``cho_solve`` and ``norm`` would call, without
 their per-call validation and lookup.  A step at d0=64 costs about a
 megaflop, so that fixed cost mattered.
 
+They are bound from scipy's compiled modules ``scipy.linalg._flapack`` and
+``_fblas``, loaded directly, without the ``scipy.linalg`` package.  That
+package's import took 0.28-0.32 s of the 0.40-0.47 s of ``import
+lyapedit.cli`` (``python -X importtime``, 5 runs, 2 vCPUs, one BLAS thread),
+because its array-API layer star-imports numpy and so loads ``numpy.f2py``,
+``numpy.testing`` and ``numpy.ma``; without it the import takes 0.18-0.22
+s.  ``import scipy`` alone takes about 15 ms and sets up the library path
+that the compiled modules need.  The routines are the very objects that
+``get_lapack_funcs`` and ``get_blas_funcs`` return for float64 on a scipy
+built without ILP64 BLAS.
+
 The ``*_step`` forms serve a step loop: they take the products W K0K0^T
 (and W KpKp^T) that the loop carries instead of recomputing them, and leave
 them at the post-edit weights, where the residual check computed them.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_blas_funcs, get_lapack_funcs
+import scipy
 
 from .errors import DimensionMismatchError, InputError, SingularSystemError
 from .memory import AssociativeMemory, BacklogAccumulator, EditBatch
@@ -36,10 +50,26 @@ RESIDUAL_TARGET = 1e-8
 SNAP_THRESHOLD = 1e-10
 _TINY = float(np.finfo(np.float64).tiny)
 
+
+def _load_compiled(name: str):
+    """Load the compiled module ``scipy.linalg.<name>`` without its package."""
+    fullname = f"scipy.linalg.{name}"
+    where = os.path.join(scipy.__path__[0], "linalg")
+    spec = importlib.machinery.PathFinder.find_spec(fullname, [where])
+    if spec is None:
+        raise ImportError(
+            f"lyapedit needs scipy's compiled modules scipy.linalg._flapack and "
+            f"scipy.linalg._fblas; {fullname} was not found in {where}",
+            name=fullname)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 # The float64 routines, bound once (see the module docstring).
-_potrf, _potrs, _pocon = get_lapack_funcs(("potrf", "potrs", "pocon"),
-                                          dtype=np.float64)
-_nrm2 = get_blas_funcs("nrm2", dtype=np.float64, ilp64="preferred")
+_flapack = _load_compiled("_flapack")
+_potrf, _potrs, _pocon = _flapack.dpotrf, _flapack.dpotrs, _flapack.dpocon
+_nrm2 = _load_compiled("_fblas").dnrm2
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,8 @@ class SingularSystemError(LyapeditError):
 
 
 class GenerationError(LyapeditError):
-    """Synthetic stream generation failed (degenerate preserved keys)."""
+    """Synthetic stream generation failed: the preserved keys' Gram is not
+    finite, or not positive definite."""
 
 
 class StreamExhausted(LyapeditError):

@@ -14,15 +14,17 @@ step's update.
 
 Runs over one stream share one step loop.  ``run`` is its one-member case;
 ``compare`` and ``sweep_alpha`` step all their members together.  Set-up
-happens once: one stream, one memory, one probe.  Each batch is generated
-once per step and absorbed once into the one backlog, which depends only on
-the batches.  Each member keeps its queue value as a plain float; the PL and
-Z histories a run returns hold all its certificate and drift samples need.
-Every member carries the products ``W K0K0^T`` and ``W KpKp^T`` of its
-current weights: the residual check of one step leaves them at the post-edit
-weights, the losses read them, and the next step's target starts from them,
-so a step makes two dense d1 x d0^2 passes besides the factorization and
-solve.
+happens once: one stream, one preserved Gram (formed and checked by the
+stream, then kept by the memory), one memory and one probe.  Each batch is
+generated once per step and absorbed once into the one backlog, which
+depends only on the batches.  Each member keeps its queue value as a plain
+float; the PL and Z histories a run returns hold all its certificate and
+drift samples need.  Every member carries the products ``W K0K0^T`` and
+``W KpKp^T`` of its current weights: the residual check of one step leaves
+them at the post-edit weights, the losses read them, and the next step's
+target starts from them, so a step makes two dense d1 x d0^2 passes besides
+the factorization and solve.  The probe reads its PL from the ``W' K0K0^T``
+that its own residual check left.
 """
 from __future__ import annotations
 
@@ -38,8 +40,9 @@ from .controller import (
     stability_ratio,
     update_queue,
 )
-# solve_lyaplock and backlog_loss have no caller here.  They stay importable
-# from this module because perfbench's traced run wraps them here.
+# solve_lyaplock, solve_baseline, backlog_loss, new_memory and
+# preservation_loss have no caller here.  They stay importable from this
+# module because perfbench's traced run wraps them here.
 from .editors import (  # noqa: F401
     baseline_step,
     lyaplock_step,
@@ -149,8 +152,12 @@ def estimate_d_base(stream: EditStream, mem: AssociativeMemory) -> float:
     the measured loss survives.  Floored at the smallest positive normal so an
     exactly representable stream still yields a usable threshold.
     """
-    probe = solve_baseline(mem, stream.batch(1))
-    pl = preservation_loss(mem, mem.w + probe.delta)
+    m0 = mem.w @ mem.k0_gram
+    _, w_probe = baseline_step(mem, stream.batch(1), m0)
+    if not np.isfinite(w_probe).all():
+        raise NonFiniteError("w contains non-finite entries")
+    # The residual check left m0 = W' K0K0^T, the product PL needs.
+    pl = gram_loss(w_probe, m0, mem.v0k0t, mem.tr_v0v0)
     return max(pl, _D_BASE_FLOOR)
 
 
@@ -284,7 +291,7 @@ def _run_lockstep(configs: list[RunConfig]) -> list[RunResult]:
     """
     spec = configs[0].stream
     stream = EditStream(spec)
-    mem = new_memory(*stream.generate_preserved())
+    mem = stream.preserved_memory()
     # Every member shares the probe and the threshold base it yields, and a
     # validated config fails set-up only on that base; so a set-up failure is
     # the first one that serial execution would raise too.

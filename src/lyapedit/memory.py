@@ -158,12 +158,21 @@ def new_memory(w0, k0) -> AssociativeMemory:
         )
     if k0.shape[1] < 1:
         raise InputError("k0 must contain at least one column")
-    dims = Dims(d0=w0.shape[1], d1=w0.shape[0])
-    k0_gram = _symmetrized(k0 @ k0.T)
+    return _memory_from_gram(w0, _preserved_gram(k0))
+
+
+def _preserved_gram(k0: np.ndarray) -> np.ndarray:
+    """K0*K0^T, symmetrized: the one place a preserved Gram is formed."""
+    return _symmetrized(k0 @ k0.T)
+
+
+def _memory_from_gram(w0: np.ndarray, k0_gram: np.ndarray) -> AssociativeMemory:
+    """The V0 = W(0)*K0 memory of checked ``w0`` and K0*K0^T (see new_memory)."""
     v0k0t = w0 @ k0_gram
     tr_v0v0 = float(np.einsum("ij,ij->", v0k0t, w0))
     return AssociativeMemory(w=w0, w0=w0, k0_gram=k0_gram, v0k0t=v0k0t,
-                             tr_v0v0=tr_v0v0, dims=dims)
+                             tr_v0v0=tr_v0v0,
+                             dims=Dims(d0=w0.shape[1], d1=w0.shape[0]))
 
 
 def new_memory_explicit_v0(w0, k0, v0) -> AssociativeMemory:
@@ -188,7 +197,7 @@ def new_memory_explicit_v0(w0, k0, v0) -> AssociativeMemory:
             f"k0 has {k0.shape[1]} columns but v0 has {v0.shape[1]}"
         )
     dims = Dims(d0=w0.shape[1], d1=w0.shape[0])
-    k0_gram = _symmetrized(k0 @ k0.T)
+    k0_gram = _preserved_gram(k0)
     v0k0t = v0 @ k0.T
     tr_v0v0 = float(np.einsum("ij,ij->", v0, v0))
     return AssociativeMemory(w=w0, w0=w0, k0_gram=k0_gram, v0k0t=v0k0t,

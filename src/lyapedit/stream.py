@@ -38,7 +38,14 @@ from .errors import (
     NonFiniteError,
     StreamExhausted,
 )
-from .memory import Dims, EditBatch
+from .editors import _potrf
+from .memory import (
+    AssociativeMemory,
+    Dims,
+    EditBatch,
+    _memory_from_gram,
+    _preserved_gram,
+)
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -170,6 +177,30 @@ _TAG_TEACHER = 3
 _BLOCK_VALUES = 1 << 17
 
 
+def _checked_gram(k0: np.ndarray, key_scale: float) -> np.ndarray:
+    """The preserved Gram of ``k0``, checked finite and positive definite.
+
+    Finiteness is tested first: ``potrf`` can factor an overflowed Gram
+    without complaint.  The smallest eigenvalue is computed only to report
+    a rank deficiency.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = _preserved_gram(k0)
+    if not np.isfinite(gram).all():
+        raise GenerationError(
+            f"preserved key Gram K0 K0^T overflowed at key_scale={key_scale!r}; "
+            f"the keys are not representable in double precision"
+        )
+    _, info = _potrf(gram, lower=True, clean=False)
+    if info != 0:
+        smallest = float(np.linalg.eigvalsh(gram)[0])
+        raise GenerationError(
+            f"preserved keys are rank deficient (smallest Gram eigenvalue "
+            f"{smallest!r}); check key_scale, got {key_scale!r}"
+        )
+    return gram
+
+
 @dataclass(frozen=True)
 class StreamSpec:
     """Full description of a synthetic edit stream; batches are a pure function of it."""
@@ -221,6 +252,7 @@ class EditStream:
     def __init__(self, spec: StreamSpec):
         self.spec = spec
         self._preserved = None
+        self._k0_gram = None
         d0, d1, n = spec.dims.d0, spec.dims.d1, spec.n_per_batch
         per_batch = d0 * n
         if spec.value_mode == "random-target":
@@ -235,29 +267,29 @@ class EditStream:
         """Return (w0, k0): original weights and preserved keys.
 
         w0 entries are standard Gaussian scaled by 1/sqrt(d0); k0 columns are
-        standard Gaussian scaled by key_scale.  Retries with a fresh sub-seed
-        up to 3 times if the key Gram comes out rank deficient.
+        standard Gaussian scaled by key_scale.  The key Gram K0 K0^T is
+        formed once and checked: it must be finite, and one Cholesky
+        factorization must find it positive definite.  Otherwise this
+        raises GenerationError.  Such a failure comes from key_scale (zero,
+        or beyond the range of double precision), so a fresh draw would not
+        help and none is made.  :meth:`preserved_memory` reuses the Gram.
         """
         if self._preserved is None:
             spec = self.spec
             d0, d1 = spec.dims.d0, spec.dims.d1
-            last_eig = None
-            for attempt in range(3):
-                w0 = (SplitMix64(derive_seed(spec.seed, _TAG_W0, attempt))
-                      .matrix(d1, d0) / np.sqrt(d0))
-                k0 = (SplitMix64(derive_seed(spec.seed, _TAG_K0, attempt))
-                      .matrix(d0, spec.m0) * spec.key_scale)
-                gram = k0 @ k0.T
-                last_eig = float(np.linalg.eigvalsh((gram + gram.T) * 0.5)[0])
-                if last_eig > 0.0:
-                    self._preserved = (w0, k0)
-                    break
-            else:
-                raise GenerationError(
-                    f"preserved keys stayed rank deficient after 3 attempts "
-                    f"(smallest Gram eigenvalue {last_eig!r}); check key_scale"
-                )
+            # The last tag, 0, is the draw: one per stream.
+            w0 = (SplitMix64(derive_seed(spec.seed, _TAG_W0, 0))
+                  .matrix(d1, d0) / np.sqrt(d0))
+            k0 = (SplitMix64(derive_seed(spec.seed, _TAG_K0, 0))
+                  .matrix(d0, spec.m0) * spec.key_scale)
+            self._k0_gram = _checked_gram(k0, spec.key_scale)
+            self._preserved = (w0, k0)
         return self._preserved
+
+    def preserved_memory(self) -> AssociativeMemory:
+        """The memory of ``generate_preserved()``, built on its checked Gram."""
+        w0, _ = self.generate_preserved()
+        return _memory_from_gram(w0, self._k0_gram)
 
     def batch(self, t: int) -> EditBatch:
         """Batch for timestamp t (1-based)."""

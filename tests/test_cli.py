@@ -106,6 +106,7 @@ class TestConfigSchema:
         ("stream.seed", "-1"),
         ("stream.mode", "teacher"),
         ("stream.m0", "-4"),
+        ("stream.m0", "5"),
         ("stream.key_scale", "0"),
         ("stream.key_scale", "nan"),
         ("stream.teacher_drift", "-0.1"),
@@ -302,6 +303,21 @@ class TestDbase:
         lines = out.read_text().splitlines()
         assert lines[0] == "d_base"
         assert float(lines[1]) > 0
+
+
+class TestKeyScaleOverflow:
+    """A key scale whose preserved Gram overflows fails set-up loudly."""
+
+    @pytest.mark.parametrize("command", ["simulate", "dbase"])
+    def test_exits_2_naming_gram_and_key_scale(self, tmp_path, capsys, command):
+        quick = (REPO / "configs" / "quick.cfg").read_text(encoding="utf-8")
+        cfg = write_config(tmp_path, with_value("stream.key_scale", "3.35e153",
+                                                text=quick))
+        assert main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: preserved key Gram K0 K0^T overflowed")
+        assert "key_scale=3.35e+153" in err
 
 
 class TestVerify:

@@ -298,6 +298,24 @@ def spd_with_spectrum(rng, eigenvalues):
     return (c + c.T) * 0.5
 
 
+def test_import_skips_the_scipy_linalg_package():
+    """The LAPACK and BLAS modules load without ``scipy.linalg``'s import."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import lyapedit
+
+    src = str(Path(lyapedit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = ("import sys, lyapedit.cli; "
+             "print(sorted({'scipy.linalg', 'numpy.f2py'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 class TestDirectLapack:
     """The bound routines give the scipy wrappers' results bit for bit."""
 

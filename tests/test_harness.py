@@ -274,13 +274,35 @@ class TestLockstep:
         compare(self.mixed_configs())
         assert len(calls) == 1
 
+    def test_run_forms_the_preserved_gram_once(self, monkeypatch):
+        from pathlib import Path
+
+        import lyapedit.memory as memory
+        import lyapedit.stream as stream
+        from lyapedit.cli import load_config
+
+        config = load_config(Path(__file__).resolve().parent.parent
+                             / "configs" / "quick.cfg")["run"]
+        calls = []
+        original = memory._preserved_gram
+
+        def counting(k0):
+            calls.append(k0.shape)
+            return original(k0)
+
+        # The one construction site, under both names that bind it.
+        monkeypatch.setattr(memory, "_preserved_gram", counting)
+        monkeypatch.setattr(stream, "_preserved_gram", counting)
+        run(config)
+        assert calls == [(16, 64)]
+
     def test_probe_failure_matches_serial_execution(self, monkeypatch):
         import lyapedit.harness as harness
 
         def singular(*args):
             raise SingularSystemError("synthetic probe failure")
 
-        monkeypatch.setattr(harness, "solve_baseline", singular)
+        monkeypatch.setattr(harness, "baseline_step", singular)
         configs = self.mixed_configs()
         with pytest.raises(SingularSystemError) as serial:
             run(configs[0])

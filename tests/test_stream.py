@@ -286,6 +286,19 @@ class TestGeneratePreserved:
         with pytest.raises(GenerationError):
             stream.generate_preserved()
 
+    def test_rank_deficiency_reports_smallest_eigenvalue(self):
+        stream = EditStream(spec(key_scale=0.0))
+        with pytest.raises(GenerationError, match=r"smallest Gram eigenvalue 0\.0\)"):
+            stream.generate_preserved()
+
+    def test_overflowed_gram_rejected_before_factoring(self):
+        # K0 K0^T overflows here, though potrf factors the result without
+        # complaint; only the finiteness test catches it.
+        stream = EditStream(spec(d0=16, d1=12, m0=64, key_scale=3.35e153))
+        with pytest.raises(GenerationError, match=r"K0 K0\^T overflowed at "
+                                                  r"key_scale=3\.35e\+153"):
+            stream.generate_preserved()
+
     def test_w0_scaling(self):
         stream = EditStream(spec(d0=64, d1=64, m0=64, total=1))
         w0, _ = stream.generate_preserved()
