@@ -34,7 +34,6 @@ from .memory import (
     backlog_loss,
     editing_loss,
     new_memory,
-    new_memory_explicit_v0,
     preservation_loss,
 )
 from .stream import (
@@ -42,9 +41,7 @@ from .stream import (
     SplitMix64,
     StreamSpec,
     derive_seed,
-    load_batch_file,
     load_matrix_file,
-    save_batch_file,
     save_matrix_file,
 )
 
@@ -72,13 +69,10 @@ __all__ = [
     "derive_seed",
     "editing_loss",
     "estimate_d_base",
-    "load_batch_file",
     "load_matrix_file",
     "new_memory",
-    "new_memory_explicit_v0",
     "preservation_loss",
     "run",
-    "save_batch_file",
     "save_matrix_file",
     "solve_baseline",
     "solve_edit_only",

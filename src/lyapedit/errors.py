@@ -22,7 +22,8 @@ class NumericalInstabilityError(LyapeditError):
     """Gram-form cancellation exceeded the guard; the state is untrustworthy.
 
     Rebuilding the state with explicit matrices (see the oracle helpers) is the
-    recommended diagnostic path.
+    recommended diagnostic path.  Also raised when the ``d_base`` probe's loss
+    is not representable at the stream's key scale.
     """
 
 

@@ -15,8 +15,10 @@ step's update.
 Runs over one stream share one step loop.  ``run`` is its one-member case;
 ``compare`` and ``sweep_alpha`` step all their members together.  Set-up
 happens once: one stream, one preserved Gram (formed and checked by the
-stream, then kept by the memory), one memory and one probe.  Each batch is
-generated once per step and absorbed once into the one backlog, which
+stream, then kept by the memory; the raw keys are dropped), one memory and
+one probe.  The one dense set-up product W0 K0K0^T is the memory's V0 K0^T,
+since V0 = W0 K0; the probe and every member start from a copy of it.  Each
+batch is generated once per step and absorbed once into the one backlog, which
 depends only on the batches.  Each member keeps its queue value as a plain
 float; the PL and Z histories a run returns hold all its certificate and
 drift samples need.  Every member carries the products ``W K0K0^T`` and
@@ -72,8 +74,8 @@ from .stream import EditStream, StreamSpec
 
 EDITOR_NAMES = ("lyaplock", "baseline", "edit-only")
 
-# Floor for the probed base loss: an exactly representable stream probes to a
-# preservation loss of 0, which the schedule cannot accept.
+# Floor for the probed base loss of an exactly representable stream, which
+# probes to a preservation loss of 0 that the schedule cannot accept.
 _D_BASE_FLOOR = float(np.finfo(np.float64).tiny)
 
 
@@ -148,17 +150,27 @@ class RunResult:
 def estimate_d_base(stream: EditStream, mem: AssociativeMemory) -> float:
     """Preservation loss after one probe bi-objective edit of the first batch.
 
-    The probe is applied to the original weights and then thrown away; only
-    the measured loss survives.  Floored at the smallest positive normal so an
-    exactly representable stream still yields a usable threshold.
+    The probe edits the original weights ``mem.w0``, whatever ``mem.w`` is,
+    starting from W0 K0K0^T = ``mem.v0k0t``, and is then thrown away; only
+    the measured loss survives.  An exactly representable stream (planted
+    teacher, no drift) probes to a loss of 0, floored at the smallest
+    positive normal so it still yields a usable threshold.  On any other
+    stream a loss of 0 or a non-finite one means the losses are not
+    representable at its key scale, and NumericalInstabilityError is raised.
     """
-    m0 = mem.w @ mem.k0_gram
-    _, w_probe = baseline_step(mem, stream.batch(1), m0)
-    if not np.isfinite(w_probe).all():
-        raise NonFiniteError("w contains non-finite entries")
+    spec = stream.spec
+    m0 = mem.v0k0t.copy()
+    _, w_probe = baseline_step(replace(mem, w=mem.w0), stream.batch(1), m0)
     # The residual check left m0 = W' K0K0^T, the product PL needs.
     pl = gram_loss(w_probe, m0, mem.v0k0t, mem.tr_v0v0)
-    return max(pl, _D_BASE_FLOOR)
+    exact = spec.value_mode == "planted-teacher" and spec.teacher_drift == 0.0
+    if math.isfinite(pl) and (exact or pl > 0.0):
+        return max(pl, _D_BASE_FLOOR) if exact else pl
+    raise NumericalInstabilityError(
+        f"the d_base probe's preservation loss is {pl!r} at "
+        f"key_scale={spec.key_scale!r}; the losses at this key scale are not "
+        f"representable in double precision"
+    )
 
 
 def _solve_step(config: RunConfig, mem: AssociativeMemory,
@@ -194,7 +206,7 @@ class _Member:
         self.params = params
         self.z = params.z_init
         self.mem = mem
-        self.m0 = mem.w @ mem.k0_gram   # W K0K0^T
+        self.m0 = mem.v0k0t.copy()      # W0 K0K0^T
         self.mp = np.zeros_like(mem.w)  # W KpKp^T of the empty backlog
         self.records: list[StepRecord] = []
         self.pl_hist = np.empty(total)

@@ -5,6 +5,10 @@ only K0*K0^T, V0*K0^T and tr(V0*V0^T), which keeps memory O(d0^2) no matter how
 many preserved keys were collected.  The same bookkeeping is used for the
 running backlog of already-applied edits.
 
+Preserved values follow one convention, V0 = W(0)*K0, so V0*K0^T is the
+product W(0)*K0K0^T: formed once per memory, and copied, not formed again,
+by a caller that needs W*K0K0^T at the original weights.
+
 Losses evaluated through Gram identities can dip slightly below zero through
 floating cancellation; they are clamped at zero inside a guard band and raise
 once the deficit is large enough to indicate corrupted state.
@@ -173,35 +177,6 @@ def _memory_from_gram(w0: np.ndarray, k0_gram: np.ndarray) -> AssociativeMemory:
     return AssociativeMemory(w=w0, w0=w0, k0_gram=k0_gram, v0k0t=v0k0t,
                              tr_v0v0=tr_v0v0,
                              dims=Dims(d0=w0.shape[1], d1=w0.shape[0]))
-
-
-def new_memory_explicit_v0(w0, k0, v0) -> AssociativeMemory:
-    """Build a memory from explicitly supplied preserved values.
-
-    For ingested key/value files V0 generally differs from W(0)*K0, so the
-    preservation loss of ``w0`` may be nonzero.
-    """
-    w0 = _as_matrix("w0", w0)
-    k0 = _as_matrix("k0", k0)
-    v0 = _as_matrix("v0", v0)
-    if k0.shape[0] != w0.shape[1]:
-        raise DimensionMismatchError(
-            f"k0 has {k0.shape[0]} rows but w0 has {w0.shape[1]} columns"
-        )
-    if v0.shape[0] != w0.shape[0]:
-        raise DimensionMismatchError(
-            f"v0 has {v0.shape[0]} rows but w0 has {w0.shape[0]}"
-        )
-    if v0.shape[1] != k0.shape[1]:
-        raise DimensionMismatchError(
-            f"k0 has {k0.shape[1]} columns but v0 has {v0.shape[1]}"
-        )
-    dims = Dims(d0=w0.shape[1], d1=w0.shape[0])
-    k0_gram = _preserved_gram(k0)
-    v0k0t = v0 @ k0.T
-    tr_v0v0 = float(np.einsum("ij,ij->", v0, v0))
-    return AssociativeMemory(w=w0, w0=w0, k0_gram=k0_gram, v0k0t=v0k0t,
-                             tr_v0v0=tr_v0v0, dims=dims)
 
 
 def preservation_loss(mem: AssociativeMemory, w) -> float:

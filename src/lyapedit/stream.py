@@ -1,4 +1,4 @@
-"""Edit-batch streams: seeded synthetic generation and KVMX file ingestion.
+"""Edit-batch streams: seeded synthetic generation, and KVMX matrix files.
 
 Randomness comes from SplitMix64, a counter-based 64-bit generator (output k is
 a fixed bit-mix of ``seed + (k+1) * 0x9E3779B97F4A7C15``), with normal variates
@@ -16,8 +16,7 @@ same pure function of (spec, t) in any access order.
 
 KVMX matrix files are little-endian: magic ``KVMX``, format version u32 = 1,
 rows u64, cols u64, then rows*cols IEEE-754 binary64 values in row-major
-order.  A batch file is the magic ``KVB1`` followed by two concatenated KVMX
-records (keys, then values).
+order.
 """
 from __future__ import annotations
 
@@ -246,14 +245,18 @@ class EditStream:
     in blocks of consecutive timestamps, sized to about ``_BLOCK_VALUES``
     generated normals; the stream keeps the latest block and serves any
     ``t`` inside it without generating again.  Every batch's arrays are
-    read-only, since repeated calls return the same object.
+    read-only, since repeated calls return the same object.  Of the
+    preserved set the stream keeps w0 and the checked Gram K0 K0^T, never
+    the raw d0 x m0 keys K0.
     """
 
     def __init__(self, spec: StreamSpec):
         self.spec = spec
-        self._preserved = None
-        self._k0_gram = None
         d0, d1, n = spec.dims.d0, spec.dims.d1, spec.n_per_batch
+        # The last tag, 0, is the draw: one per stream.
+        self._w0 = (SplitMix64(derive_seed(spec.seed, _TAG_W0, 0))
+                    .matrix(d1, d0) / np.sqrt(d0))
+        self._k0_gram = None
         per_batch = d0 * n
         if spec.value_mode == "random-target":
             per_batch += d1 * n
@@ -267,29 +270,26 @@ class EditStream:
         """Return (w0, k0): original weights and preserved keys.
 
         w0 entries are standard Gaussian scaled by 1/sqrt(d0); k0 columns are
-        standard Gaussian scaled by key_scale.  The key Gram K0 K0^T is
-        formed once and checked: it must be finite, and one Cholesky
-        factorization must find it positive definite.  Otherwise this
-        raises GenerationError.  Such a failure comes from key_scale (zero,
-        or beyond the range of double precision), so a fresh draw would not
-        help and none is made.  :meth:`preserved_memory` reuses the Gram.
+        standard Gaussian scaled by key_scale; each call draws k0 again.
+        The key Gram K0 K0^T is formed once and checked: it must be finite,
+        and one Cholesky factorization must find it positive definite.
+        Otherwise this raises GenerationError.  Such a failure comes from
+        key_scale (zero, or beyond the range of double precision), so a
+        fresh draw would not help and none is made.
+        :meth:`preserved_memory` reuses the Gram.
         """
-        if self._preserved is None:
-            spec = self.spec
-            d0, d1 = spec.dims.d0, spec.dims.d1
-            # The last tag, 0, is the draw: one per stream.
-            w0 = (SplitMix64(derive_seed(spec.seed, _TAG_W0, 0))
-                  .matrix(d1, d0) / np.sqrt(d0))
-            k0 = (SplitMix64(derive_seed(spec.seed, _TAG_K0, 0))
-                  .matrix(d0, spec.m0) * spec.key_scale)
+        spec = self.spec
+        k0 = (SplitMix64(derive_seed(spec.seed, _TAG_K0, 0))
+              .matrix(spec.dims.d0, spec.m0) * spec.key_scale)
+        if self._k0_gram is None:
             self._k0_gram = _checked_gram(k0, spec.key_scale)
-            self._preserved = (w0, k0)
-        return self._preserved
+        return self._w0, k0
 
     def preserved_memory(self) -> AssociativeMemory:
         """The memory of ``generate_preserved()``, built on its checked Gram."""
-        w0, _ = self.generate_preserved()
-        return _memory_from_gram(w0, self._k0_gram)
+        if self._k0_gram is None:
+            self.generate_preserved()
+        return _memory_from_gram(self._w0, self._k0_gram)
 
     def batch(self, t: int) -> EditBatch:
         """Batch for timestamp t (1-based)."""
@@ -324,15 +324,14 @@ class EditStream:
         if spec.value_mode == "random-target":
             v1 = normals(_TAG_TEACHER, d1 * n).reshape(rows, d1, n)
         else:
-            w0, _ = self.generate_preserved()
             if spec.teacher_drift == 0.0:
                 # Exactly representable stream: values come straight from w0.
-                v1 = np.matmul(w0, k1)
+                v1 = np.matmul(self._w0, k1)
             else:
                 wobble = normals(_TAG_TEACHER, d1 * d0)
                 np.multiply(wobble, spec.teacher_drift, out=wobble)
                 teacher = wobble.reshape(rows, d1, d0)
-                np.add(w0, teacher, out=teacher)
+                np.add(self._w0, teacher, out=teacher)
                 v1 = np.matmul(teacher, k1)
         k1.flags.writeable = False
         v1.flags.writeable = False
@@ -342,7 +341,6 @@ class EditStream:
 # --- KVMX file format -------------------------------------------------------
 
 _MATRIX_MAGIC = b"KVMX"
-_BATCH_MAGIC = b"KVB1"
 _FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIQQ")
 # Refuse to materialize anything bigger than this many elements.
@@ -397,24 +395,3 @@ def load_matrix_file(path) -> np.ndarray:
     if end != len(buf):
         raise KvmxFormatError(f"{path}: {len(buf) - end} trailing bytes after payload")
     return matrix
-
-
-def save_batch_file(path, batch: EditBatch) -> None:
-    Path(path).write_bytes(
-        _BATCH_MAGIC + _encode_matrix(batch.k1) + _encode_matrix(batch.v1)
-    )
-
-
-def load_batch_file(path) -> EditBatch:
-    buf = Path(path).read_bytes()
-    if len(buf) < len(_BATCH_MAGIC):
-        raise KvmxTruncatedError(f"{path}: batch header truncated")
-    if buf[: len(_BATCH_MAGIC)] != _BATCH_MAGIC:
-        raise KvmxBadMagicError(
-            f"{path}: expected {_BATCH_MAGIC!r}, found {buf[:len(_BATCH_MAGIC)]!r}"
-        )
-    k1, offset = _decode_matrix(buf, len(_BATCH_MAGIC), str(path))
-    v1, end = _decode_matrix(buf, offset, str(path))
-    if end != len(buf):
-        raise KvmxFormatError(f"{path}: {len(buf) - end} trailing bytes after payload")
-    return EditBatch(k1=k1, v1=v1)

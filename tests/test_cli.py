@@ -160,12 +160,13 @@ class TestConfigSchema:
 
 
 class TestDocumentedConfigs:
-    """The README's config block and the shipped configs load as documented."""
+    """The README's config block, its library example and the shipped
+    configs work as documented."""
 
-    def readme_block(self):
+    def readme_block(self, heading="### Configuration documents", lang=""):
         text = (REPO / "README.md").read_text(encoding="utf-8")
-        section = text.split("### Configuration documents", 1)[1]
-        return re.search(r"```\n(.*?)```", section, re.S).group(1)
+        section = text.split(heading, 1)[1]
+        return re.search(rf"```{lang}\n(.*?)```", section, re.S).group(1)
 
     def test_readme_block_loads(self, tmp_path):
         loaded = cli.load_config(write_config(tmp_path, self.readme_block()))
@@ -179,6 +180,12 @@ class TestDocumentedConfigs:
                                             (REPO / "configs").glob("*.cfg")))
     def test_shipped_config_loads(self, name):
         cli.load_config(REPO / "configs" / name)
+
+    def test_readme_library_use_runs(self, capsys):
+        # As written: every public name it imports must still exist.
+        exec(self.readme_block("## Library use", "python"), {})
+        avg_pl, sep, threshold = capsys.readouterr().out.split()
+        assert sep == "<=" and float(avg_pl) <= float(threshold)
 
 
 class TestSimulate:
@@ -306,7 +313,7 @@ class TestDbase:
 
 
 class TestKeyScaleOverflow:
-    """A key scale whose preserved Gram overflows fails set-up loudly."""
+    """A key scale beyond the range of double precision fails set-up loudly."""
 
     @pytest.mark.parametrize("command", ["simulate", "dbase"])
     def test_exits_2_naming_gram_and_key_scale(self, tmp_path, capsys, command):
@@ -318,6 +325,23 @@ class TestKeyScaleOverflow:
         err = capsys.readouterr().err
         assert err.startswith("error: preserved key Gram K0 K0^T overflowed")
         assert "key_scale=3.35e+153" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "dbase"])
+    @pytest.mark.parametrize("key_scale, pl", [
+        ("8.379879956214684e152", "nan"),  # 2^508: the probe's loss overflows
+        ("1.1e-161", "0.0"),               # the probe's edit underflows to 0
+    ])
+    def test_unrepresentable_probe_loss_exits_2(self, tmp_path, capsys, command,
+                                                key_scale, pl):
+        quick = (REPO / "configs" / "quick.cfg").read_text(encoding="utf-8")
+        cfg = write_config(tmp_path, with_value("stream.key_scale", key_scale,
+                                                text=quick))
+        assert main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: the d_base probe's preservation loss is {pl} at "
+            f"key_scale={float(key_scale)!r};")
 
 
 class TestVerify:

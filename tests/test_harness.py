@@ -101,6 +101,13 @@ class TestRunInvariants:
         result = run(small_config(editor="baseline", total=30))
         assert result.pl_history[0] == result.d_base
 
+    def test_probe_edits_the_original_weights(self):
+        from lyapedit import EditStream, estimate_d_base
+        stream = EditStream(small_spec())
+        mem = stream.preserved_memory()
+        moved = mem.with_weights(mem.w0 + 0.5)
+        assert estimate_d_base(stream, moved) == estimate_d_base(stream, mem)
+
     def test_probe_excluded_from_backlog(self):
         result = run(small_config(total=5))
         # After a 5-step run, the first record is measured against an empty

@@ -12,7 +12,6 @@ from lyapedit import (
     backlog_loss,
     editing_loss,
     new_memory,
-    new_memory_explicit_v0,
     preservation_loss,
 )
 from lyapedit.errors import (
@@ -73,34 +72,6 @@ class TestNewMemory:
         assert asym <= 1e-12
         eigs = np.linalg.eigvalsh(mem.k0_gram)
         assert eigs.min() >= -1e-9 * np.linalg.norm(mem.k0_gram)
-
-
-class TestNewMemoryExplicitV0:
-    def test_consistency_with_default_convention(self, rng):
-        w0 = rng.standard_normal((3, 4))
-        k0 = rng.standard_normal((4, 12))
-        via_default = new_memory(w0, k0)
-        via_explicit = new_memory_explicit_v0(w0, k0, w0 @ k0)
-        assert via_explicit.v0k0t == pytest.approx(via_default.v0k0t, rel=1e-10)
-        assert via_explicit.tr_v0v0 == pytest.approx(via_default.tr_v0v0, rel=1e-10)
-
-    def test_zero_weights_identity_values(self):
-        mem = new_memory_explicit_v0(np.zeros((2, 2)), np.eye(2), np.eye(2))
-        assert preservation_loss(mem, mem.w0) == pytest.approx(2.0)
-
-    def test_matches_explicit_residual(self, rng):
-        w0 = rng.standard_normal((3, 5))
-        k0 = rng.standard_normal((5, 20))
-        v0 = rng.standard_normal((3, 20))
-        mem = new_memory_explicit_v0(w0, k0, v0)
-        w = rng.standard_normal((3, 5))
-        explicit = float(np.sum((w @ k0 - v0) ** 2))
-        assert preservation_loss(mem, w) == pytest.approx(explicit, rel=1e-8)
-
-    def test_column_count_mismatch(self, rng):
-        with pytest.raises(DimensionMismatchError, match="columns"):
-            new_memory_explicit_v0(np.zeros((2, 2)), np.zeros((2, 3)),
-                                   np.zeros((2, 4)))
 
 
 class TestPreservationLoss:

@@ -1,8 +1,10 @@
 """Stream determinism, planted-mode feasibility, and the KVMX format."""
 from __future__ import annotations
 
+import gc
 import hashlib
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -11,14 +13,11 @@ from hypothesis import strategies as st
 
 from lyapedit import (
     Dims,
-    EditBatch,
     EditStream,
     SplitMix64,
     StreamSpec,
     derive_seed,
-    load_batch_file,
     load_matrix_file,
-    save_batch_file,
     save_matrix_file,
 )
 from lyapedit.errors import (
@@ -299,6 +298,23 @@ class TestGeneratePreserved:
                                                   r"key_scale=3\.35e\+153"):
             stream.generate_preserved()
 
+    def test_stream_keeps_no_raw_k0(self):
+        stream = EditStream(spec(d0=8, d1=6, m0=32))
+        stream.preserved_memory()
+        held = []
+        for value in vars(stream).values():
+            held += value if isinstance(value, (tuple, list)) else [value]
+        assert not [v for v in held
+                    if isinstance(v, np.ndarray) and v.shape == (8, 32)]
+        # A later call draws the same keys again, and they are the caller's.
+        _, k0 = stream.generate_preserved()
+        assert np.array_equal(k0, EditStream(spec(d0=8, d1=6, m0=32))
+                              .generate_preserved()[1])
+        dropped = weakref.ref(k0)
+        del k0
+        gc.collect()
+        assert dropped() is None
+
     def test_w0_scaling(self):
         stream = EditStream(spec(d0=64, d1=64, m0=64, total=1))
         w0, _ = stream.generate_preserved()
@@ -381,15 +397,6 @@ class TestKvmxFormat:
             save_matrix_file(path, matrix)
             assert np.array_equal(load_matrix_file(path), matrix)
 
-    def test_batch_round_trip(self, tmp_path, rng):
-        path = tmp_path / "b.kvb"
-        batch = EditBatch(k1=rng.standard_normal((4, 3)),
-                          v1=rng.standard_normal((2, 3)))
-        save_batch_file(path, batch)
-        back = load_batch_file(path)
-        assert np.array_equal(back.k1, batch.k1)
-        assert np.array_equal(back.v1, batch.v1)
-
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.kvmx"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
@@ -437,9 +444,3 @@ class TestKvmxFormat:
     def test_writer_rejects_non_finite(self, tmp_path):
         with pytest.raises(Exception):
             save_matrix_file(tmp_path / "x.kvmx", np.array([[np.inf]]))
-
-    def test_batch_magic_checked(self, tmp_path):
-        path = tmp_path / "b.kvb"
-        path.write_bytes(b"XXXX")
-        with pytest.raises(KvmxBadMagicError):
-            load_batch_file(path)
