@@ -50,7 +50,7 @@ import numpy as np
 # ``verify``'s first draw does not pay for the import.
 import numpy.random  # noqa: F401
 
-from .editors import solve_lyaplock
+from . import oracle
 from .errors import ConfigError, InputError, LyapeditError, RunAborted
 from .harness import (
     EDITOR_NAMES,
@@ -61,22 +61,8 @@ from .harness import (
     run,
     sweep_alpha,
 )
-from .memory import BacklogAccumulator, Dims, EditBatch, absorb, new_memory
-from .oracle import (
-    check_inequality_fuzz,
-    check_sufficiency_empirical,
-    minimize_iteratively,
-    objective_gradient,
-    quadratic_objective,
-    verify_normal_equations,
-)
-from .stream import (
-    VALUE_MODES,
-    EditStream,
-    StreamSpec,
-    load_matrix_file,
-    save_matrix_file,
-)
+from .memory import Dims
+from .stream import VALUE_MODES, EditStream, StreamSpec
 
 RECORD_HEADER = "t,el,pl,bl,z,avg_pl,avg_el,delta_fro,ridge,wall_ms"
 COMPARE_HEADER = "editor,final_avg_pl,final_avg_el,constraint_satisfied,mean_wall_ms"
@@ -340,98 +326,10 @@ def _cmd_dbase(args) -> int:
     return 0
 
 
-def _verify_checks(seed: int):
-    rng = np.random.default_rng(seed)
-
-    def random_instance(d0, d1, n, m0, absorbed=0):
-        mem = new_memory(rng.standard_normal((d1, d0)),
-                         rng.standard_normal((d0, m0)))
-        bk = BacklogAccumulator.empty(mem.dims)
-        for _ in range(absorbed):
-            absorb(bk, EditBatch(k1=rng.standard_normal((d0, 2)),
-                                 v1=rng.standard_normal((d1, 2))))
-        batch = EditBatch(k1=rng.standard_normal((d0, n)),
-                          v1=rng.standard_normal((d1, n)))
-        return mem, bk, batch
-
-    def check_fuzz():
-        report = check_inequality_fuzz(100_000, seed)
-        return report.passed, f"{report.samples} samples, {report.violations} violations"
-
-    def check_normal_equations():
-        worst = 0.0
-        for i in range(25):
-            mem, bk, batch = random_instance(6, 4, 3, 24, absorbed=i % 3)
-            report = solve_lyaplock(mem, bk, batch, v_weight=1.0, az=0.5 + i * 0.1)
-            worst = max(worst, verify_normal_equations(
-                mem, bk, batch, 1.0, 0.5 + i * 0.1, report.delta))
-        return worst <= 1e-8, f"worst relative residual {worst:.3e}"
-
-    def check_optimality():
-        worst = 0.0
-        for i in range(10):
-            mem, bk, batch = random_instance(5, 4, 2, 20, absorbed=i % 2)
-            report = solve_lyaplock(mem, bk, batch, v_weight=1.0, az=1.0)
-            closed = quadratic_objective(mem, bk, batch, 1.0, 1.0, report.delta)
-            _, iterated = minimize_iteratively(mem, bk, batch, 1.0, 1.0, steps=2000)
-            worst = max(worst, (closed - iterated) / max(abs(iterated), 1e-30))
-        return worst <= 1e-6, f"worst objective excess {worst:.3e}"
-
-    def check_gradient():
-        worst = 0.0
-        for _ in range(5):
-            mem, bk, batch = random_instance(3, 4, 2, 12, absorbed=1)
-            delta = rng.standard_normal(mem.w.shape) * 0.1
-            grad = objective_gradient(mem, bk, batch, 1.0, 0.7, delta)
-            eps = 1e-6
-            fd = np.zeros_like(grad)
-            for idx in np.ndindex(grad.shape):
-                bump = np.zeros_like(delta)
-                bump[idx] = eps
-                hi = quadratic_objective(mem, bk, batch, 1.0, 0.7, delta + bump)
-                lo = quadratic_objective(mem, bk, batch, 1.0, 0.7, delta - bump)
-                fd[idx] = (hi - lo) / (2 * eps)
-            worst = max(worst, float(np.linalg.norm(grad - fd) / np.linalg.norm(fd)))
-        return worst <= 1e-5, f"worst gradient mismatch {worst:.3e}"
-
-    def check_sufficiency():
-        spec = StreamSpec(dims=Dims(d0=16, d1=12), n_per_batch=4,
-                          total_batches=300, key_scale=1.0,
-                          value_mode="planted-teacher", teacher_drift=0.1,
-                          seed=seed, m0=64)
-        result = run(RunConfig(stream=spec, editor="lyaplock", alpha=60.0))
-        report = check_sufficiency_empirical(result.pl_history, result.z_history,
-                                             result.params)
-        return report.passed, (
-            f"avg_pl={report.measured_avg_pl:.6g} <= bound={report.implied_bound:.6g}"
-        )
-
-    def check_round_trip():
-        import tempfile
-        with tempfile.TemporaryDirectory() as tmpdir:
-            path = Path(tmpdir) / "m.kvmx"
-            for i in range(50):
-                matrix = rng.standard_normal((rng.integers(1, 9), rng.integers(1, 9)))
-                save_matrix_file(path, matrix)
-                back = load_matrix_file(path)
-                if back.shape != matrix.shape or not np.array_equal(back, matrix):
-                    return False, f"round trip {i} diverged"
-        return True, "50 random matrices bit-exact"
-
-    return (
-        ("queue-inequality-fuzz", check_fuzz),
-        ("normal-equations", check_normal_equations),
-        ("closed-form-optimality", check_optimality),
-        ("gradient-finite-difference", check_gradient),
-        ("telescoped-queue-bound", check_sufficiency),
-        ("kvmx-round-trip", check_round_trip),
-    )
-
-
 def _cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else 0
     all_ok = True
-    for name, check in _verify_checks(seed):
+    for name, check in oracle.suite(seed):
         try:
             ok, detail = check()
         except LyapeditError as exc:

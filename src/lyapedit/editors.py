@@ -106,9 +106,11 @@ def _ridge_attempts(matrix: np.ndarray):
     ``potrf``'s output: L in the lower triangle, the input above it.
     """
     dim = matrix.shape[0]
-    scale = float(np.trace(matrix)) / dim
-    for factor_scale in (0.0,) + RIDGE_LADDER:
-        lam = factor_scale * scale
+    with np.errstate(over="ignore"):
+        scale = float(np.trace(matrix)) / dim
+    if not np.isfinite(scale):  # the trace overflowed; a finite diagonal's mean cannot
+        scale = float(np.sum(np.diagonal(matrix) / dim))
+    for lam in (0.0,) + tuple(rung * scale for rung in RIDGE_LADDER):
         ridged = matrix
         if lam > 0.0:
             ridged = matrix.copy()
@@ -121,10 +123,7 @@ def _ridge_attempts(matrix: np.ndarray):
             continue
         anorm = float(np.abs(ridged).sum(axis=0).max())  # the 1-norm
         rcond, info = _pocon(factor, anorm, uplo="L")
-        if info != 0 or not (rcond > 0.0):
-            cond = float("inf")
-        else:
-            cond = 1.0 / float(rcond)
+        cond = 1.0 / float(rcond) if info == 0 and rcond > 0.0 else float("inf")
         yield lam, (factor if cond <= CONDITION_LIMIT else None), cond
 
 

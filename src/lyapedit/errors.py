@@ -19,7 +19,7 @@ class NonFiniteError(InputError):
 
 
 class NumericalInstabilityError(LyapeditError):
-    """Gram-form cancellation exceeded the guard; the state is untrustworthy.
+    """A Gram-form loss overflowed or cancelled past the guard; the state is untrustworthy.
 
     Rebuilding the state with explicit matrices (see the oracle helpers) is the
     recommended diagnostic path.  Also raised when the ``d_base`` probe's loss

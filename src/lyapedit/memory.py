@@ -50,13 +50,16 @@ def gram_loss(w: np.ndarray, w_gram: np.ndarray, cross: np.ndarray,
     Taking the product rather than the Gram lets a caller that already holds
     W*(K*K^T) skip the one dense d1 x d0^2 pass.  Clamps tiny negative
     round-off to zero; a deficit beyond the guard band means the accumulated
-    state is inconsistent and raises instead.
+    state is inconsistent and raises instead, as does a -inf from overflow.
     """
     raw = (
         float(np.einsum("ij,ij->", w_gram, w))
         - 2.0 * float(np.einsum("ij,ij->", w, cross))
         + trace_term
     )
+    if raw == -np.inf:
+        raise NumericalInstabilityError(
+            "Gram-form loss evaluated to -inf: its terms overflowed double precision")
     if raw < -CANCELLATION_GUARD * (1.0 + trace_term):
         raise NumericalInstabilityError(
             f"Gram-form loss evaluated to {raw!r}, beyond the cancellation "
@@ -181,11 +184,7 @@ def _memory_from_gram(w0: np.ndarray, k0_gram: np.ndarray) -> AssociativeMemory:
 
 def preservation_loss(mem: AssociativeMemory, w) -> float:
     """Squared Frobenius residual of ``w`` on the preserved key/value set."""
-    w = _as_matrix("w", w)
-    if w.shape != (mem.dims.d1, mem.dims.d0):
-        raise DimensionMismatchError(
-            f"w has shape {w.shape}, expected ({mem.dims.d1}, {mem.dims.d0})"
-        )
+    w = mem.with_weights(w).w  # checked as the memory's own weights are
     return gram_loss(w, w @ mem.k0_gram, mem.v0k0t, mem.tr_v0v0)
 
 

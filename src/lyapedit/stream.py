@@ -347,51 +347,41 @@ _HEADER = struct.Struct("<4sIQQ")
 _MAX_ELEMENTS = 1 << 48
 
 
-def _encode_matrix(matrix: np.ndarray) -> bytes:
+def save_matrix_file(path, matrix) -> None:
     arr = np.ascontiguousarray(matrix, dtype="<f8")
     if arr.ndim != 2:
         raise InputError(f"matrix must be 2-D, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFiniteError("refusing to write non-finite values to a KVMX file")
     header = _HEADER.pack(_MATRIX_MAGIC, _FORMAT_VERSION, arr.shape[0], arr.shape[1])
-    return header + arr.tobytes(order="C")
-
-
-def _decode_matrix(buf: bytes, offset: int, where: str):
-    if len(buf) - offset < _HEADER.size:
-        raise KvmxTruncatedError(f"{where}: header truncated at byte {offset}")
-    magic, version, rows, cols = _HEADER.unpack_from(buf, offset)
-    if magic != _MATRIX_MAGIC:
-        raise KvmxBadMagicError(f"{where}: expected {_MATRIX_MAGIC!r}, found {magic!r}")
-    if version != _FORMAT_VERSION:
-        raise KvmxFormatError(f"{where}: unsupported format version {version}")
-    if rows == 0 or cols == 0 or rows * cols > _MAX_ELEMENTS:
-        raise KvmxDimOverflowError(f"{where}: header claims {rows} x {cols} values")
-    count = rows * cols
-    payload_start = offset + _HEADER.size
-    if len(buf) - payload_start < count * 8:
-        raise KvmxTruncatedError(
-            f"{where}: header claims {count} values but only "
-            f"{(len(buf) - payload_start) // 8} are present"
-        )
-    flat = np.frombuffer(buf, dtype="<f8", count=count, offset=payload_start)
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        raise KvmxNonFiniteError(
-            f"{where}: non-finite value at element offset {int(bad[0])}",
-            offset=int(bad[0]),
-        )
-    matrix = flat.astype(np.float64).reshape(rows, cols)
-    return matrix, payload_start + count * 8
-
-
-def save_matrix_file(path, matrix) -> None:
-    Path(path).write_bytes(_encode_matrix(np.asarray(matrix)))
+    Path(path).write_bytes(header + arr.tobytes(order="C"))
 
 
 def load_matrix_file(path) -> np.ndarray:
     buf = Path(path).read_bytes()
-    matrix, end = _decode_matrix(buf, 0, str(path))
-    if end != len(buf):
+    if len(buf) < _HEADER.size:
+        raise KvmxTruncatedError(f"{path}: header truncated at byte 0")
+    magic, version, rows, cols = _HEADER.unpack_from(buf)
+    if magic != _MATRIX_MAGIC:
+        raise KvmxBadMagicError(f"{path}: expected {_MATRIX_MAGIC!r}, found {magic!r}")
+    if version != _FORMAT_VERSION:
+        raise KvmxFormatError(f"{path}: unsupported format version {version}")
+    if rows == 0 or cols == 0 or rows * cols > _MAX_ELEMENTS:
+        raise KvmxDimOverflowError(f"{path}: header claims {rows} x {cols} values")
+    count = rows * cols
+    end = _HEADER.size + count * 8
+    if len(buf) < end:
+        raise KvmxTruncatedError(
+            f"{path}: header claims {count} values but only "
+            f"{(len(buf) - _HEADER.size) // 8} are present"
+        )
+    flat = np.frombuffer(buf, dtype="<f8", count=count, offset=_HEADER.size)
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        raise KvmxNonFiniteError(
+            f"{path}: non-finite value at element offset {int(bad[0])}",
+            offset=int(bad[0]),
+        )
+    if len(buf) != end:
         raise KvmxFormatError(f"{path}: {len(buf) - end} trailing bytes after payload")
-    return matrix
+    return flat.astype(np.float64).reshape(rows, cols)

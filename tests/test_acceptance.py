@@ -18,21 +18,17 @@ from lyapedit import (
     RunConfig,
     StreamSpec,
     derive_params,
-    new_memory,
     run,
-    solve_lyaplock,
     sweep_alpha,
 )
 from lyapedit.cli import main
 from lyapedit.oracle import (
     check_inequality_fuzz,
     check_sufficiency_empirical,
-    minimize_iteratively,
-    objective_gradient,
-    quadratic_objective,
-    verify_normal_equations,
+    closed_form_errors,
+    gradient_mismatch,
+    kvmx_round_trip_failures,
 )
-from lyapedit.stream import load_matrix_file, save_matrix_file
 
 ACCEPTANCE_STREAM = StreamSpec(
     dims=Dims(d0=64, d1=48),
@@ -115,25 +111,18 @@ def test_criterion_2_baseline_accumulation(baseline_run, lyaplock_run):
 def test_criterion_3_closed_form_optimality(make_instance):
     started = time.perf_counter()
     rng = np.random.default_rng(303)
-    worst_residual = 0.0
-    worst_excess = 0.0
-    for i in range(200):
-        d0 = int(rng.integers(2, 9))
-        d1 = int(rng.integers(2, 7))
-        n = int(rng.integers(1, 5))
-        m0 = int(rng.integers(d0, 65))
-        inst = make_instance(d0=d0, d1=d1, n=n, m0=m0,
-                             absorbed=int(rng.integers(0, 4)), seed=9000 + i)
-        az = float(rng.uniform(0.1, 3.0))
-        solved = solve_lyaplock(inst.mem, inst.bk, inst.batch, v_weight=1.0, az=az)
-        worst_residual = max(worst_residual, verify_normal_equations(
-            inst.mem, inst.bk, inst.batch, 1.0, az, solved.delta))
-        closed = quadratic_objective(inst.mem, inst.bk, inst.batch, 1.0, az,
-                                     solved.delta)
-        _, iterated = minimize_iteratively(inst.mem, inst.bk, inst.batch, 1.0, az,
-                                           steps=1200)
-        worst_excess = max(worst_excess,
-                           (closed - iterated) / max(abs(iterated), 1e-300))
+
+    def instances():
+        for i in range(200):
+            d0 = int(rng.integers(2, 9))
+            d1 = int(rng.integers(2, 7))
+            n = int(rng.integers(1, 5))
+            m0 = int(rng.integers(d0, 65))
+            inst = make_instance(d0=d0, d1=d1, n=n, m0=m0,
+                                 absorbed=int(rng.integers(0, 4)), seed=9000 + i)
+            yield inst.mem, inst.bk, inst.batch, float(rng.uniform(0.1, 3.0))
+
+    worst_residual, worst_excess = closed_form_errors(instances(), cg_steps=1200)
     elapsed = time.perf_counter() - started
     ok = worst_residual <= 1e-8 and worst_excess <= 1e-6 and elapsed <= 30.0
     report(
@@ -221,15 +210,8 @@ def test_criterion_8_determinism_and_formats(tmp_path):
     code_b = main(["simulate", "--config", str(cfg), "--out", str(out_b), "--quiet"])
     identical = out_a.read_bytes() == out_b.read_bytes()
 
-    rng = np.random.default_rng(88)
-    path = tmp_path / "roundtrip.kvmx"
-    exact = 0
-    for _ in range(1000):
-        matrix = rng.standard_normal((int(rng.integers(1, 17)),
-                                      int(rng.integers(1, 17))))
-        save_matrix_file(path, matrix)
-        if np.array_equal(load_matrix_file(path), matrix):
-            exact += 1
+    exact = 1000 - len(kvmx_round_trip_failures(1000, np.random.default_rng(88),
+                                                max_side=16))
     ok = code_a == 0 and code_b == 0 and identical and exact == 1000
     report(
         "criterion-8 determinism and formats", ok,
@@ -239,25 +221,15 @@ def test_criterion_8_determinism_and_formats(tmp_path):
 
 
 def test_criterion_9_gradient_check(make_instance):
-    worst = 0.0
-    for i in range(20):
-        inst = make_instance(d0=3, d1=4, n=2, m0=12,
-                             absorbed=int(i % 3), seed=7000 + i)
-        rng = np.random.default_rng(7100 + i)
-        delta = 0.2 * rng.standard_normal((4, 3))
-        az = float(rng.uniform(0.2, 2.0))
-        grad = objective_gradient(inst.mem, inst.bk, inst.batch, 1.0, az, delta)
-        eps = 1e-6
-        fd = np.zeros_like(grad)
-        for idx in np.ndindex(grad.shape):
-            bump = np.zeros_like(delta)
-            bump[idx] = eps
-            hi = quadratic_objective(inst.mem, inst.bk, inst.batch, 1.0, az,
-                                     delta + bump)
-            lo = quadratic_objective(inst.mem, inst.bk, inst.batch, 1.0, az,
-                                     delta - bump)
-            fd[idx] = (hi - lo) / (2.0 * eps)
-        worst = max(worst, float(np.linalg.norm(grad - fd) / np.linalg.norm(fd)))
+    def cases():
+        for i in range(20):
+            inst = make_instance(d0=3, d1=4, n=2, m0=12,
+                                 absorbed=int(i % 3), seed=7000 + i)
+            rng = np.random.default_rng(7100 + i)
+            delta = 0.2 * rng.standard_normal((4, 3))
+            yield inst.mem, inst.bk, inst.batch, float(rng.uniform(0.2, 2.0)), delta
+
+    worst = gradient_mismatch(cases())
     ok = worst <= 1e-5
     report("criterion-9 gradient vs finite differences", ok,
            f"20 instances of shape 4x3, worst relative mismatch {worst:.2e} (<= 1e-5)")

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lyapedit import cli
+from lyapedit import cli, oracle
 from lyapedit.cli import main
 from lyapedit.errors import OracleFailure, RunAborted
 from lyapedit.harness import StepRecord
@@ -39,6 +39,7 @@ editor = lyaplock
 """
 
 REPO = Path(__file__).resolve().parent.parent
+QUICK = (REPO / "configs" / "quick.cfg").read_text(encoding="utf-8")
 
 
 def write_config(tmp_path, text=BASE_CONFIG, name="run.cfg"):
@@ -313,13 +314,12 @@ class TestDbase:
 
 
 class TestKeyScaleOverflow:
-    """A key scale beyond the range of double precision fails set-up loudly."""
+    """A key scale beyond the range of double precision fails loudly."""
 
     @pytest.mark.parametrize("command", ["simulate", "dbase"])
     def test_exits_2_naming_gram_and_key_scale(self, tmp_path, capsys, command):
-        quick = (REPO / "configs" / "quick.cfg").read_text(encoding="utf-8")
         cfg = write_config(tmp_path, with_value("stream.key_scale", "3.35e153",
-                                                text=quick))
+                                                text=QUICK))
         assert main([command, "--config", str(cfg), "--out",
                      str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
@@ -333,15 +333,23 @@ class TestKeyScaleOverflow:
     ])
     def test_unrepresentable_probe_loss_exits_2(self, tmp_path, capsys, command,
                                                 key_scale, pl):
-        quick = (REPO / "configs" / "quick.cfg").read_text(encoding="utf-8")
         cfg = write_config(tmp_path, with_value("stream.key_scale", key_scale,
-                                                text=quick))
+                                                text=QUICK))
         assert main([command, "--config", str(cfg), "--out",
                      str(tmp_path / "o.csv")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(
             f"error: the d_base probe's preservation loss is {pl} at "
             f"key_scale={float(key_scale)!r};")
+
+    def test_overflowed_loss_terms_are_not_called_cancellation(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, with_value("stream.key_scale",
+                                                repr(2.0 ** 506), text=QUICK))
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert out.read_text().splitlines()[-1].startswith("# status=aborted step=48 ")
+        err = capsys.readouterr().err
+        assert "overflowed" in err and "cancellation" not in err
 
 
 class TestVerify:
@@ -355,7 +363,7 @@ class TestVerify:
         def diverging(*args, **kwargs):
             raise OracleFailure("iterate diverged")
 
-        monkeypatch.setattr(cli, "minimize_iteratively", diverging)
+        monkeypatch.setattr(oracle, "minimize_iteratively", diverging)
         assert main(["verify", "--seed", "7"]) == 1
         lines = capsys.readouterr().out.splitlines()
         assert ("FAIL closed-form-optimality: OracleFailure: iterate diverged"

@@ -6,7 +6,10 @@ import pytest
 
 from lyapedit import (
     BacklogAccumulator,
+    Dims,
     EditBatch,
+    EditStream,
+    StreamSpec,
     absorb,
     backlog_loss,
     editing_loss,
@@ -18,7 +21,7 @@ from lyapedit import (
 )
 from lyapedit import editors
 from lyapedit.errors import InputError, SingularSystemError
-from lyapedit.oracle import quadratic_objective
+from lyapedit.oracle import closed_form_errors, quadratic_objective
 
 
 def scalar_memory():
@@ -61,14 +64,10 @@ class TestSolveLyaplock:
             assert report.residual <= 1e-8
 
     def test_beats_iterative_descent(self, make_instance):
-        from lyapedit.oracle import minimize_iteratively
         inst = make_instance(d0=3, d1=2, n=2, m0=12, seed=77)
-        report = solve_lyaplock(inst.mem, inst.bk, inst.batch, v_weight=1.0, az=1.0)
-        closed = quadratic_objective(inst.mem, inst.bk, inst.batch, 1.0, 1.0,
-                                     report.delta)
-        _, iterated = minimize_iteratively(inst.mem, inst.bk, inst.batch,
-                                           1.0, 1.0, steps=10_000)
-        assert closed <= iterated + 1e-6 * abs(iterated)
+        _, excess = closed_form_errors([(inst.mem, inst.bk, inst.batch, 1.0)],
+                                       cg_steps=10_000)
+        assert excess <= 1e-6
 
     def test_rejects_bad_weights(self, make_instance):
         inst = make_instance()
@@ -130,7 +129,6 @@ class TestSolveLyaplock:
     def test_backlog_granularity_irrelevant(self, rng):
         # Absorbing two batches separately or as one concatenated batch gives
         # the same Grams, hence the same perturbation.
-        from lyapedit import BacklogAccumulator, Dims
         mem = new_memory(rng.standard_normal((3, 5)), rng.standard_normal((5, 20)))
         b1 = EditBatch(k1=rng.standard_normal((5, 2)), v1=rng.standard_normal((3, 2)))
         b2 = EditBatch(k1=rng.standard_normal((5, 3)), v1=rng.standard_normal((3, 3)))
@@ -183,6 +181,15 @@ class TestSolveBaseline:
                                           inst.batch, v_weight=1.0, az=1.0)
             assert via_baseline.delta == pytest.approx(via_lyaplock.delta,
                                                        rel=1e-10, abs=1e-12)
+
+    @pytest.mark.parametrize("exponent", [507, 508])
+    def test_overflowing_trace_gets_a_finite_ridge(self, exponent):
+        stream = EditStream(StreamSpec(
+            dims=Dims(d0=16, d1=12), n_per_batch=4, total_batches=200, seed=7, m0=64,
+            key_scale=2.0 ** exponent, value_mode="planted-teacher", teacher_drift=0.1))
+        mem = stream.preserved_memory()
+        report, _ = editors.baseline_step(mem, stream.batch(1), mem.v0k0t.copy())
+        assert report.ridge_applied == 0.0
 
     def test_closed_form_formula(self, make_instance):
         inst = make_instance(d0=4, d1=3, n=2, m0=16, seed=500)
@@ -366,6 +373,11 @@ class TestDirectLapack:
                                  lambda w_new: w_new @ c)
         scale = float(np.trace(c)) / dim
         assert report.ridge_applied == rung * scale
+
+    def test_ridge_scale_survives_an_overflowing_trace(self):
+        c = np.diag([1e308, 1e308, 1e308, 0.0])
+        lam = next(lam for lam, factor, _ in editors._ridge_attempts(c) if factor is not None)
+        assert lam == 1e-10 * 0.75e308
 
     def test_exhausted_ladder_raises_alike(self, rng, scipy_wrappers):
         dim = 5
