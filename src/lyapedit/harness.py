@@ -21,12 +21,20 @@ since V0 = W0 K0; the probe and every member start from a copy of it.  Each
 batch is generated once per step and absorbed once into the one backlog, which
 depends only on the batches.  Each member keeps its queue value as a plain
 float; the PL and Z histories a run returns hold all its certificate and
-drift samples need.  Every member carries the products ``W K0K0^T`` and
-``W KpKp^T`` of its current weights: the residual check of one step leaves
-them at the post-edit weights, the losses read them, and the next step's
-target starts from them, so a step makes two dense d1 x d0^2 passes besides
-the factorization and solve.  The probe reads its PL from the ``W' K0K0^T``
-that its own residual check left.
+drift samples need.
+
+Every member carries the products ``W K0K0^T`` and ``W KpKp^T`` of its
+current weights: the solve leaves them at the post-edit weights, the losses
+read them, and the next step's target starts from them.  Whenever a step's
+edit is rank n (n = the batch size) the solve moves them by rank-n updates
+instead of two dense d1 x d0^2 passes: on every baseline and edit-only
+step, and on a lyaplock step when the part of its target beyond the batch
+term, v (Vp Kp^T - W KpKp^T) + az (V0 K0^T - W K0K0^T), is round-off (at
+step 1 it is exactly 0; on a step whose az equals the previous one it is the
+previous step's residual).  A Freivalds check after each rank-n update
+recomputes the products densely if they drift (see ``lyapedit.editors``).
+The absorb adds the rank-n term ``(W' K1) K1^T`` to ``W KpKp^T``.  The
+probe reads its PL from the ``W' K0K0^T`` that its own solve left.
 """
 from __future__ import annotations
 
@@ -42,12 +50,15 @@ from .controller import (
     stability_ratio,
     update_queue,
 )
-# solve_lyaplock, solve_baseline, backlog_loss, new_memory and
-# preservation_loss have no caller here but stay importable from it: perfbench's
-# traced run wraps them here (so oracle calls harness.solve_lyaplock), and its
-# measured set-up (workloads.setup) calls harness.new_memory.
+# solve_lyaplock, solve_baseline, solve_edit_only, backlog_loss, new_memory
+# and preservation_loss have no caller here but stay importable from it:
+# perfbench's traced run wraps them here (so oracle calls
+# harness.solve_lyaplock), and its measured set-up (workloads.setup) calls
+# harness.new_memory.
 from .editors import (  # noqa: F401
+    add_outer,
     baseline_step,
+    edit_only_step,
     lyaplock_step,
     solve_baseline,
     solve_edit_only,
@@ -161,8 +172,10 @@ def estimate_d_base(stream: EditStream, mem: AssociativeMemory) -> float:
     """
     spec = stream.spec
     m0 = mem.v0k0t.copy()
-    _, w_probe = baseline_step(replace(mem, w=mem.w0), stream.batch(1), m0)
-    # The residual check left m0 = W' K0K0^T, the product PL needs.
+    _, w_probe = baseline_step(replace(mem, w=mem.w0),
+                               BacklogAccumulator.empty(mem.dims), stream.batch(1),
+                               m0, np.zeros_like(m0))
+    # The solve left m0 = W' K0K0^T, the product PL needs.
     pl = gram_loss(w_probe, m0, mem.v0k0t, mem.tr_v0v0)
     exact = spec.value_mode == "planted-teacher" and spec.teacher_drift == 0.0
     if math.isfinite(pl) and (exact or pl > 0.0):
@@ -186,13 +199,8 @@ def _solve_step(config: RunConfig, mem: AssociativeMemory,
         return lyaplock_step(mem, backlog, batch, params.v_weight,
                              params.a * z, m0, mp)
     if config.editor == "baseline":
-        report, w_new = baseline_step(mem, batch, m0)
-    else:
-        report = solve_edit_only(mem, batch)
-        w_new = mem.w + report.delta
-        np.matmul(w_new, mem.k0_gram, out=m0)
-    np.matmul(w_new, backlog.kp_gram, out=mp)
-    return report, w_new
+        return baseline_step(mem, backlog, batch, m0, mp)
+    return edit_only_step(mem, backlog, batch, m0, mp)
 
 
 class _Member:
@@ -268,7 +276,7 @@ class _Member:
 
     def absorbed(self, batch) -> None:
         """Carry W KpKp^T across the absorb of ``batch``: a rank-n update."""
-        self.mp += (self.mem.w @ batch.k1) @ batch.k1.T
+        add_outer(self.mp, self.mem.w @ batch.k1, batch.k1)
 
     def result(self) -> RunResult:
         config, params = self.config, self.params

@@ -221,7 +221,12 @@ def backlog_loss(w, bk: BacklogAccumulator) -> float:
 
 
 def absorb(bk: BacklogAccumulator, batch: EditBatch) -> BacklogAccumulator:
-    """Fold one batch into the backlog Grams, re-enforcing symmetry."""
+    """Fold one batch into the backlog Grams, in place.
+
+    ``k1 @ k1.T`` is exactly symmetric (numpy forms it with ``syrk``), so
+    the sum stays symmetric without re-symmetrizing; the solvers symmetrize
+    the system matrix they factor in any case.
+    """
     if batch.k1.shape[0] != bk.kp_gram.shape[0]:
         raise DimensionMismatchError(
             f"k1 has {batch.k1.shape[0]} rows but the backlog Gram is "
@@ -233,7 +238,6 @@ def absorb(bk: BacklogAccumulator, batch: EditBatch) -> BacklogAccumulator:
             f"{bk.vpkpt.shape[0]}"
         )
     bk.kp_gram += batch.k1 @ batch.k1.T
-    bk.kp_gram = _symmetrized(bk.kp_gram)
     bk.vpkpt += batch.v1 @ batch.k1.T
     bk.tr_vpvp += float(np.einsum("ij,ij->", batch.v1, batch.v1))
     bk.absorbed += 1

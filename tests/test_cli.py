@@ -342,6 +342,23 @@ class TestKeyScaleOverflow:
             f"error: the d_base probe's preservation loss is {pl} at "
             f"key_scale={float(key_scale)!r};")
 
+    @pytest.mark.parametrize("command", ["simulate", "dbase"])
+    @pytest.mark.parametrize("exponent", [-515, -520])
+    def test_underflowed_system_exits_2_naming_underflow(self, tmp_path, capsys,
+                                                         command, exponent):
+        """The probe's system has a subnormal mean diagonal, about 2^-1024."""
+        cfg = write_config(tmp_path, with_value("stream.key_scale",
+                                                repr(2.0 ** exponent), text=QUICK))
+        assert main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        match = re.match(r"error: system matrix C underflowed: its mean diagonal "
+                         r"tr\(C\)/dim = (\S+) is below the smallest normal double",
+                         err)
+        assert match, err
+        assert 0.0 < float(match.group(1)) < np.finfo(np.float64).tiny
+        assert "singular" not in err
+
     def test_overflowed_loss_terms_are_not_called_cancellation(self, tmp_path, capsys):
         cfg = write_config(tmp_path, with_value("stream.key_scale",
                                                 repr(2.0 ** 506), text=QUICK))

@@ -188,8 +188,7 @@ class TestSolveBaseline:
             dims=Dims(d0=16, d1=12), n_per_batch=4, total_batches=200, seed=7, m0=64,
             key_scale=2.0 ** exponent, value_mode="planted-teacher", teacher_drift=0.1))
         mem = stream.preserved_memory()
-        report, _ = editors.baseline_step(mem, stream.batch(1), mem.v0k0t.copy())
-        assert report.ridge_applied == 0.0
+        assert solve_baseline(mem, stream.batch(1)).ridge_applied == 0.0
 
     def test_closed_form_formula(self, make_instance):
         inst = make_instance(d0=4, d1=3, n=2, m0=16, seed=500)
@@ -326,10 +325,11 @@ def test_import_skips_the_scipy_linalg_package():
 class TestDirectLapack:
     """The bound routines give the scipy wrappers' results bit for bit."""
 
-    def solve_both(self, scipy_wrappers, *args):
-        bound = editors._normal_solve(*args)
+    def solve_both(self, scipy_wrappers, w, c, *args):
+        # _normal_solve overwrites its system matrix.
+        bound = editors._normal_solve(w, c.copy(), *args)
         scipy_wrappers()
-        wrapped = editors._normal_solve(*args)
+        wrapped = editors._normal_solve(w, c.copy(), *args)
         same_report(bound[0], wrapped[0])
         assert bound[1].tobytes() == wrapped[1].tobytes()
         return bound[0]
@@ -369,8 +369,8 @@ class TestDirectLapack:
         w = rng.standard_normal((4, dim))
         target = rng.standard_normal((4, dim))
         rhs_full = w @ c + target
-        report = self.solve_both(scipy_wrappers, w, c, target, rhs_full,
-                                 lambda w_new: w_new @ c)
+        report = self.solve_both(scipy_wrappers, w, c, target, np.eye(dim), None,
+                                 rhs_full, lambda w_new, x: w_new @ c)
         scale = float(np.trace(c)) / dim
         assert report.ridge_applied == rung * scale
 
@@ -384,11 +384,41 @@ class TestDirectLapack:
         c = spd_with_spectrum(rng, [1.0, 2.0, 3.0, 4.0, -1e-3])
         w = rng.standard_normal((3, dim))
         target = rng.standard_normal((3, dim))
-        args = (w, c, target, w @ c + target, lambda w_new: w_new @ c)
+        args = (target, np.eye(dim), None, w @ c + target, lambda w_new, x: w_new @ c)
         with pytest.raises(SingularSystemError) as bound:
-            editors._normal_solve(*args)
+            editors._normal_solve(w, c.copy(), *args)
         scipy_wrappers()
         with pytest.raises(SingularSystemError) as wrapped:
-            editors._normal_solve(*args)
+            editors._normal_solve(w, c.copy(), *args)
         assert str(bound.value) == str(wrapped.value)
         assert bound.value.condition_estimate == wrapped.value.condition_estimate
+
+
+class TestRankNForm:
+    def test_rejected_rank_n_step_solves_the_full_target(self, rng):
+        dim = 6
+        c = spd_with_spectrum(rng, [1.0, 2.0, 3.0, 1.5, 2.5, 4.0])
+        w = rng.standard_normal((4, dim))
+        u = rng.standard_normal((4, 2))
+        k1 = rng.standard_normal((dim, 2))
+        target = u @ k1.T
+        dense = []
+
+        def times_c(w_new, x):
+            dense.append(x is None)
+            # The rank-n attempt reports a residual far above the target.
+            return w_new @ c + (0.0 if x is None else 1.0)
+
+        report, _ = editors._normal_solve(w, c.copy(), u, k1, None, w @ c + target,
+                                          times_c)
+        assert dense == [False, True]
+        assert report.residual <= editors.RESIDUAL_TARGET
+        assert report.delta == pytest.approx(np.linalg.solve(c, target.T).T, rel=1e-12)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_add_outer_updates_in_place(self, rng, order):
+        m = np.asarray(rng.standard_normal((5, 7)), order=order)
+        u, y = rng.standard_normal((5, 3)), rng.standard_normal((7, 3))
+        expected = m + u @ y.T
+        editors.add_outer(m, u, y)
+        assert m == pytest.approx(expected, rel=1e-14, abs=1e-14)

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lyapedit import (
     Dims,
@@ -355,6 +357,93 @@ class TestLockstep:
         assert [r.t for r in lockstep.value.records] == list(range(1, fail_at[20.0]))
 
 
+class TestRankNSteps:
+    """Rank-n steps keep the full normal equations and the carried products."""
+
+    @pytest.mark.parametrize("editor", ["lyaplock", "baseline", "edit-only"])
+    def test_whole_run_against_dense_recomputation(self, monkeypatch, editor):
+        from dataclasses import replace
+
+        import lyapedit.editors as editors
+        import lyapedit.harness as harness
+        from lyapedit.memory import BacklogAccumulator
+        from lyapedit.oracle import verify_normal_equations
+
+        # At alpha 2 the queue leaves its floor on about 60% of the steps.
+        config = replace(small_config(editor=editor, total=300), alpha=2.0)
+        d1 = config.stream.dims.d1
+        wide_solves, drift_checks = [], []
+        residuals, product_gaps, az_values = [], [], []
+        original_cho, original_drifted = editors._cho_solve, editors._drifted
+        original_step = harness._solve_step
+
+        def cho_solve(factor, b):
+            wide_solves.append(b.shape[1] == d1)
+            return original_cho(factor, b)
+
+        def drifted(w_new, products):
+            drift_checks.append(original_drifted(w_new, products))
+            return drift_checks[-1]
+
+        def step(config, mem, backlog, batch, params, z, m0, mp):
+            report, w_new = original_step(config, mem, backlog, batch, params, z,
+                                          m0, mp)
+            az = params.a * z
+            az_values.append(az)
+            if report.ridge_applied == 0.0:
+                if config.editor == "lyaplock":
+                    residual = verify_normal_equations(
+                        mem, backlog, batch, params.v_weight, az, report.delta)
+                elif config.editor == "baseline":
+                    # The lyaplock system with v = az = 1, no backlog, and
+                    # preservation anchored at the current weights.
+                    anchored = replace(mem, v0k0t=mem.w @ mem.k0_gram)
+                    residual = verify_normal_equations(
+                        anchored, BacklogAccumulator.empty(mem.dims), batch, 1.0,
+                        1.0, report.delta)
+                else:
+                    residual = (np.linalg.norm(w_new @ batch.k1 - batch.v1)
+                                / np.linalg.norm(batch.v1))
+                residuals.append(residual)
+            for carried, gram in ((m0, mem.k0_gram), (mp, backlog.kp_gram)):
+                dense = w_new @ gram
+                scale = np.linalg.norm(dense)
+                product_gaps.append(np.linalg.norm(carried - dense) / scale
+                                    if scale > 0.0 else np.linalg.norm(carried))
+            return report, w_new
+
+        monkeypatch.setattr(editors, "_cho_solve", cho_solve)
+        monkeypatch.setattr(editors, "_drifted", drifted)
+        monkeypatch.setattr(harness, "_solve_step", step)
+        result = run(config)
+
+        assert len(residuals) == config.stream.total_batches  # no step ridged
+        assert max(residuals) <= 1e-8
+        assert max(product_gaps) <= 1e-12
+        # A step solves for d1 columns only when its az differs from the
+        # previous step's; every other step (and the probe) is rank n.
+        changed = sum(a != b for a, b in zip(az_values, az_values[1:]))
+        assert sum(wide_solves) == (changed if editor == "lyaplock" else 0)
+        if editor == "lyaplock":
+            assert 0 < changed < config.stream.total_batches - 1
+        rank_n_steps = len(az_values) + 1 - sum(wide_solves)  # with the probe
+        assert len(drift_checks) == rank_n_steps
+        assert not any(drift_checks)
+        assert np.isfinite(result.summary.final_avg_pl)
+
+    def test_drifted_products_are_recomputed(self, make_instance):
+        import lyapedit.editors as editors
+
+        inst = make_instance(d0=6, d1=4, n=2, m0=24, absorbed=2, seed=31)
+        mem, bk = inst.mem, inst.bk
+        m0 = mem.w @ mem.k0_gram
+        mp = mem.w @ bk.kp_gram
+        m0 += 1e-9 * np.abs(m0).max()  # drift far above CARRY_TOLERANCE
+        _, w_new = editors.edit_only_step(mem, bk, inst.batch, m0, mp)
+        assert np.array_equal(m0, w_new @ mem.k0_gram)
+        assert np.array_equal(mp, w_new @ bk.kp_gram)
+
+
 class TestScaleCovariance:
     @pytest.mark.parametrize("scale", [1e150, 1e-150])
     def test_extreme_key_scale_reproduces_unit_scale(self, monkeypatch, scale):
@@ -389,6 +478,43 @@ class TestScaleCovariance:
                     == pytest.approx(b.avg_pl / unit.params.d_threshold, rel=1e-9))
         assert len(reports) == 2 * config.stream.total_batches
         assert all(r.residual <= 1e-8 for r in reports if r.ridge_applied == 0.0)
+
+
+    # (d0, d1, n, m0): quick.cfg's shape, n > d1, and n > d0 with m0 = d0,
+    # where edit-only's n x n key Gram is singular and always ridged.
+    SHAPES = ((16, 12, 4, 64), (16, 3, 6, 64), (6, 4, 8, 6))
+    _unit_runs: dict = {}
+
+    @classmethod
+    def scale_free_view(cls, shape, editor, key_scale):
+        d0, d1, n, m0 = shape
+        spec = StreamSpec(dims=Dims(d0=d0, d1=d1), n_per_batch=n, total_batches=200,
+                          key_scale=key_scale, value_mode="planted-teacher",
+                          teacher_drift=0.1, seed=7, m0=m0)
+        result = run(RunConfig(stream=spec, editor=editor, alpha=60.0))
+        return (result.pl_history / result.params.d_threshold,
+                result.params.a * result.z_history,
+                np.array([r.delta_fro for r in result.records]))
+
+    @settings(max_examples=30, derandomize=True, deadline=None, database=None)
+    # Found by this test: a subnormal ridge and pivots at 2^-500, before the
+    # solvers equilibrated the matrix they factor.
+    @example(k=-500, shape=(6, 4, 8, 6), editor="edit-only")
+    @given(k=st.integers(-500, 500), shape=st.sampled_from(SHAPES),
+           editor=st.sampled_from(("lyaplock", "baseline", "edit-only")))
+    def test_power_of_two_key_scale_is_bit_identical(self, k, shape, editor):
+        """Keys scaled by 2^k give bit for bit the PL/D, a*Z and |delta| of 2^0.
+
+        Every operation then scales exactly, rank-n and full steps alike, as
+        long as nothing the solver forms is subnormal or overflows.
+        """
+        unit = self._unit_runs.get((shape, editor))
+        if unit is None:
+            unit = self._unit_runs[(shape, editor)] = self.scale_free_view(
+                shape, editor, 1.0)
+        scaled = self.scale_free_view(shape, editor, 2.0 ** k)
+        for name, a, b in zip(("PL/D", "a*Z", "|delta|"), unit, scaled):
+            assert a.tobytes() == b.tobytes(), name
 
 
 class TestCompare:

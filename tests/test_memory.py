@@ -191,6 +191,8 @@ class TestBacklog:
             parts.append(b.k1)
         kcat = np.hstack(parts)
         assert bk.kp_gram == pytest.approx(kcat @ kcat.T, rel=1e-10)
+        # Exactly symmetric with no re-symmetrization: the solvers rely on it.
+        assert np.array_equal(bk.kp_gram, bk.kp_gram.T)
         assert bk.absorbed == 3
 
     def test_absorb_zero_batch(self):
