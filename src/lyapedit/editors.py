@@ -10,23 +10,14 @@ in the report.  C is first scaled by the even power of two that brings
 tr(C)/dim near 1, which is exact, so every solve scales exactly with the
 keys.  No explicit inverse is ever formed.
 
-LAPACK ``potrf``, ``potrs`` and ``pocon`` and BLAS ``nrm2`` are bound once,
-at import, and called directly: the same routines with the same arguments
-that scipy's ``cho_factor``, ``cho_solve`` and ``norm`` would call, without
-their per-call validation and lookup.  BLAS ``gemm`` is bound the same way
-for the in-place rank-n updates below.  A step at d0=64 costs about a
-megaflop, so that fixed cost mattered.
-
-They are bound from scipy's compiled modules ``scipy.linalg._flapack`` and
-``_fblas``, loaded directly, without the ``scipy.linalg`` package.  That
-package's import took 0.28-0.32 s of the 0.40-0.47 s of ``import
-lyapedit.cli`` (``python -X importtime``, 5 runs, 2 vCPUs, one BLAS thread),
-because its array-API layer star-imports numpy and so loads ``numpy.f2py``,
-``numpy.testing`` and ``numpy.ma``; without it the import takes 0.18-0.22
-s.  ``import scipy`` alone takes about 15 ms and sets up the library path
-that the compiled modules need.  The routines are the very objects that
-``get_lapack_funcs`` and ``get_blas_funcs`` return for float64 on a scipy
-built without ILP64 BLAS.
+C is factored through its Fortran-ordered view ``c.T``, which for a
+symmetric C is the same matrix, so ``potrf`` gets it without a transposing
+copy.  ``potrf`` reads one triangle only, and C is not symmetrized first:
+a C assembled from exactly symmetric Grams is exactly symmetric, and a C
+whose batch Gram came from ``gemm`` may differ from its transpose by an
+ulp in the triangle that is not read.  The residual check below, assembled
+from the full carried products, judges every step either way.  The
+routines are those of :mod:`lyapedit.lapack`, called directly.
 
 The ``*_step`` forms serve a step loop: they take the products
 M0 = W K0K0^T and Mp = W KpKp^T that the loop carries instead of
@@ -56,16 +47,13 @@ carried products cannot grow unseen.
 """
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import DimensionMismatchError, InputError, SingularSystemError
+from .lapack import _norm, _pocon, _potrf, _potrs, add_outer
 from .memory import AssociativeMemory, BacklogAccumulator, EditBatch
 
 RIDGE_LADDER = (1e-10, 1e-8, 1e-6)
@@ -80,28 +68,6 @@ SNAP_THRESHOLD = 1e-10
 # within 6e-15 of the dense ones.
 CARRY_TOLERANCE = 1e-12
 _TINY = float(np.finfo(np.float64).tiny)
-
-
-def _load_compiled(name: str):
-    """Load the compiled module ``scipy.linalg.<name>`` without its package."""
-    fullname = f"scipy.linalg.{name}"
-    where = os.path.join(scipy.__path__[0], "linalg")
-    spec = importlib.machinery.PathFinder.find_spec(fullname, [where])
-    if spec is None:
-        raise ImportError(
-            f"lyapedit needs scipy's compiled modules scipy.linalg._flapack and "
-            f"scipy.linalg._fblas; {fullname} was not found in {where}",
-            name=fullname)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-# The float64 routines, bound once (see the module docstring).
-_flapack = _load_compiled("_flapack")
-_potrf, _potrs, _pocon = _flapack.dpotrf, _flapack.dpotrs, _flapack.dpocon
-_fblas = _load_compiled("_fblas")
-_nrm2, _gemm = _fblas.dnrm2, _fblas.dgemm
 
 
 @dataclass(frozen=True)
@@ -120,15 +86,6 @@ class SolveReport:
     condition_estimate: float
 
 
-def _norm(x: np.ndarray) -> float:
-    """Frobenius norm by BLAS nrm2, which rescales as it sums.
-
-    ``np.linalg.norm`` squares the entries first, so it overflows to inf or
-    underflows to 0 far inside the range of representable matrices.
-    """
-    return float(_nrm2(x.ravel()))
-
-
 def _ridge_attempts(matrix: np.ndarray):
     """Yield (lam, factor, condition_estimate) over the ladder.
 
@@ -140,6 +97,10 @@ def _ridge_attempts(matrix: np.ndarray):
     brings tr(C)/dim near 1 without rounding, so the factor, the ridge and
     the condition estimate scale exactly with the keys: at key scale 2^-500
     a ridge of 1e-10 tr(C)/dim, and the pivots it sets, would be subnormal.
+
+    ``potrf`` gets the Fortran-ordered view ``ridged.T``, the same matrix
+    when it is symmetric, and reads its lower triangle: the upper triangle
+    of a C-ordered ``matrix``.
 
     ``matrix`` is scaled in place.  A matrix whose mean diagonal is positive
     but subnormal has already lost precision, and no ridge scaled by it can
@@ -163,7 +124,7 @@ def _ridge_attempts(matrix: np.ndarray):
         if rung > 0.0:
             ridged = matrix.copy()
             ridged.flat[:: dim + 1] += rung * (scale * unit)
-        factor, info = _potrf(ridged, lower=True, clean=False)
+        factor, info = _potrf(ridged.T, lower=True, clean=False)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of potrf")
         lam = rung * scale
@@ -183,18 +144,6 @@ def _cho_solve(factor, b: np.ndarray) -> np.ndarray:
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of potrs")
     return x
-
-
-def add_outer(m: np.ndarray, u: np.ndarray, y: np.ndarray) -> None:
-    """``m += u @ y.T`` in place, without a d1 x d0 temporary.
-
-    One ``gemm`` with beta = 1 on ``m.T``, which is Fortran-ordered when
-    ``m`` is C-ordered; any other ``m`` takes the plain numpy form.
-    """
-    if m.flags.c_contiguous and m.flags.writeable:
-        _gemm(1.0, y.T, u.T, 1.0, m.T, trans_a=1, overwrite_c=1)
-    else:
-        m += u @ y.T
 
 
 def _carry(w_new: np.ndarray, u: np.ndarray, x, products) -> None:
@@ -228,6 +177,20 @@ def _drifted(w_new: np.ndarray, products) -> bool:
     return False
 
 
+def _plus_gram(g: np.ndarray, k1: np.ndarray) -> np.ndarray:
+    """``g + k1 @ k1.T`` as a new array, by one ``gemm`` on a copy of ``g``.
+
+    numpy forms ``k1 @ k1.T`` with ``syrk`` and then mirrors its triangle in
+    a scalar loop: ``k1 @ k1.T + g`` took 10.4 ms at d0=1024 and n=8, against
+    2.4 ms for the copy and the ``gemm`` (one BLAS thread).  The ``gemm``
+    result may differ from its transpose by an ulp, which the solve
+    tolerates (see the module docstring).
+    """
+    out = g.copy()
+    add_outer(out, k1, k1)
+    return out
+
+
 def _normal_solve(w: np.ndarray, c: np.ndarray, u: np.ndarray, k1: np.ndarray,
                   rest, rhs_full: np.ndarray, times_c):
     """Solve ``delta @ C = U K1^T + rest``; return the report and ``W + delta``.
@@ -241,13 +204,14 @@ def _normal_solve(w: np.ndarray, c: np.ndarray, u: np.ndarray, k1: np.ndarray,
     returns ``w_new @ C`` assembled from them: by the rank-n update for
     delta = U X^T, or densely when ``x`` is None.
 
+    ``c`` is factored as it is, through its Fortran-ordered view, and only
+    one of its triangles is read: it need not be exactly symmetric, and it
+    is not symmetrized (see the module docstring).
+
     When ||rest|| <= SNAP_THRESHOLD ||RHS||, the unridged factor first solves
     C X = K1 for n columns and tries delta = U X^T (see the module
     docstring); every other attempt solves for the full target.
     """
-    with np.errstate(over="ignore"):
-        np.add(c, c.T, out=c)
-    c *= 0.5
     ref = max(_norm(rhs_full), _TINY)
     if rest is None:
         rank_n, target = True, u @ k1.T
@@ -356,7 +320,7 @@ def lyaplock_step(mem: AssociativeMemory, bk: BacklogAccumulator,
     _check_lyaplock(mem, bk, batch, v_weight, az)
     w, k1, v1 = mem.w, batch.k1, batch.v1
     with np.errstate(over="ignore"):
-        c = v_weight * (k1 @ k1.T + bk.kp_gram) + az * mem.k0_gram
+        c = v_weight * _plus_gram(bk.kp_gram, k1) + az * mem.k0_gram
         # Residual assembly: exact zeros survive, unlike rhs_full - w @ c.
         u = v_weight * (v1 - w @ k1)
         rest = v_weight * (bk.vpkpt - mp) + az * (mem.v0k0t - m0)
@@ -392,7 +356,7 @@ def baseline_step(mem: AssociativeMemory, bk: BacklogAccumulator,
     """
     _check_backlog(mem, bk, batch)
     w, k1, v1 = mem.w, batch.k1, batch.v1
-    c = mem.k0_gram + k1 @ k1.T
+    c = _plus_gram(mem.k0_gram, k1)
     u = v1 - w @ k1
     rhs_full = m0 + v1 @ k1.T  # W C + target
 

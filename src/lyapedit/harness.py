@@ -56,7 +56,6 @@ from .controller import (
 # harness.solve_lyaplock), and its measured set-up (workloads.setup) calls
 # harness.new_memory.
 from .editors import (  # noqa: F401
-    add_outer,
     baseline_step,
     edit_only_step,
     lyaplock_step,
@@ -72,6 +71,7 @@ from .errors import (
     RunAborted,
     SingularSystemError,
 )
+from .lapack import add_outer
 from .memory import (  # noqa: F401
     AssociativeMemory,
     BacklogAccumulator,
@@ -169,6 +169,8 @@ def estimate_d_base(stream: EditStream, mem: AssociativeMemory) -> float:
     positive normal so it still yields a usable threshold.  On any other
     stream a loss of 0 or a non-finite one means the losses are not
     representable at its key scale, and NumericalInstabilityError is raised.
+    So does a subnormal loss there: it carries fewer than 52 bits, and so
+    would every loss measured against it.
     """
     spec = stream.spec
     m0 = mem.v0k0t.copy()
@@ -178,8 +180,16 @@ def estimate_d_base(stream: EditStream, mem: AssociativeMemory) -> float:
     # The solve left m0 = W' K0K0^T, the product PL needs.
     pl = gram_loss(w_probe, m0, mem.v0k0t, mem.tr_v0v0)
     exact = spec.value_mode == "planted-teacher" and spec.teacher_drift == 0.0
-    if math.isfinite(pl) and (exact or pl > 0.0):
-        return max(pl, _D_BASE_FLOOR) if exact else pl
+    if math.isfinite(pl) and exact:
+        return max(pl, _D_BASE_FLOOR)
+    if math.isfinite(pl) and pl >= _D_BASE_FLOOR:
+        return pl
+    if 0.0 < pl < _D_BASE_FLOOR:
+        raise NumericalInstabilityError(
+            f"d_base = {pl!r} at key_scale={spec.key_scale!r} is below the "
+            f"smallest normal double {_D_BASE_FLOOR!r}; the losses at this key "
+            f"scale carry fewer than 52 bits"
+        )
     raise NumericalInstabilityError(
         f"the d_base probe's preservation loss is {pl!r} at "
         f"key_scale={spec.key_scale!r}; the losses at this key scale are not "

@@ -25,6 +25,7 @@ from .errors import (
     NonFiniteError,
     NumericalInstabilityError,
 )
+from .lapack import add_outer
 
 # Relative budget for harmless cancellation in Gram-form losses.
 CANCELLATION_GUARD = 1e-6
@@ -37,10 +38,6 @@ def _as_matrix(name: str, value) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise NonFiniteError(f"{name} contains non-finite entries")
     return arr
-
-
-def _symmetrized(gram: np.ndarray) -> np.ndarray:
-    return (gram + gram.T) * 0.5
 
 
 def gram_loss(w: np.ndarray, w_gram: np.ndarray, cross: np.ndarray,
@@ -169,8 +166,12 @@ def new_memory(w0, k0) -> AssociativeMemory:
 
 
 def _preserved_gram(k0: np.ndarray) -> np.ndarray:
-    """K0*K0^T, symmetrized: the one place a preserved Gram is formed."""
-    return _symmetrized(k0 @ k0.T)
+    """K0*K0^T: the one place a preserved Gram is formed.
+
+    numpy forms ``k0 @ k0.T`` with ``syrk`` and mirrors its triangle, so the
+    Gram is exactly symmetric without a symmetrizing pass.
+    """
+    return k0 @ k0.T
 
 
 def _memory_from_gram(w0: np.ndarray, k0_gram: np.ndarray) -> AssociativeMemory:
@@ -224,8 +225,10 @@ def absorb(bk: BacklogAccumulator, batch: EditBatch) -> BacklogAccumulator:
     """Fold one batch into the backlog Grams, in place.
 
     ``k1 @ k1.T`` is exactly symmetric (numpy forms it with ``syrk``), so
-    the sum stays symmetric without re-symmetrizing; the solvers symmetrize
-    the system matrix they factor in any case.
+    the backlog Gram stays exactly symmetric without re-symmetrizing; a
+    ``gemm`` here could leave it an ulp off.  The solvers read one triangle
+    of the system matrix they factor in any case.  The cross term
+    ``v1 @ k1.T`` is added in place by one ``gemm``.
     """
     if batch.k1.shape[0] != bk.kp_gram.shape[0]:
         raise DimensionMismatchError(
@@ -238,7 +241,7 @@ def absorb(bk: BacklogAccumulator, batch: EditBatch) -> BacklogAccumulator:
             f"{bk.vpkpt.shape[0]}"
         )
     bk.kp_gram += batch.k1 @ batch.k1.T
-    bk.vpkpt += batch.v1 @ batch.k1.T
+    add_outer(bk.vpkpt, batch.v1, batch.k1)
     bk.tr_vpvp += float(np.einsum("ij,ij->", batch.v1, batch.v1))
     bk.absorbed += 1
     return bk

@@ -37,7 +37,7 @@ from .errors import (
     NonFiniteError,
     StreamExhausted,
 )
-from .editors import _potrf
+from .lapack import _potrf
 from .memory import (
     AssociativeMemory,
     Dims,
@@ -180,8 +180,9 @@ def _checked_gram(k0: np.ndarray, key_scale: float) -> np.ndarray:
     """The preserved Gram of ``k0``, checked finite and positive definite.
 
     Finiteness is tested first: ``potrf`` can factor an overflowed Gram
-    without complaint.  The smallest eigenvalue is computed only to report
-    a rank deficiency.
+    without complaint.  ``potrf`` gets the Fortran-ordered view ``gram.T``,
+    the same matrix, without a transposing copy.  The smallest eigenvalue
+    is computed only to report a rank deficiency.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gram = _preserved_gram(k0)
@@ -190,7 +191,7 @@ def _checked_gram(k0: np.ndarray, key_scale: float) -> np.ndarray:
             f"preserved key Gram K0 K0^T overflowed at key_scale={key_scale!r}; "
             f"the keys are not representable in double precision"
         )
-    _, info = _potrf(gram, lower=True, clean=False)
+    _, info = _potrf(gram.T, lower=True, clean=False)
     if info != 0:
         smallest = float(np.linalg.eigvalsh(gram)[0])
         raise GenerationError(

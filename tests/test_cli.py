@@ -359,6 +359,30 @@ class TestKeyScaleOverflow:
         assert 0.0 < float(match.group(1)) < np.finfo(np.float64).tiny
         assert "singular" not in err
 
+    @pytest.mark.parametrize("command", ["simulate", "dbase"])
+    @pytest.mark.parametrize("exponent", [-512, -513, -514])
+    def test_subnormal_d_base_exits_2_naming_it(self, tmp_path, capsys, command,
+                                                exponent):
+        """The probe's loss is positive but below the smallest normal double."""
+        key_scale = 2.0 ** exponent
+        cfg = write_config(tmp_path, with_value("stream.key_scale", repr(key_scale),
+                                                text=QUICK))
+        assert main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        match = re.match(r"error: d_base = (\S+) at key_scale=(\S+) is below the "
+                         r"smallest normal double", err)
+        assert match, err
+        assert 0.0 < float(match.group(1)) < np.finfo(np.float64).tiny
+        assert float(match.group(2)) == key_scale
+
+    @pytest.mark.parametrize("command", ["simulate", "dbase"])
+    def test_smallest_tested_key_scale_still_runs(self, tmp_path, command):
+        cfg = write_config(tmp_path, with_value("stream.key_scale", repr(2.0 ** -500),
+                                                text=QUICK))
+        assert main([command, "--config", str(cfg), "--quiet", "--out",
+                     str(tmp_path / "o.csv")]) == 0
+
     def test_overflowed_loss_terms_are_not_called_cancellation(self, tmp_path, capsys):
         cfg = write_config(tmp_path, with_value("stream.key_scale",
                                                 repr(2.0 ** 506), text=QUICK))

@@ -9,17 +9,19 @@ from lyapedit import (
     Dims,
     EditBatch,
     EditStream,
+    RunConfig,
     StreamSpec,
     absorb,
     backlog_loss,
     editing_loss,
     new_memory,
     preservation_loss,
+    run,
     solve_baseline,
     solve_edit_only,
     solve_lyaplock,
 )
-from lyapedit import editors
+from lyapedit import editors, lapack, stream
 from lyapedit.errors import InputError, SingularSystemError
 from lyapedit.oracle import closed_form_errors, quadratic_objective
 
@@ -77,12 +79,24 @@ class TestSolveLyaplock:
             solve_lyaplock(inst.mem, inst.bk, inst.batch, v_weight=1.0, az=-0.1)
 
     def test_overflowing_system_raises(self):
-        # A preservation weight large enough to overflow C is unsolvable.
-        mem = new_memory(np.ones((2, 2)), np.eye(2))
+        # A preservation weight large enough to overflow C is unsolvable:
+        # az K0K0^T = 4e308 on the diagonal.
+        mem = new_memory(np.ones((2, 2)), 2.0 * np.eye(2))
         batch = EditBatch(k1=np.ones((2, 1)), v1=np.array([[3.0], [1.0]]))
         with pytest.raises(SingularSystemError):
             solve_lyaplock(mem, empty_backlog(mem), batch, v_weight=1.0,
                            az=1e308)
+
+    @pytest.mark.parametrize("az", [8e307, 1e308, 1.7e308])
+    def test_finite_system_near_overflow_is_solved(self, az):
+        # C is about az I, finite for every az here, and the target U K1^T is
+        # round-off against ||RHS||, so the edit snaps to zero.
+        mem = new_memory(np.ones((2, 2)), np.eye(2))
+        batch = EditBatch(k1=np.ones((2, 1)), v1=np.array([[3.0], [1.0]]))
+        report = solve_lyaplock(mem, empty_backlog(mem), batch, v_weight=1.0,
+                                az=az)
+        assert np.array_equal(report.delta, np.zeros((2, 2)))
+        assert report.residual == 0.0
 
     def test_degenerate_zero_system_returns_zero(self):
         # With zero keys everywhere and az = 0 the objective does not depend
@@ -422,3 +436,67 @@ class TestRankNForm:
         expected = m + u @ y.T
         editors.add_outer(m, u, y)
         assert m == pytest.approx(expected, rel=1e-14, abs=1e-14)
+
+
+class TestNativeLayout:
+    """``potrf`` gets Fortran-ordered matrices and reads one triangle of C."""
+
+    SPEC = StreamSpec(dims=Dims(d0=64, d1=48), n_per_batch=8, total_batches=12,
+                      key_scale=1.0, value_mode="planted-teacher",
+                      teacher_drift=0.1, seed=188, m0=256)
+
+    @pytest.fixture
+    def potrf_layouts(self, monkeypatch):
+        """Whether each matrix handed to ``potrf`` was F-contiguous."""
+        seen = []
+
+        def recording(a, *args, **kwargs):
+            seen.append(a.flags.f_contiguous)
+            return lapack._potrf(a, *args, **kwargs)
+
+        monkeypatch.setattr(editors, "_potrf", recording)
+        monkeypatch.setattr(stream, "_potrf", recording)
+        return seen
+
+    @pytest.mark.parametrize("editor", ["lyaplock", "baseline", "edit-only"])
+    def test_every_factored_matrix_is_fortran_ordered(self, potrf_layouts, editor):
+        run(RunConfig(stream=self.SPEC, editor=editor, alpha=60.0))
+        # The preserved Gram, the d_base probe, and at least one per step.
+        assert len(potrf_layouts) >= 2 + self.SPEC.total_batches
+        assert all(potrf_layouts)
+
+    def test_preserved_gram_is_factored_fortran_ordered(self, potrf_layouts):
+        EditStream(self.SPEC).preserved_memory()
+        assert potrf_layouts == [True]
+
+    @pytest.mark.parametrize("rank_n", [True, False])
+    def test_unread_triangle_leaves_the_edit_unchanged(self, rng, rank_n):
+        dim, d1, n = 16, 12, 3
+        k0 = rng.standard_normal((dim, 4 * dim))
+        c = k0 @ k0.T
+        w = rng.standard_normal((d1, dim))
+        u = rng.standard_normal((d1, n))
+        k1 = rng.standard_normal((dim, n))
+        rest = None if rank_n else rng.standard_normal((d1, dim))
+        rhs_full = w @ c + u @ k1.T + (0.0 if rest is None else rest)
+
+        def solve(matrix):
+            report, _ = editors._normal_solve(
+                w, matrix, u, k1, None if rest is None else rest.copy(), rhs_full,
+                lambda w_new, x: w_new @ c)
+            return report
+
+        def bumped(rows_below):
+            # potrf reads the lower triangle of the F-ordered view c.T, which
+            # is the upper triangle of the C-ordered c.
+            m = c.copy()
+            tri = np.tril_indices(dim, -1) if rows_below else np.triu_indices(dim, 1)
+            m[tri] = np.nextafter(m[tri], np.inf)
+            return m
+
+        plain = solve(c.copy())
+        report = solve(bumped(rows_below=True))
+        assert report.delta.tobytes() == plain.delta.tobytes()
+        assert report.residual <= editors.RESIDUAL_TARGET
+        # The triangle potrf does read moves the edit.
+        assert solve(bumped(rows_below=False)).delta.tobytes() != plain.delta.tobytes()
