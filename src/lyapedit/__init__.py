@@ -19,7 +19,6 @@ from .harness import (
     RunConfig,
     RunResult,
     RunSummary,
-    StepRecord,
     compare,
     estimate_d_base,
     run,
@@ -60,7 +59,6 @@ __all__ = [
     "RunSummary",
     "SolveReport",
     "SplitMix64",
-    "StepRecord",
     "StreamSpec",
     "absorb",
     "backlog_loss",

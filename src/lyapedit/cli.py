@@ -2,7 +2,7 @@
 
 Commands
 --------
-- simulate: one sequential-editing run, per-step records to CSV
+- simulate: one sequential-editing run, one CSV row per sampled step
 - compare:  several editors over the identical stream, one CSV row per editor
 - sweep:    rerun across threshold multipliers, one CSV row per alpha
 - verify:   independent oracle suite, plain-text PASS/FAIL report
@@ -30,8 +30,8 @@ comment.  Recognized keys:
 
 Unknown keys are errors, and every key present is checked, even
 ``stream.seed`` under ``--seed``.  Exit status: 0 on success, 1 on
-configuration or verification failure, 2 when a solver aborts a run (the
-partial CSV is flushed with a final ``# status=aborted`` row).
+configuration or verification failure, 2 when a run aborts (``simulate``
+flushes the partial CSV with a final ``# status=aborted`` row).
 
 CSV output uses ``.`` as the decimal separator, ``\\n`` line endings and 17
 significant digits.  Wall-clock columns are written as 0 so that identical
@@ -55,10 +55,10 @@ from .errors import ConfigError, InputError, LyapeditError, RunAborted
 from .harness import (
     EDITOR_NAMES,
     RunConfig,
-    StepRecord,
     compare,
     estimate_d_base,
     run,
+    running_average,
     sweep_alpha,
 )
 from .memory import Dims
@@ -225,12 +225,18 @@ def _csv(header: str, row, items, status: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _record_row(r: StepRecord) -> str:
-    return ",".join((
-        str(r.t), _fmt(r.el), _fmt(r.pl), _fmt(r.bl), _fmt(r.z),
-        _fmt(r.avg_pl), _fmt(r.avg_el), _fmt(r.delta_fro), _fmt(r.ridge),
-        _fmt(0.0),
-    ))
+def _step_csv(h: dict, config: RunConfig, status: str | None = None) -> str:
+    """The ``simulate`` CSV of histories ``h`` (RunResult field name to steps
+    1..s of a run or of an aborted run): its steps t that are multiples of
+    ``record_every`` or are T.  Column z is Z(t), which step t's solve read."""
+    pl, el = h["pl_history"], h["el_history"]
+    columns = (el, pl, h["bl_history"], h["z_history"], running_average(pl),
+               running_average(el), h["delta_fro_history"], h["ridge_history"],
+               np.zeros(pl.size))  # wall_ms
+    steps = [t for t in range(1, pl.size + 1)
+             if t % config.record_every == 0 or t == config.stream.total_batches]
+    return _csv(RECORD_HEADER, lambda t: ",".join(
+        [str(t)] + [_fmt(column[t - 1]) for column in columns]), steps, status)
 
 
 def _compare_row(s) -> str:
@@ -275,26 +281,21 @@ def _summary_line(s) -> str:
 # --- commands ------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    loaded = load_config(args.config, args.seed)
+    config = load_config(args.config, args.seed)["run"]
     try:
-        result = run(loaded["run"])
+        result = run(config)
     except RunAborted as exc:
-        _emit(_csv(RECORD_HEADER, _record_row, exc.records,
-                   status=f"aborted step={exc.step} reason={exc}"), args.out)
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    _emit(_csv(RECORD_HEADER, _record_row, result.records), args.out)
+        _emit(_step_csv(exc.histories, config,
+                        status=f"aborted step={exc.step} reason={exc}"), args.out)
+        raise  # main reports it and exits 2
+    # A RunResult's fields include its histories under the same names.
+    _emit(_step_csv(vars(result), config), args.out)
     _say(args, _summary_line(result.summary))
     return 0
 
 
-def _summary_table(args, header: str, row, members) -> int:
-    """Write one CSV row and one summary line per member of ``members()``."""
-    try:
-        summaries = members()
-    except RunAborted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def _summary_table(args, header: str, row, summaries) -> int:
+    """Write one CSV row and one summary line per summary."""
     _emit(_csv(header, row, summaries), args.out)
     for s in summaries:
         _say(args, _summary_line(s))
@@ -304,8 +305,7 @@ def _summary_table(args, header: str, row, members) -> int:
 def _cmd_compare(args) -> int:
     loaded = load_config(args.config, args.seed)
     configs = [replace(loaded["run"], editor=name) for name in loaded["compare_editors"]]
-    return _summary_table(args, COMPARE_HEADER, _compare_row,
-                          lambda: compare(configs))
+    return _summary_table(args, COMPARE_HEADER, _compare_row, compare(configs))
 
 
 def _cmd_sweep(args) -> int:
@@ -313,7 +313,7 @@ def _cmd_sweep(args) -> int:
     if loaded["sweep_alphas"] is None:
         raise ConfigError("missing required key sweep.alphas")
     return _summary_table(args, SWEEP_HEADER, _sweep_row,
-                          lambda: sweep_alpha(loaded["run"], loaded["sweep_alphas"]))
+                          sweep_alpha(loaded["run"], loaded["sweep_alphas"]))
 
 
 def _cmd_dbase(args) -> int:

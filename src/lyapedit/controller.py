@@ -37,13 +37,16 @@ def derive_params(alpha: float, d_base: float) -> QueueParams:
     D = alpha * d_base, a = 1/sqrt(D), b = 0, z_init = z_max = sqrt(D) and the
     editing weight is 1.  With these choices the initial preservation weight
     a * z_init is exactly 1, and when a step's preservation loss reaches 2*D
-    the weight doubles.
+    the weight doubles.  Raises InputError if D overflows, or underflows to 0.
     """
     if not (alpha > 0.0) or not math.isfinite(alpha):
         raise InputError(f"alpha must be positive and finite, got {alpha!r}")
     if not (d_base > 0.0) or not math.isfinite(d_base):
         raise InputError(f"d_base must be positive and finite, got {d_base!r}")
     d = alpha * d_base
+    if not (d > 0.0) or not math.isfinite(d):
+        raise InputError(f"the threshold D = alpha * d_base is not positive and "
+                         f"finite: alpha={alpha!r} d_base={d_base!r} D={d!r}")
     root = math.sqrt(d)
     return QueueParams(
         d_threshold=d,

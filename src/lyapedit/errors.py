@@ -77,9 +77,11 @@ class KvmxNonFiniteError(KvmxFormatError):
 
 
 class RunAborted(LyapeditError):
-    """A harness run stopped early; carries whatever was recorded so far."""
+    """A harness run stopped at ``step``.  ``histories`` maps each history
+    field name of ``RunResult`` to its values over steps 1..step-1
+    (``z_history`` over Z(1)..Z(step)), cut from the run's per-step table."""
 
-    def __init__(self, message: str, step: int, records: list):
+    def __init__(self, message: str, step: int, histories: dict):
         super().__init__(message)
         self.step = step
-        self.records = records
+        self.histories = histories

@@ -6,7 +6,7 @@ three losses at the post-edit weights, update the queue with the preservation
 loss, and absorb the batch into the backlog.  Before the loop, the threshold
 base is probed by applying one bi-objective edit to the first batch against
 the original weights and measuring its preservation loss; the probe edit is
-then discarded and appears in neither the records nor the backlog.
+then discarded and appears in neither the histories nor the backlog.
 
 All losses are measured at the post-edit weights, one convention applied
 everywhere.  The queue value entering a step's solve is Z(t), before that
@@ -20,8 +20,8 @@ one probe.  The one dense set-up product W0 K0K0^T is the memory's V0 K0^T,
 since V0 = W0 K0; the probe and every member start from a copy of it.  Each
 batch is generated once per step and absorbed once into the one backlog, which
 depends only on the batches.  Each member keeps its queue value as a plain
-float; the PL and Z histories a run returns hold all its certificate and
-drift samples need.
+float and fills one per-step table of EL, PL, BL, Z, |delta| and ridge; the
+CSV rows, running averages, summary and an aborted run's output derive from it.
 
 Every member carries the products ``W K0K0^T`` and ``W KpKp^T`` of its
 current weights: the solve leaves them at the post-edit weights, the losses
@@ -117,19 +117,6 @@ class RunConfig:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    t: int
-    el: float
-    pl: float
-    bl: float
-    z: float          # queue value Z(t) read before this step's solve
-    avg_pl: float
-    avg_el: float
-    delta_fro: float
-    ridge: float
-
-
-@dataclass(frozen=True)
 class RunSummary:
     editor: str
     alpha: float
@@ -149,14 +136,21 @@ class RunResult:
     config: RunConfig
     params: QueueParams
     d_base: float
-    records: list[StepRecord]
     summary: RunSummary
     pl_history: np.ndarray
     el_history: np.ndarray
     bl_history: np.ndarray
-    z_history: np.ndarray  # Z(1) .. Z(T+1)
+    z_history: np.ndarray  # Z(1) .. Z(T+1); Z(t) is read by step t's solve
+    delta_fro_history: np.ndarray
+    ridge_history: np.ndarray
     w_initial: np.ndarray
     w_final: np.ndarray
+
+
+def running_average(history: np.ndarray) -> np.ndarray:
+    """The mean of steps 1..t at every t, summed in step order by ``cumsum``
+    (``np.sum`` is pairwise and ``math.fsum`` exact: either changes bits)."""
+    return np.cumsum(history) / np.arange(1, history.size + 1)
 
 
 def estimate_d_base(stream: EditStream, mem: AssociativeMemory) -> float:
@@ -214,7 +208,7 @@ def _solve_step(config: RunConfig, mem: AssociativeMemory,
 
 
 class _Member:
-    """One configuration's queue value, weights, products and records."""
+    """One configuration's queue value, weights, products and per-step table."""
 
     def __init__(self, config: RunConfig, mem: AssociativeMemory, d_base: float):
         params = derive_params(config.alpha, d_base)
@@ -227,88 +221,83 @@ class _Member:
         self.mem = mem
         self.m0 = mem.v0k0t.copy()      # W0 K0K0^T
         self.mp = np.zeros_like(mem.w)  # W KpKp^T of the empty backlog
-        self.records: list[StepRecord] = []
-        self.pl_hist = np.empty(total)
-        self.el_hist = np.empty(total)
-        self.bl_hist = np.empty(total)
-        self.z_hist = np.empty(total + 1)
-        self.z_hist[0] = self.z
-        self.sum_pl = 0.0
-        self.sum_el = 0.0
+        # The per-step table, keyed by RunResult field name: entry t-1 of a
+        # column is step t's, and z_history also holds Z(T+1).
+        self.table = {name: np.empty(total) for name in (
+            "pl_history", "el_history", "bl_history", "delta_fro_history",
+            "ridge_history")}
+        self.table["z_history"] = np.full(total + 1, self.z)
         self.sum_wall = 0.0
+
+    def aborted(self, t: int, message: str) -> RunAborted:
+        """Step t's error, carrying the table of steps 1..t-1 and Z(1)..Z(t)."""
+        done = {name: column[:t if name == "z_history" else t - 1]
+                for name, column in self.table.items()}
+        return RunAborted(message, step=t, histories=done)
 
     def step(self, t: int, batch, backlog: BacklogAccumulator) -> None:
         """Solve, apply and measure step t against the backlog of steps < t."""
         started = time.perf_counter()
-        config, params, records = self.config, self.params, self.records
-        z = self.z
+        config, params, z = self.config, self.params, self.z
+        if config.editor == "lyaplock" and not math.isfinite(params.a * z):
+            raise self.aborted(t, (
+                f"queue overflow at step {t}: the preservation weight a*Z = "
+                f"{params.a * z!r} is not finite; Z={z!r} a={params.a!r} "
+                f"D={params.d_threshold!r}"))
         try:
             report, w_new = _solve_step(config, self.mem, backlog, batch, params,
                                         z, self.m0, self.mp)
         except SingularSystemError as exc:
-            raise RunAborted(
-                f"solver aborted at step {t}: {exc}", step=t, records=records
-            ) from exc
+            raise self.aborted(t, f"solver aborted at step {t}: {exc}") from exc
+        delta_fro = float(np.linalg.norm(report.delta))
         try:
             self.mem = mem = self.mem.with_weights(w_new)
             el = editing_loss(w_new, batch)
             pl = gram_loss(w_new, self.m0, mem.v0k0t, mem.tr_v0v0)
             bl = gram_loss(w_new, self.mp, backlog.vpkpt, backlog.tr_vpvp)
         except (NonFiniteError, NumericalInstabilityError) as exc:
-            raise RunAborted(
+            raise self.aborted(t, (
                 f"loss measurement failed at step {t}: {exc}; z={z!r} "
-                f"|delta|={float(np.linalg.norm(report.delta))!r}",
-                step=t, records=records,
-            ) from exc
+                f"|delta|={delta_fro!r}")) from exc
         if not (math.isfinite(el) and math.isfinite(pl) and math.isfinite(bl)):
-            raise RunAborted(
+            raise self.aborted(t, (
                 f"non-finite loss at step {t}: el={el!r} pl={pl!r} bl={bl!r} "
-                f"z={z!r} |delta|={float(np.linalg.norm(report.delta))!r}",
-                step=t, records=records,
-            )
+                f"z={z!r} |delta|={delta_fro!r}"))
         self.z = update_queue(z, params, pl)
 
-        self.sum_pl += pl
-        self.sum_el += el
-        self.pl_hist[t - 1] = pl
-        self.el_hist[t - 1] = el
-        self.bl_hist[t - 1] = bl
-        self.z_hist[t] = self.z
+        table = self.table
+        table["pl_history"][t - 1] = pl
+        table["el_history"][t - 1] = el
+        table["bl_history"][t - 1] = bl
+        table["delta_fro_history"][t - 1] = delta_fro
+        table["ridge_history"][t - 1] = report.ridge_applied
+        table["z_history"][t] = self.z
         self.sum_wall += time.perf_counter() - started
-        total = config.stream.total_batches
-        if t % config.record_every == 0 or t == total:
-            records.append(StepRecord(
-                t=t, el=el, pl=pl, bl=bl, z=z,
-                avg_pl=self.sum_pl / t, avg_el=self.sum_el / t,
-                delta_fro=float(np.linalg.norm(report.delta)),
-                ridge=report.ridge_applied,
-            ))
 
     def absorbed(self, batch) -> None:
         """Carry W KpKp^T across the absorb of ``batch``: a rank-n update."""
         add_outer(self.mp, self.mem.w @ batch.k1, batch.k1)
 
     def result(self) -> RunResult:
-        config, params = self.config, self.params
+        config, params, table = self.config, self.params, self.table
         total = config.stream.total_batches
+        avg_pl = float(running_average(table["pl_history"])[-1])
         summary = RunSummary(
             editor=config.editor,
             alpha=config.alpha,
             steps=total,
             d_base=params.d_base,
             d_threshold=params.d_threshold,
-            final_avg_pl=self.sum_pl / total,
-            final_avg_el=self.sum_el / total,
-            constraint_satisfied=(self.sum_pl / total) <= params.d_threshold,
-            final_z=float(self.z_hist[-1]),
-            stability=stability_ratio(self.z_hist[:total]),
+            final_avg_pl=avg_pl,
+            final_avg_el=float(running_average(table["el_history"])[-1]),
+            constraint_satisfied=avg_pl <= params.d_threshold,
+            final_z=float(table["z_history"][-1]),
+            stability=stability_ratio(table["z_history"][:total]),
             mean_wall_ms=self.sum_wall * 1e3 / total,
         )
         return RunResult(
-            config=config, params=params, d_base=params.d_base,
-            records=self.records, summary=summary, pl_history=self.pl_hist,
-            el_history=self.el_hist, bl_history=self.bl_hist,
-            z_history=self.z_hist, w_initial=self.mem.w0, w_final=self.mem.w,
+            config=config, params=params, d_base=params.d_base, summary=summary,
+            w_initial=self.mem.w0, w_final=self.mem.w, **table,
         )
 
 
@@ -323,12 +312,17 @@ def _run_lockstep(configs: list[RunConfig]) -> list[RunResult]:
     spec = configs[0].stream
     stream = EditStream(spec)
     mem = stream.preserved_memory()
-    # Every member shares the probe and the threshold base it yields, and a
-    # validated config fails set-up only on that base; so a set-up failure is
-    # the first one that serial execution would raise too.
+    # Every member shares the probe and the threshold base it yields, so a
+    # probe failure is the first one serial execution would raise too; a
+    # member whose D = alpha * d_base is not representable fails as at step 1.
     d_base = estimate_d_base(stream, mem)
-    members = [_Member(config, mem, d_base) for config in configs]
-    failure = None
+    members, failure = [], None
+    for config in configs:
+        try:
+            members.append(_Member(config, mem, d_base))
+        except InputError as exc:
+            failure = exc
+            break
 
     backlog = BacklogAccumulator.empty(mem.dims)
     for t in range(1, spec.total_batches + 1):
@@ -354,8 +348,9 @@ def _run_lockstep(configs: list[RunConfig]) -> list[RunResult]:
 def run(config: RunConfig) -> RunResult:
     """Execute one full sequential-editing run.
 
-    Raises :class:`RunAborted` (carrying the partial records) if a solve comes
-    out singular or a loss goes non-finite mid-run.
+    Raises :class:`RunAborted` (carrying the histories of the steps before
+    it) if a solve comes out singular, a loss goes non-finite or lyaplock's
+    preservation weight a*Z overflows mid-run.
     """
     return _run_lockstep([config])[0]
 

@@ -9,8 +9,7 @@ import pytest
 
 from lyapedit import cli, oracle
 from lyapedit.cli import main
-from lyapedit.errors import OracleFailure, RunAborted
-from lyapedit.harness import StepRecord
+from lyapedit.errors import OracleFailure, SingularSystemError
 
 BASE_CONFIG = """\
 # exercise config
@@ -241,21 +240,50 @@ class TestSimulate:
         assert "constraint_satisfied=" in captured.out
 
     def test_aborted_run_flushes_partial_csv(self, tmp_path, monkeypatch, capsys):
-        import lyapedit.cli as cli
-        records = [StepRecord(t=1, el=1.0, pl=2.0, bl=0.0, z=1.0, avg_pl=2.0,
-                              avg_el=1.0, delta_fro=0.5, ridge=0.0)]
+        """An abort at step s writes the full run's rows for steps < s."""
+        import lyapedit.harness as harness
 
-        def explode(config):
-            raise RunAborted("synthetic singular abort", step=2, records=records)
+        original = harness._solve_step
+        for every, s in ((5, 23), (5, 21), (1, 23)):
+            cfg = write_config(tmp_path, with_value("record_every", str(every)))
+            full, partial = tmp_path / "full.csv", tmp_path / "partial.csv"
+            assert main(["simulate", "--config", str(cfg), "--out", str(full),
+                         "--quiet"]) == 0
+            calls = []
 
-        monkeypatch.setattr(cli, "run", explode)
-        cfg = write_config(tmp_path)
-        out = tmp_path / "partial.csv"
-        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
-        lines = out.read_text().splitlines()
-        assert lines[1].startswith("1,")
-        assert lines[-1].startswith("# status=aborted")
-        assert "singular" in capsys.readouterr().err
+            def explode(*args):
+                calls.append(None)
+                if len(calls) == s:
+                    raise SingularSystemError("synthetic singular abort")
+                return original(*args)
+
+            monkeypatch.setattr(harness, "_solve_step", explode)
+            assert main(["simulate", "--config", str(cfg), "--out",
+                         str(partial)]) == 2
+            monkeypatch.setattr(harness, "_solve_step", original)
+            rows = [line for line in full.read_text().splitlines()
+                    if line.startswith("t,") or int(line.split(",")[0]) < s]
+            status = (f"# status=aborted step={s} reason=solver aborted at step "
+                      f"{s}: synthetic singular abort")
+            assert partial.read_text() == "\n".join(rows + [status]) + "\n"
+            assert "synthetic singular abort" in capsys.readouterr().err
+
+    def test_record_every_filters_the_every_step_csv(self, tmp_path):
+        """The CSV at stride k is the stride-1 CSV at t % k == 0 or t = T."""
+        def csv(every):
+            cfg = write_config(tmp_path, with_value("record_every", str(every),
+                                                    text=QUICK))
+            out = tmp_path / f"every{every}.csv"
+            assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--quiet"]) == 0
+            return out.read_bytes()
+
+        header, *rows = csv(1).split(b"\n")[:-1]
+        assert len(rows) == 200
+        for every in (7, 10, 200, 201):
+            kept = [row for row in rows
+                    if int(row.split(b",")[0]) % every == 0 or row.startswith(b"200,")]
+            assert csv(every) == b"\n".join([header] + kept) + b"\n", every
 
 
 class TestCompareAndSweep:
@@ -391,6 +419,47 @@ class TestKeyScaleOverflow:
         assert out.read_text().splitlines()[-1].startswith("# status=aborted step=48 ")
         err = capsys.readouterr().err
         assert "overflowed" in err and "cancellation" not in err
+
+
+class TestQueueThreshold:
+    """alpha sets D = alpha * d_base; extremes of either kind fail loudly."""
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_overflowing_threshold_exits_1_naming_alpha(self, tmp_path, capsys,
+                                                        command):
+        cfg = write_config(tmp_path, with_value("alpha", "1e308", text=QUICK))
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the threshold D = alpha * d_base is not "
+                              "positive and finite: alpha=1e+308 ")
+        assert err.rstrip().endswith("D=inf")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha", ["1e-315", "1e-320"])
+    def test_queue_overflow_aborts_with_partial_csv(self, tmp_path, capsys, alpha):
+        """At step 2, a*Z(2) = 1 + PL/D overflows for a subnormal D."""
+        cfg = write_config(tmp_path, with_value("record_every", "1",
+                                                with_value("alpha", alpha, QUICK)))
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        header, row, status = out.read_text().splitlines()
+        assert header.startswith("t,") and row.startswith("1,")
+        assert status.startswith("# status=aborted step=2 reason=queue overflow "
+                                 "at step 2: the preservation weight a*Z = inf")
+        err = capsys.readouterr().err
+        assert all(f" {name}=" in err for name in ("Z", "a", "D"))
+
+    def test_exact_stream_runs_at_subnormal_threshold(self, tmp_path, capsys):
+        """An exact stream floors d_base at the smallest normal; D = d_base/2."""
+        text = with_value("stream.teacher_drift", "0", with_value("alpha", "0.5",
+                                                                  QUICK))
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert f"d={float(np.finfo(np.float64).tiny) / 2!r} " in capsys.readouterr().out
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 20 and all(row[2] == "0" for row in rows)
 
 
 class TestVerify:

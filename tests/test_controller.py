@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,6 +46,18 @@ class TestDeriveParams:
             derive_params(60.0, -1.0)
         with pytest.raises(InputError):
             derive_params(math.inf, 1.0)
+
+    @pytest.mark.parametrize("alpha,d_base,d", [(1e308, 2.56, "inf"),
+                                                (5e-324, 0.1, "0.0")])
+    def test_rejects_unrepresentable_threshold(self, alpha, d_base, d):
+        message = f"alpha={alpha!r} d_base={d_base!r} D={d}"
+        with pytest.raises(InputError, match=re.escape(message) + "$"):
+            derive_params(alpha, d_base)
+
+    def test_accepts_subnormal_threshold(self):
+        params = derive_params(1e-315, 2.56)
+        assert 0.0 < params.d_threshold < np.finfo(np.float64).tiny
+        assert params.a * params.z_init == pytest.approx(1.0, rel=1e-12)
 
 
 def _params(a=0.5, d=4.0, b=0.0, z_max=1.0):

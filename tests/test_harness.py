@@ -16,6 +16,10 @@ from lyapedit import (
     update_queue,
 )
 from lyapedit.errors import InputError, RunAborted, SingularSystemError
+from lyapedit.harness import running_average
+
+HISTORIES = ("pl_history", "el_history", "bl_history", "z_history",
+             "delta_fro_history", "ridge_history")
 
 
 def small_spec(seed=17, total=120, drift=0.15, mode="planted-teacher"):
@@ -39,7 +43,7 @@ class TestZeroEditStream:
         assert np.all(result.el_history == 0.0)
         assert np.all(result.z_history == result.params.z_init)
         assert np.array_equal(result.w_final, result.w_initial)
-        assert all(r.delta_fro == 0.0 for r in result.records)
+        assert np.all(result.delta_fro_history == 0.0)
 
     @pytest.mark.parametrize("editor", ["lyaplock", "baseline", "edit-only"])
     def test_every_editor_fits_exactly(self, editor):
@@ -51,9 +55,8 @@ class TestRunInvariants:
     def test_queue_recomputation_matches_records(self):
         result = run(small_config(total=100))
         state_z = result.params.z_init
-        for rec, pl in zip(result.records, result.pl_history):
-            assert rec.z == state_z
-            assert rec.pl == pl
+        for z, pl in zip(result.z_history, result.pl_history):
+            assert z == state_z
             state_z = max(state_z + result.params.a * (pl - result.params.d_threshold)
                           + result.params.b, result.params.z_max)
         assert state_z == result.z_history[-1]
@@ -68,33 +71,33 @@ class TestRunInvariants:
 
     def test_running_averages_recompute(self):
         result = run(small_config(total=90))
+        avg_pl = running_average(result.pl_history)
+        avg_el = running_average(result.el_history)
         pl_sum = 0.0
         el_sum = 0.0
-        records = iter(result.records)
-        rec = next(records)
         for t in range(1, 91):
             pl_sum += result.pl_history[t - 1]
             el_sum += result.el_history[t - 1]
-            if rec.t == t:
-                assert rec.avg_pl == pytest.approx(pl_sum / t, rel=1e-12)
-                assert rec.avg_el == pytest.approx(el_sum / t, rel=1e-12)
-                rec = next(records, None)
-                if rec is None:
-                    break
+            assert avg_pl[t - 1] == pytest.approx(pl_sum / t, rel=1e-12)
+            assert avg_el[t - 1] == pytest.approx(el_sum / t, rel=1e-12)
+        # A sequential sum, so the summary equals the running sum exactly.
+        assert result.summary.final_avg_pl == pl_sum / 90
+        assert result.summary.final_avg_el == el_sum / 90
 
     def test_bit_identical_reruns(self):
         a = run(small_config(total=70))
         b = run(small_config(total=70))
-        assert len(a.records) == len(b.records)
-        for ra, rb in zip(a.records, b.records):
-            assert ra == rb
-        assert np.array_equal(a.pl_history, b.pl_history)
-        assert np.array_equal(a.z_history, b.z_history)
-        assert np.array_equal(a.w_final, b.w_final)
+        assert a.summary == b.summary
+        for name in HISTORIES + ("w_final",):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_record_sampling(self):
-        result = run(small_config(total=95, record_every=10))
-        times = [r.t for r in result.records]
+        from lyapedit.cli import _step_csv
+        config = small_config(total=95, record_every=10)
+        result = run(config)
+        assert all(h.size == 95 for h in (result.pl_history, result.ridge_history))
+        rows = _step_csv(vars(result), config).splitlines()[1:]
+        times = [int(row.split(",")[0]) for row in rows]
         assert times == [10, 20, 30, 40, 50, 60, 70, 80, 90, 95]
 
     def test_probe_matches_first_baseline_step(self):
@@ -112,9 +115,9 @@ class TestRunInvariants:
 
     def test_probe_excluded_from_backlog(self):
         result = run(small_config(total=5))
-        # After a 5-step run, the first record is measured against an empty
-        # backlog: its bl field must be exactly zero.
-        assert result.records[0].bl == 0.0
+        # After a 5-step run, the first step is measured against an empty
+        # backlog: its backlog loss must be exactly zero.
+        assert result.bl_history[0] == 0.0
 
 
 class TestAbortPaths:
@@ -130,11 +133,16 @@ class TestAbortPaths:
                 raise SingularSystemError("synthetic failure", 1e99)
             return original(config, mem, backlog, batch, params, z, m0, mp)
 
+        full = harness.run(small_config(total=50))
         monkeypatch.setattr(harness, "_solve_step", explode)
         with pytest.raises(RunAborted) as err:
             harness.run(small_config(total=50))
         assert err.value.step == 4
-        assert [r.t for r in err.value.records] == [1, 2, 3]
+        partial = err.value.histories
+        assert sorted(partial) == sorted(HISTORIES)
+        for name in HISTORIES:
+            steps = 4 if name == "z_history" else 3  # Z(1)..Z(4)
+            assert np.array_equal(partial[name], getattr(full, name)[:steps]), name
 
     def test_diverging_delta_aborts(self, monkeypatch):
         import lyapedit.harness as harness
@@ -264,11 +272,38 @@ class TestLockstep:
         together = harness._run_lockstep(configs)
         for a, b in zip(alone, together):
             assert a.summary == b.summary
-            assert a.records == b.records
-            for name in ("pl_history", "el_history", "bl_history", "z_history",
-                         "w_initial", "w_final"):
+            for name in HISTORIES + ("w_initial", "w_final"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), name
         assert compare(configs) == [r.summary for r in alone]
+
+    def test_member_order_does_not_change_results(self):
+        import lyapedit.harness as harness
+        configs = self.mixed_configs()
+        in_order = harness._run_lockstep(configs)
+        # Reversed, two rotations and one swap.
+        for order in ((3, 2, 1, 0), (1, 2, 3, 0), (2, 3, 0, 1), (0, 3, 2, 1)):
+            permuted = harness._run_lockstep([configs[i] for i in order])
+            for i, b in zip(order, permuted):
+                a = in_order[i]
+                assert a.config == b.config
+                assert a.summary == b.summary
+                for name in HISTORIES + ("w_final",):
+                    assert np.array_equal(getattr(a, name), getattr(b, name)), (
+                        order, name)
+
+    def test_unrepresentable_threshold_fails_in_serial_order(self):
+        """A member whose D overflows fails after an earlier member's abort."""
+        from dataclasses import replace
+        cfg = small_config(total=30)
+        # d_base is about 1.36 here, so D = 1.5e308 * d_base overflows.
+        with pytest.raises(InputError, match="alpha=1.5e[+]308"):
+            run(replace(cfg, alpha=1.5e308))
+        with pytest.raises(RunAborted) as serial:
+            run(replace(cfg, alpha=1e-315))
+        with pytest.raises(RunAborted) as lockstep:
+            sweep_alpha(cfg, [1.5e308, 1e-315])
+        assert serial.value.step == 2
+        assert str(lockstep.value) == str(serial.value)
 
     def test_one_probe_for_all_members(self, monkeypatch):
         import lyapedit.harness as harness
@@ -353,8 +388,10 @@ class TestLockstep:
         assert serial.value.step == fail_at[20.0]
         assert lockstep.value.step == serial.value.step
         assert str(lockstep.value) == str(serial.value)
-        assert lockstep.value.records == serial.value.records
-        assert [r.t for r in lockstep.value.records] == list(range(1, fail_at[20.0]))
+        for name in HISTORIES:
+            got, want = lockstep.value.histories[name], serial.value.histories[name]
+            assert np.array_equal(got, want), name
+        assert lockstep.value.histories["pl_history"].size == fail_at[20.0] - 1
 
 
 class TestRankNSteps:
@@ -471,11 +508,13 @@ class TestScaleCovariance:
         unit = run(config)
         scaled = run(replace(config, stream=replace(config.stream, key_scale=scale)))
         assert scaled.d_base == pytest.approx(unit.d_base * scale ** 2, rel=1e-9)
-        for a, b in zip(scaled.records, unit.records):
-            assert a.delta_fro > 0.0
-            assert a.delta_fro == pytest.approx(b.delta_fro, rel=1e-9)
-            assert (a.avg_pl / scaled.params.d_threshold
-                    == pytest.approx(b.avg_pl / unit.params.d_threshold, rel=1e-9))
+        scaled_avg = running_average(scaled.pl_history) / scaled.params.d_threshold
+        unit_avg = running_average(unit.pl_history) / unit.params.d_threshold
+        for a, b in zip(scaled.delta_fro_history, unit.delta_fro_history):
+            assert a > 0.0
+            assert a == pytest.approx(b, rel=1e-9)
+        for a, b in zip(scaled_avg, unit_avg):
+            assert a == pytest.approx(b, rel=1e-9)
         assert len(reports) == 2 * config.stream.total_batches
         assert all(r.residual <= 1e-8 for r in reports if r.ridge_applied == 0.0)
 
@@ -494,7 +533,7 @@ class TestScaleCovariance:
         result = run(RunConfig(stream=spec, editor=editor, alpha=60.0))
         return (result.pl_history / result.params.d_threshold,
                 result.params.a * result.z_history,
-                np.array([r.delta_fro for r in result.records]))
+                result.delta_fro_history)
 
     @settings(max_examples=30, derandomize=True, deadline=None, database=None)
     # Found by this test: a subnormal ridge and pivots at 2^-500, before the
