@@ -13,37 +13,50 @@ keys.  No explicit inverse is ever formed.
 C is factored through its Fortran-ordered view ``c.T``, which for a
 symmetric C is the same matrix, so ``potrf`` gets it without a transposing
 copy.  ``potrf`` reads one triangle only, and C is not symmetrized first:
-a C assembled from exactly symmetric Grams is exactly symmetric, and a C
-whose batch Gram came from ``gemm`` may differ from its transpose by an
-ulp in the triangle that is not read.  The residual check below, assembled
-from the full carried products, judges every step either way.  The
-routines are those of :mod:`lyapedit.lapack`, called directly.
+the batch Gram K1 K1^T is added by ``gemm``, and so is each batch absorbed
+into the backlog Gram, and on some shapes a ``gemm`` sum differs from its
+transpose by an ulp in the triangle that is not read.  The residual check
+below, assembled from the full carried products, judges every step either
+way.  The routines are those of :mod:`lyapedit.lapack`, called directly.
 
-The ``*_step`` forms serve a step loop: they take the products
-M0 = W K0K0^T and Mp = W KpKp^T that the loop carries instead of
-recomputing them, and leave them at the post-edit weights W'.
+The ``*_step`` forms serve a step loop.  They take a :class:`Carry`,
+which holds what the loop keeps from step to step: the products
+M0 = W K0K0^T and Mp = W KpKp^T instead of recomputing them, W' K1 for the
+losses and the absorb, and lyaplock's last residual.  Each leaves it at the
+post-edit weights W'.
+
+Carried residuals.  Lyaplock's target is U K1^T plus the remainder
+v (Vp Kp^T - Mp) + az (V0 K0^T - M0), and that remainder is never assembled
+from the products.  After a step solves with az' and its batch is absorbed,
+Kp Kp^T and Vp Kp^T have grown by that batch's K1 K1^T and V1 K1^T, so the
+next remainder is exactly (az - az') (V0 K0^T - M0) - R, where
+R = W' C - RHS is the residual matrix that step's check built.  The carry
+keeps R and az'; the first term is formed only when az changed, so on a
+step at the queue floor the remainder is -R, round-off.  A fresh carry
+seeds R = 0 and az' = 0 at the original weights, where the remainder is
+exactly 0; :func:`solve_lyaplock` seeds R = v (W KpKp^T - Vp Kp^T) and
+az' = 0, which gives the remainder as it is written above.  The residual
+check of every step judges the result, so an error in R cannot pass
+unseen: the step it enters misses ``RESIDUAL_TARGET`` and is ridged.
 
 Rank-n steps.  A step's perturbation has the form delta = U X^T whenever
 its target is U K1^T for the n keys K1 of the batch: then C X = K1 is a
 solve for n columns, not d1, and the products follow by rank-n updates,
 M0 += U (K0K0^T X)^T and Mp += U (KpKp^T X)^T, each one in-place BLAS
 ``gemm``.  No dense d1 x d0^2 product is formed.  The target is exactly
-U K1^T for baseline and edit-only on every step.  For lyaplock it is
-U K1^T plus v (Vp Kp^T - Mp) + az (V0 K0^T - M0): that part is exactly 0
-at step 1, and equals minus the previous step's residual whenever az did
-not change (the backlog term telescopes, since Kp Kp^T grew by the previous
-batch's K1 K1^T).  Baseline and lyaplock try the rank-n form on the
-unridged factor, lyaplock only when that part is at most
+U K1^T for baseline and edit-only on every step, and for lyaplock when its
+remainder is 0 or -R.  Baseline and lyaplock try the rank-n form on the
+unridged factor, lyaplock only when the remainder is at most
 ``SNAP_THRESHOLD`` ||RHS||, round-off and not signal; the rule reads only
 the step's own inputs.  Edit-only always has this form, ridged or not.
 
 Either form ends with the same residual check, ||W' C - RHS|| / ||RHS||,
-assembled from the products.  A rank-n step that misses ``RESIDUAL_TARGET``
-falls back to the full target on the same factor, which recomputes the
-products densely.  After every rank-n update a Freivalds check compares
-M z with W' (G z) for one fixed vector z, O(d0^2 + d1 d0); a gap beyond
-``CARRY_TOLERANCE`` recomputes the products densely, so rounding in the
-carried products cannot grow unseen.
+with W' C assembled from the products.  A rank-n step that misses
+``RESIDUAL_TARGET`` falls back to the full target on the same factor, which
+recomputes the products densely.  After every rank-n update a Freivalds
+check compares M z with W' (G z) for one fixed vector z, O(d0^2 + d1 d0); a
+gap beyond ``CARRY_TOLERANCE`` recomputes the products densely, so rounding
+in the carried products cannot grow unseen.
 """
 from __future__ import annotations
 
@@ -53,7 +66,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, InputError, SingularSystemError
-from .lapack import _norm, _pocon, _potrf, _potrs, add_outer
+from .lapack import _lange, _norm, _pocon, _potrf, _potrs, add_outer
 from .memory import AssociativeMemory, BacklogAccumulator, EditBatch
 
 RIDGE_LADDER = (1e-10, 1e-8, 1e-6)
@@ -84,6 +97,41 @@ class SolveReport:
     residual: float
     ridge_applied: float
     condition_estimate: float
+
+
+@dataclass(eq=False)
+class Carry:
+    """What a step loop keeps for one member from step to step.
+
+    Every ``*_step`` reads it at the current weights W and leaves it at the
+    post-edit weights W':
+
+    - ``m0`` and ``mp``: the products W K0K0^T and W KpKp^T, updated in place
+    - ``wk1``: W' K1 for the step's batch, which the editing loss and the
+      absorb of the batch read
+    - ``resid`` and ``az``: the residual matrix W' C - RHS of the last
+      lyaplock solve and the az it solved with, from which the next
+      lyaplock target is formed (see the module docstring); the next solve
+      builds its target in ``resid``.  The other editors leave both.
+    """
+
+    m0: np.ndarray
+    mp: np.ndarray
+    resid: np.ndarray | None = None
+    az: float = 0.0
+    wk1: np.ndarray | None = None
+
+    @classmethod
+    def start(cls, mem: AssociativeMemory) -> "Carry":
+        """At the original weights ``mem.w0`` with an empty backlog.
+
+        M0 = W0 K0K0^T is a copy of V0 K0^T, and Mp and R are zeros, so the
+        first lyaplock target's remainder is exactly 0.  ``np.zeros`` pages
+        in no memory until it is written, so R costs nothing resident for
+        an editor that never writes it.
+        """
+        return cls(m0=mem.v0k0t.copy(), mp=np.zeros(mem.w.shape),
+                   resid=np.zeros(mem.w.shape))
 
 
 def _ridge_attempts(matrix: np.ndarray):
@@ -131,7 +179,7 @@ def _ridge_attempts(matrix: np.ndarray):
         if info > 0:  # a leading minor is not positive definite
             yield lam, None, float("inf")
             continue
-        anorm = float(np.abs(ridged).sum(axis=0).max())  # the 1-norm
+        anorm = float(_lange("I", ridged.T))  # the 1-norm: the largest column sum
         rcond, info = _pocon(factor, anorm, uplo="L")
         cond = 1.0 / float(rcond) if info == 0 and rcond > 0.0 else float("inf")
         yield lam, ((factor, shift) if cond <= CONDITION_LIMIT else None), cond
@@ -177,32 +225,58 @@ def _drifted(w_new: np.ndarray, products) -> bool:
     return False
 
 
-def _plus_gram(g: np.ndarray, k1: np.ndarray) -> np.ndarray:
-    """``g + k1 @ k1.T`` as a new array, by one ``gemm`` on a copy of ``g``.
+def _plus_outer(g: np.ndarray, u: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``g + u @ y.T`` as a new array, by one ``gemm`` on a copy of ``g``.
 
     numpy forms ``k1 @ k1.T`` with ``syrk`` and then mirrors its triangle in
     a scalar loop: ``k1 @ k1.T + g`` took 10.4 ms at d0=1024 and n=8, against
-    2.4 ms for the copy and the ``gemm`` (one BLAS thread).  The ``gemm``
-    result may differ from its transpose by an ulp, which the solve
-    tolerates (see the module docstring).
+    2.4 ms for the copy and the ``gemm`` (one BLAS thread).
     """
     out = g.copy()
-    add_outer(out, k1, k1)
+    add_outer(out, u, y)
     return out
+
+
+def _weighted(az: float, a: np.ndarray, v: float, b: np.ndarray,
+              u: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``az a + v (b + u @ y.T)`` as a new array.
+
+    With v = 1, as in every run without a ``v_weight``, no other temporary
+    is made: ``b`` is added in place and ``u @ y.T`` by one ``gemm``.
+    """
+    out = np.multiply(a, az)
+    if v == 1.0:
+        out += b
+        add_outer(out, u, y)
+    else:
+        out += v * _plus_outer(b, u, y)
+    return out
+
+
+def _overflowed(x: np.ndarray, norm: float) -> bool:
+    """Whether ``x``, whose ``nrm2`` is ``norm``, has a non-finite entry.
+
+    ``nrm2`` is not finite when an entry is inf or NaN, and is finite for
+    finite entries unless the norm itself overflows; only then are the
+    entries scanned.
+    """
+    return not math.isfinite(norm) and not np.isfinite(x).all()
 
 
 def _normal_solve(w: np.ndarray, c: np.ndarray, u: np.ndarray, k1: np.ndarray,
                   rest, rhs_full: np.ndarray, times_c):
-    """Solve ``delta @ C = U K1^T + rest``; return the report and ``W + delta``.
+    """Solve ``delta @ C = U K1^T + rest``.
 
-    The target U K1^T + rest is RHS - W @ C, assembled from residual
-    products by the caller; ``rest`` is None when it is exactly 0.  ``c``
-    and ``rest`` are the caller's scratch, overwritten here, so a d0 x d0
-    and a d1 x d0 copy fewer are live at once.  ``rhs_full`` is only used to
-    measure the reported relative residual ||(W + delta) @ C - RHS|| / ||RHS||.
-    ``times_c(w_new, x)`` moves the caller's products to ``w_new`` and
-    returns ``w_new @ C`` assembled from them: by the rank-n update for
-    delta = U X^T, or densely when ``x`` is None.
+    Returns the report, ``W + delta`` and the residual matrix
+    ``(W + delta) @ C - RHS``, whose norm over ||RHS|| is the reported
+    residual.  The target U K1^T + rest is RHS - W @ C, assembled from
+    residual products by the caller; ``rest`` is None when it is exactly 0.
+    ``c`` and ``rest`` are the caller's scratch, overwritten here, so a
+    d0 x d0 and a d1 x d0 copy fewer are live at once.  ``rhs_full`` is
+    only used to measure the residual.  ``times_c(w_new, x)`` moves the
+    caller's products to ``w_new`` and returns ``w_new @ C`` as a new array
+    assembled from them: by the rank-n update for delta = U X^T, or densely
+    when ``x`` is None.  That array becomes the residual matrix.
 
     ``c`` is factored as it is, through its Fortran-ordered view, and only
     one of its triangles is read: it need not be exactly symmetric, and it
@@ -212,23 +286,31 @@ def _normal_solve(w: np.ndarray, c: np.ndarray, u: np.ndarray, k1: np.ndarray,
     C X = K1 for n columns and tries delta = U X^T (see the module
     docstring); every other attempt solves for the full target.
     """
-    ref = max(_norm(rhs_full), _TINY)
+    rhs_norm = _norm(rhs_full)
+    ref = max(rhs_norm, _TINY)
     if rest is None:
         rank_n, target = True, u @ k1.T
     else:
         rank_n, target = _norm(rest) <= SNAP_THRESHOLD * ref, rest
         add_outer(target, u, k1)
-    if not (np.isfinite(c).all() and np.isfinite(target).all()
-            and np.isfinite(rhs_full).all()):
+    target_norm = _norm(target)
+    if (not np.isfinite(c).all() or _overflowed(target, target_norm)
+            or _overflowed(rhs_full, rhs_norm)):
         raise SingularSystemError(
             "normal-equation assembly overflowed; the weighted system is not "
             "representable in double precision"
         )
-    if _norm(target) <= SNAP_THRESHOLD * ref:
-        residual = _norm(times_c(w, None) - rhs_full) / ref
+
+    def checked(w_new, x):
+        resid = times_c(w_new, x)
+        resid -= rhs_full
+        return _norm(resid) / ref, resid
+
+    if target_norm <= SNAP_THRESHOLD * ref:
+        residual, resid = checked(w, None)
         return SolveReport(delta=np.zeros_like(w), residual=residual,
                            ridge_applied=0.0,
-                           condition_estimate=float("nan")), w
+                           condition_estimate=float("nan")), w, resid
     last_cond = float("inf")
     for lam, factor, cond in _ridge_attempts(c):
         last_cond = cond
@@ -238,17 +320,18 @@ def _normal_solve(w: np.ndarray, c: np.ndarray, u: np.ndarray, k1: np.ndarray,
             x = _cho_solve(factor, k1)
             delta = u @ x.T
             w_new = w + delta
-            residual = _norm(times_c(w_new, x) - rhs_full) / ref
+            residual, resid = checked(w_new, x)
             if residual <= RESIDUAL_TARGET:
                 return SolveReport(delta=delta, residual=residual,
-                                   ridge_applied=lam, condition_estimate=cond), w_new
+                                   ridge_applied=lam,
+                                   condition_estimate=cond), w_new, resid
         delta = _cho_solve(factor, target.T).T
         w_new = w + delta
-        residual = _norm(times_c(w_new, None) - rhs_full) / ref
+        residual, resid = checked(w_new, None)
         if not np.isfinite(residual) or (lam == 0.0 and residual > RESIDUAL_TARGET):
             continue
         return SolveReport(delta=delta, residual=residual, ridge_applied=lam,
-                           condition_estimate=cond), w_new
+                           condition_estimate=cond), w_new, resid
     raise SingularSystemError(
         f"normal-equation matrix is numerically singular "
         f"(condition estimate {last_cond:.3e}) after maximum ridge escalation",
@@ -304,34 +387,46 @@ def solve_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
     C = v_weight*(K1 K1^T + Kp Kp^T) + az*K0 K0^T is positive definite.
     """
     _check_lyaplock(mem, bk, batch, v_weight, az)
-    report, _ = lyaplock_step(mem, bk, batch, v_weight, az,
-                              mem.w @ mem.k0_gram, mem.w @ bk.kp_gram)
+    mp = mem.w @ bk.kp_gram
+    with np.errstate(over="ignore"):
+        # With az' = 0 the carried remainder is the one written out.
+        resid = v_weight * (mp - bk.vpkpt)
+    carry = Carry(m0=mem.w @ mem.k0_gram, mp=mp, resid=resid)
+    report, _ = lyaplock_step(mem, bk, batch, v_weight, az, carry)
     return report
 
 
 def lyaplock_step(mem: AssociativeMemory, bk: BacklogAccumulator,
-                  batch: EditBatch, v_weight: float, az: float,
-                  m0: np.ndarray, mp: np.ndarray):
-    """:func:`solve_lyaplock` from the products m0 = W K0K0^T and mp = W KpKp^T.
+                  batch: EditBatch, v_weight: float, az: float, carry: Carry):
+    """:func:`solve_lyaplock` from what a step loop carries.
 
-    Returns the report and W' = W + delta; on return ``m0`` and ``mp`` hold
-    W' K0K0^T and W' KpKp^T, updated in place.
+    Returns the report and W' = W + delta, and leaves ``carry`` at W'; its
+    residual is this solve's, and its az is ``az``.
     """
     _check_lyaplock(mem, bk, batch, v_weight, az)
     w, k1, v1 = mem.w, batch.k1, batch.v1
+    m0, mp = carry.m0, carry.mp
     with np.errstate(over="ignore"):
-        c = v_weight * _plus_gram(bk.kp_gram, k1) + az * mem.k0_gram
+        c = _weighted(az, mem.k0_gram, v_weight, bk.kp_gram, k1, k1)
+        rhs_full = _weighted(az, mem.v0k0t, v_weight, bk.vpkpt, v1, k1)
         # Residual assembly: exact zeros survive, unlike rhs_full - w @ c.
         u = v_weight * (v1 - w @ k1)
-        rest = v_weight * (bk.vpkpt - mp) + az * (mem.v0k0t - m0)
-        rhs_full = v_weight * (v1 @ k1.T + bk.vpkpt) + az * mem.v0k0t
+        # The remainder from the carried residual, in its buffer.
+        rest = np.negative(carry.resid, out=carry.resid)
+        if az != carry.az:
+            moved = np.subtract(mem.v0k0t, m0)
+            moved *= az - carry.az
+            rest += moved
 
-    def times_c(w_new, x):
-        _carry(w_new, u, x, ((m0, mem.k0_gram), (mp, bk.kp_gram)))
-        with np.errstate(over="ignore"):
-            return v_weight * ((w_new @ k1) @ k1.T + mp) + az * m0
+        def times_c(w_new, x):
+            _carry(w_new, u, x, ((m0, mem.k0_gram), (mp, bk.kp_gram)))
+            carry.wk1 = w_new @ k1
+            return _weighted(az, m0, v_weight, mp, carry.wk1, k1)
 
-    return _normal_solve(w, c, u, k1, rest, rhs_full, times_c)
+        report, w_new, carry.resid = _normal_solve(w, c, u, k1, rest, rhs_full,
+                                                   times_c)
+    carry.az = az
+    return report, w_new
 
 
 def solve_baseline(mem: AssociativeMemory, batch: EditBatch) -> SolveReport:
@@ -341,34 +436,38 @@ def solve_baseline(mem: AssociativeMemory, batch: EditBatch) -> SolveReport:
     preservation; it carries no backlog and no queue weighting, so its
     preservation loss accumulates over sequential use.
     """
-    report, _ = baseline_step(mem, BacklogAccumulator.empty(mem.dims), batch,
-                              mem.w @ mem.k0_gram, np.zeros_like(mem.w))
+    carry = Carry(m0=mem.w @ mem.k0_gram, mp=np.zeros_like(mem.w))
+    report, _ = baseline_step(mem, BacklogAccumulator.empty(mem.dims), batch, carry)
     return report
 
 
 def baseline_step(mem: AssociativeMemory, bk: BacklogAccumulator,
-                  batch: EditBatch, m0: np.ndarray, mp: np.ndarray):
-    """:func:`solve_baseline` from the products m0 = W K0K0^T and mp = W KpKp^T.
+                  batch: EditBatch, carry: Carry):
+    """:func:`solve_baseline` from what a step loop carries.
 
-    The backlog enters only through ``mp``, which the loop's backlog loss
-    reads.  Returns the report and W' = W + delta; on return ``m0`` and
-    ``mp`` hold W' K0K0^T and W' KpKp^T, updated in place.
+    The backlog enters only through ``carry.mp``, which the loop's backlog
+    loss reads.  Returns the report and W' = W + delta, and leaves
+    ``carry`` at W'.
     """
     _check_backlog(mem, bk, batch)
     w, k1, v1 = mem.w, batch.k1, batch.v1
-    c = _plus_gram(mem.k0_gram, k1)
+    m0, mp = carry.m0, carry.mp
+    c = _plus_outer(mem.k0_gram, k1, k1)
     u = v1 - w @ k1
-    rhs_full = m0 + v1 @ k1.T  # W C + target
+    rhs_full = _plus_outer(m0, v1, k1)  # W C + target
 
     def times_c(w_new, x):
         _carry(w_new, u, x, ((m0, mem.k0_gram), (mp, bk.kp_gram)))
-        return m0 + (w_new @ k1) @ k1.T
+        carry.wk1 = w_new @ k1
+        return _plus_outer(m0, carry.wk1, k1)
 
-    return _normal_solve(w, c, u, k1, None, rhs_full, times_c)
+    report, w_new, _ = _normal_solve(w, c, u, k1, None, rhs_full, times_c)
+    return report, w_new
 
 
 def _edit_only(mem: AssociativeMemory, batch: EditBatch):
-    """The edit-only report, with U and X such that delta = U X^T."""
+    """The edit-only report, W' = W + delta and W' K1, with U and X such
+    that delta = U X^T."""
     w, k1, v1 = mem.w, batch.k1, batch.v1
     resid = v1 - w @ k1
     small_gram = k1.T @ k1
@@ -381,11 +480,13 @@ def _edit_only(mem: AssociativeMemory, batch: EditBatch):
         # delta = resid @ (K1^T K1)^-1 K1^T is the least-norm interpolant.
         xt = _cho_solve(factor, k1.T)
         delta = resid @ xt
-        residual = _norm((w + delta) @ k1 - v1) / ref
+        w_new = w + delta
+        wk1 = w_new @ k1
+        residual = _norm(wk1 - v1) / ref
         if lam == 0.0 and residual > RESIDUAL_TARGET:
             continue
-        return SolveReport(delta=delta, residual=residual, ridge_applied=lam,
-                           condition_estimate=cond), resid, xt.T
+        return (SolveReport(delta=delta, residual=residual, ridge_applied=lam,
+                            condition_estimate=cond), w_new, wk1, resid, xt.T)
     raise SingularSystemError(
         f"batch keys are rank deficient beyond ridge tolerance "
         f"(condition estimate {last_cond:.3e})",
@@ -405,14 +506,13 @@ def solve_edit_only(mem: AssociativeMemory, batch: EditBatch) -> SolveReport:
 
 
 def edit_only_step(mem: AssociativeMemory, bk: BacklogAccumulator,
-                   batch: EditBatch, m0: np.ndarray, mp: np.ndarray):
-    """:func:`solve_edit_only` from the products m0 = W K0K0^T and mp = W KpKp^T.
+                   batch: EditBatch, carry: Carry):
+    """:func:`solve_edit_only` from what a step loop carries.
 
-    Returns the report and W' = W + delta; on return ``m0`` and ``mp`` hold
-    W' K0K0^T and W' KpKp^T, carried by the rank-n update.
+    Returns the report and W' = W + delta, and leaves ``carry`` at W'; the
+    products are carried by the rank-n update.
     """
     _check_backlog(mem, bk, batch)
-    report, u, x = _edit_only(mem, batch)
-    w_new = mem.w + report.delta
-    _carry(w_new, u, x, ((m0, mem.k0_gram), (mp, bk.kp_gram)))
+    report, w_new, carry.wk1, u, x = _edit_only(mem, batch)
+    _carry(w_new, u, x, ((carry.m0, mem.k0_gram), (carry.mp, bk.kp_gram)))
     return report, w_new

@@ -23,18 +23,22 @@ depends only on the batches.  Each member keeps its queue value as a plain
 float and fills one per-step table of EL, PL, BL, Z, |delta| and ridge; the
 CSV rows, running averages, summary and an aborted run's output derive from it.
 
-Every member carries the products ``W K0K0^T`` and ``W KpKp^T`` of its
-current weights: the solve leaves them at the post-edit weights, the losses
-read them, and the next step's target starts from them.  Whenever a step's
-edit is rank n (n = the batch size) the solve moves them by rank-n updates
-instead of two dense d1 x d0^2 passes: on every baseline and edit-only
-step, and on a lyaplock step when the part of its target beyond the batch
-term, v (Vp Kp^T - W KpKp^T) + az (V0 K0^T - W K0K0^T), is round-off (at
-step 1 it is exactly 0; on a step whose az equals the previous one it is the
-previous step's residual).  A Freivalds check after each rank-n update
-recomputes the products densely if they drift (see ``lyapedit.editors``).
-The absorb adds the rank-n term ``(W' K1) K1^T`` to ``W KpKp^T``.  The
-probe reads its PL from the ``W' K0K0^T`` that its own solve left.
+Every member keeps one ``editors.Carry``: the products ``W K0K0^T`` and
+``W KpKp^T`` of its current weights, ``W' K1`` of the step's batch, and
+lyaplock's last residual matrix ``W' C - RHS`` with the az it solved with.
+The solve leaves the carry at the post-edit weights W'.  PL and BL read the
+products; EL reads ``W' K1``, and so does the absorb, which adds the rank-n
+term ``(W' K1) K1^T`` to ``W KpKp^T``.  Lyaplock forms the part of its next
+target beyond the batch term from the residual: once the batch is absorbed,
+v (Vp Kp^T - W KpKp^T) + az (V0 K0^T - W K0K0^T) is exactly
+(az - az') (V0 K0^T - W K0K0^T) minus that residual, and it is exactly 0 at
+step 1.  Whenever a step's edit is rank n (n = the batch size) the solve
+moves the products by rank-n updates instead of two dense d1 x d0^2
+passes: on every baseline and edit-only step, and on a lyaplock step whose
+target part beyond the batch term is round-off, as it is whenever az did
+not change.  A Freivalds check after each rank-n update recomputes the
+products densely if they drift (see ``lyapedit.editors``).  The probe reads
+its PL from the ``W' K0K0^T`` that its own solve left.
 """
 from __future__ import annotations
 
@@ -50,12 +54,14 @@ from .controller import (
     stability_ratio,
     update_queue,
 )
-# solve_lyaplock, solve_baseline, solve_edit_only, backlog_loss, new_memory
-# and preservation_loss have no caller here but stay importable from it:
+# solve_lyaplock, solve_baseline, solve_edit_only, backlog_loss,
+# editing_loss, new_memory and preservation_loss have no caller here but
+# stay importable from it:
 # perfbench's traced run wraps them here (so oracle calls
 # harness.solve_lyaplock), and its measured set-up (workloads.setup) calls
 # harness.new_memory.
 from .editors import (  # noqa: F401
+    Carry,
     baseline_step,
     edit_only_step,
     lyaplock_step,
@@ -78,6 +84,7 @@ from .memory import (  # noqa: F401
     absorb,
     backlog_loss,
     editing_loss,
+    fit_loss,
     gram_loss,
     new_memory,
     preservation_loss,
@@ -167,12 +174,12 @@ def estimate_d_base(stream: EditStream, mem: AssociativeMemory) -> float:
     would every loss measured against it.
     """
     spec = stream.spec
-    m0 = mem.v0k0t.copy()
+    carry = Carry.start(mem)
     _, w_probe = baseline_step(replace(mem, w=mem.w0),
                                BacklogAccumulator.empty(mem.dims), stream.batch(1),
-                               m0, np.zeros_like(m0))
-    # The solve left m0 = W' K0K0^T, the product PL needs.
-    pl = gram_loss(w_probe, m0, mem.v0k0t, mem.tr_v0v0)
+                               carry)
+    # The solve left carry.m0 = W' K0K0^T, the product PL needs.
+    pl = gram_loss(w_probe, carry.m0, mem.v0k0t, mem.tr_v0v0)
     exact = spec.value_mode == "planted-teacher" and spec.teacher_drift == 0.0
     if math.isfinite(pl) and exact:
         return max(pl, _D_BASE_FLOOR)
@@ -193,22 +200,21 @@ def estimate_d_base(stream: EditStream, mem: AssociativeMemory) -> float:
 
 def _solve_step(config: RunConfig, mem: AssociativeMemory,
                 backlog: BacklogAccumulator, batch, params: QueueParams,
-                z: float, m0: np.ndarray, mp: np.ndarray):
+                z: float, carry: Carry):
     """One member's solve: the report and W' = W + delta.
 
-    ``m0`` and ``mp`` hold W K0K0^T and W KpKp^T on entry and W' K0K0^T and
-    W' KpKp^T on return, whichever editor ran.
+    ``carry`` is at W on entry and at W' on return, whichever editor ran.
     """
     if config.editor == "lyaplock":
         return lyaplock_step(mem, backlog, batch, params.v_weight,
-                             params.a * z, m0, mp)
+                             params.a * z, carry)
     if config.editor == "baseline":
-        return baseline_step(mem, backlog, batch, m0, mp)
-    return edit_only_step(mem, backlog, batch, m0, mp)
+        return baseline_step(mem, backlog, batch, carry)
+    return edit_only_step(mem, backlog, batch, carry)
 
 
 class _Member:
-    """One configuration's queue value, weights, products and per-step table."""
+    """One configuration's queue value, weights, carry and per-step table."""
 
     def __init__(self, config: RunConfig, mem: AssociativeMemory, d_base: float):
         params = derive_params(config.alpha, d_base)
@@ -219,8 +225,7 @@ class _Member:
         self.params = params
         self.z = params.z_init
         self.mem = mem
-        self.m0 = mem.v0k0t.copy()      # W0 K0K0^T
-        self.mp = np.zeros_like(mem.w)  # W KpKp^T of the empty backlog
+        self.carry = Carry.start(mem)
         # The per-step table, keyed by RunResult field name: entry t-1 of a
         # column is step t's, and z_history also holds Z(T+1).
         self.table = {name: np.empty(total) for name in (
@@ -246,15 +251,16 @@ class _Member:
                 f"D={params.d_threshold!r}"))
         try:
             report, w_new = _solve_step(config, self.mem, backlog, batch, params,
-                                        z, self.m0, self.mp)
+                                        z, self.carry)
         except SingularSystemError as exc:
             raise self.aborted(t, f"solver aborted at step {t}: {exc}") from exc
         delta_fro = float(np.linalg.norm(report.delta))
+        carry = self.carry
         try:
             self.mem = mem = self.mem.with_weights(w_new)
-            el = editing_loss(w_new, batch)
-            pl = gram_loss(w_new, self.m0, mem.v0k0t, mem.tr_v0v0)
-            bl = gram_loss(w_new, self.mp, backlog.vpkpt, backlog.tr_vpvp)
+            el = fit_loss(carry.wk1, batch.v1)
+            pl = gram_loss(w_new, carry.m0, mem.v0k0t, mem.tr_v0v0)
+            bl = gram_loss(w_new, carry.mp, backlog.vpkpt, backlog.tr_vpvp)
         except (NonFiniteError, NumericalInstabilityError) as exc:
             raise self.aborted(t, (
                 f"loss measurement failed at step {t}: {exc}; z={z!r} "
@@ -276,7 +282,7 @@ class _Member:
 
     def absorbed(self, batch) -> None:
         """Carry W KpKp^T across the absorb of ``batch``: a rank-n update."""
-        add_outer(self.mp, self.mem.w @ batch.k1, batch.k1)
+        add_outer(self.carry.mp, self.carry.wk1, batch.k1)
 
     def result(self) -> RunResult:
         config, params, table = self.config, self.params, self.table

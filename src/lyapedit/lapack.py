@@ -1,10 +1,10 @@
 """The compiled LAPACK and BLAS routines lyapedit calls directly.
 
-LAPACK ``potrf``, ``potrs`` and ``pocon`` and BLAS ``nrm2`` and ``gemm`` are
-bound once, at import, and called directly: the same routines with the same
-arguments that scipy's ``cho_factor``, ``cho_solve`` and ``norm`` would
-call, without their per-call validation and lookup.  A step at d0=64 costs
-about a megaflop, so that fixed cost mattered.
+LAPACK ``potrf``, ``potrs``, ``pocon`` and ``lange`` and BLAS ``nrm2`` and
+``gemm`` are bound once, at import, and called directly: the same routines
+with the same arguments that scipy's ``cho_factor``, ``cho_solve`` and
+``norm`` would call, without their per-call validation and lookup.  A step
+at d0=64 costs about a megaflop, so that fixed cost mattered.
 
 They are bound from scipy's compiled modules ``scipy.linalg._flapack`` and
 ``_fblas``, loaded directly, without the ``scipy.linalg`` package.  That
@@ -49,6 +49,7 @@ def _load_compiled(name: str):
 
 _flapack = _load_compiled("_flapack")
 _potrf, _potrs, _pocon = _flapack.dpotrf, _flapack.dpotrs, _flapack.dpocon
+_lange = _flapack.dlange
 _fblas = _load_compiled("_fblas")
 _nrm2, _gemm = _fblas.dnrm2, _fblas.dgemm
 

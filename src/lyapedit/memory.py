@@ -204,7 +204,16 @@ def editing_loss(w, batch: EditBatch) -> float:
         raise DimensionMismatchError(
             f"w has {w.shape[0]} rows but v1 has {batch.v1.shape[0]}"
         )
-    resid = w @ batch.k1 - batch.v1
+    return fit_loss(w @ batch.k1, batch.v1)
+
+
+def fit_loss(wk: np.ndarray, v: np.ndarray) -> float:
+    """||W K - V||_F^2 from the product W K, unchecked.
+
+    A step loop that holds W K1 at checked weights takes its editing loss
+    from it without forming W K1 or checking W again.
+    """
+    resid = wk - v
     return float(np.einsum("ij,ij->", resid, resid))
 
 
@@ -224,11 +233,13 @@ def backlog_loss(w, bk: BacklogAccumulator) -> float:
 def absorb(bk: BacklogAccumulator, batch: EditBatch) -> BacklogAccumulator:
     """Fold one batch into the backlog Grams, in place.
 
-    ``k1 @ k1.T`` is exactly symmetric (numpy forms it with ``syrk``), so
-    the backlog Gram stays exactly symmetric without re-symmetrizing; a
-    ``gemm`` here could leave it an ulp off.  The solvers read one triangle
-    of the system matrix they factor in any case.  The cross term
-    ``v1 @ k1.T`` is added in place by one ``gemm``.
+    Both ``k1 @ k1.T`` and the cross term ``v1 @ k1.T`` are added in place
+    by one ``gemm`` each.  numpy would form ``k1 @ k1.T`` with ``syrk`` and
+    mirror its triangle in a scalar loop: 8.96 ms against 0.88 ms at
+    d0=1024 and n=8 (one BLAS thread).  The ``gemm`` sum may differ from
+    ``g + k1 @ k1.T`` in the last bit and, on some shapes, from its own
+    transpose by an ulp; the solvers read one triangle of the system matrix
+    they factor, and check the full products.
     """
     if batch.k1.shape[0] != bk.kp_gram.shape[0]:
         raise DimensionMismatchError(
@@ -240,7 +251,7 @@ def absorb(bk: BacklogAccumulator, batch: EditBatch) -> BacklogAccumulator:
             f"v1 has {batch.v1.shape[0]} rows but the backlog cross term has "
             f"{bk.vpkpt.shape[0]}"
         )
-    bk.kp_gram += batch.k1 @ batch.k1.T
+    add_outer(bk.kp_gram, batch.k1, batch.k1)
     add_outer(bk.vpkpt, batch.v1, batch.k1)
     bk.tr_vpvp += float(np.einsum("ij,ij->", batch.v1, batch.v1))
     bk.absorbed += 1

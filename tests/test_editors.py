@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lyapedit import (
     BacklogAccumulator,
@@ -408,6 +410,50 @@ class TestDirectLapack:
         assert bound.value.condition_estimate == wrapped.value.condition_estimate
 
 
+class TestSwappedKernels:
+    """``lange`` for the 1-norm, ``gemm`` for the absorbed batch Gram."""
+
+    @settings(max_examples=100, derandomize=True, deadline=None, database=None)
+    @example(d0=1024, n=8, seed=0)
+    @given(d0=st.integers(1, 256), n=st.integers(1, 16),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_one_norm_and_absorbed_gram(self, d0, n, seed):
+        """``lange`` is bit-identical; the ``gemm`` absorb agrees within rounding.
+
+        The ``gemm`` sum is not bit-identical to numpy's ``g + k1 @ k1.T``
+        (``syrk``) on most shapes, and is not exactly symmetric on some
+        (OpenBLAS 0.3.31, Haswell kernels: d0 from 193 to 255 off multiples
+        of 8).  Both differences stay within the rounding bound of a sum of
+        n + 1 terms.
+        """
+        rng = np.random.default_rng(seed)
+        k = rng.standard_normal((d0, d0 + 3))
+        bk = BacklogAccumulator.empty(Dims(d0=d0, d1=1))
+        bk.kp_gram = k @ k.T
+        g = bk.kp_gram.copy()
+        k1 = rng.standard_normal((d0, n))
+        absorb(bk, EditBatch(k1=k1, v1=rng.standard_normal((1, n))))
+        bound = (n + 1) * np.finfo(np.float64).eps * (np.abs(g) + np.abs(k1) @ np.abs(k1).T)
+        assert np.all(np.abs(bk.kp_gram - (g + k1 @ k1.T)) <= bound)
+        assert np.all(np.abs(bk.kp_gram - bk.kp_gram.T) <= bound)
+        for c in (bk.kp_gram, k[:, :d0]):
+            assert lapack._lange("I", c.T) == np.abs(c).sum(axis=0).max()
+
+    @pytest.mark.parametrize("size", [1, 2, 1000, 786_432])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nrm2_is_not_finite_for_a_non_finite_entry(self, size, bad):
+        # The solve reads its target's and RHS's finiteness from their norms.
+        x = np.ones(size)
+        for where in {0, size // 2, size - 1}:
+            y = x.copy()
+            y[where] = bad
+            assert not np.isfinite(lapack._norm(y))
+            assert editors._overflowed(y, lapack._norm(y))
+        huge = np.full(4, 1.5e308)
+        assert lapack._norm(huge) == np.inf
+        assert not editors._overflowed(huge, lapack._norm(huge))
+
+
 class TestRankNForm:
     def test_rejected_rank_n_step_solves_the_full_target(self, rng):
         dim = 6
@@ -423,8 +469,8 @@ class TestRankNForm:
             # The rank-n attempt reports a residual far above the target.
             return w_new @ c + (0.0 if x is None else 1.0)
 
-        report, _ = editors._normal_solve(w, c.copy(), u, k1, None, w @ c + target,
-                                          times_c)
+        report, _, _ = editors._normal_solve(w, c.copy(), u, k1, None,
+                                             w @ c + target, times_c)
         assert dense == [False, True]
         assert report.residual <= editors.RESIDUAL_TARGET
         assert report.delta == pytest.approx(np.linalg.solve(c, target.T).T, rel=1e-12)
@@ -481,7 +527,7 @@ class TestNativeLayout:
         rhs_full = w @ c + u @ k1.T + (0.0 if rest is None else rest)
 
         def solve(matrix):
-            report, _ = editors._normal_solve(
+            report, _, _ = editors._normal_solve(
                 w, matrix, u, k1, None if rest is None else rest.copy(), rhs_full,
                 lambda w_new, x: w_new @ c)
             return report

@@ -127,11 +127,11 @@ class TestAbortPaths:
         calls = {"n": 0}
         original = harness._solve_step
 
-        def explode(config, mem, backlog, batch, params, z, m0, mp):
+        def explode(config, mem, backlog, batch, params, z, carry):
             calls["n"] += 1
             if calls["n"] >= 4:  # probe happens outside _solve_step
                 raise SingularSystemError("synthetic failure", 1e99)
-            return original(config, mem, backlog, batch, params, z, m0, mp)
+            return original(config, mem, backlog, batch, params, z, carry)
 
         full = harness.run(small_config(total=50))
         monkeypatch.setattr(harness, "_solve_step", explode)
@@ -148,7 +148,7 @@ class TestAbortPaths:
         import lyapedit.harness as harness
         from lyapedit.editors import SolveReport
 
-        def diverge(config, mem, backlog, batch, params, z, m0, mp):
+        def diverge(config, mem, backlog, batch, params, z, carry):
             delta = np.full_like(mem.w, np.inf)
             return SolveReport(delta=delta, residual=0.0, ridge_applied=0.0,
                                condition_estimate=1.0), mem.w + delta
@@ -370,11 +370,11 @@ class TestLockstep:
         original = harness._solve_step
         calls = {}
 
-        def explode(config, mem, backlog, batch, params, z, m0, mp):
+        def explode(config, mem, backlog, batch, params, z, carry):
             calls[config.alpha] = calls.get(config.alpha, 0) + 1
             if calls[config.alpha] == fail_at.get(config.alpha):
                 raise SingularSystemError(f"synthetic failure of {config.alpha}")
-            return original(config, mem, backlog, batch, params, z, m0, mp)
+            return original(config, mem, backlog, batch, params, z, carry)
 
         monkeypatch.setattr(harness, "_solve_step", explode)
         configs = [replace(small_config(total=30), alpha=a)
@@ -422,9 +422,9 @@ class TestRankNSteps:
             drift_checks.append(original_drifted(w_new, products))
             return drift_checks[-1]
 
-        def step(config, mem, backlog, batch, params, z, m0, mp):
+        def step(config, mem, backlog, batch, params, z, carry):
             report, w_new = original_step(config, mem, backlog, batch, params, z,
-                                          m0, mp)
+                                          carry)
             az = params.a * z
             az_values.append(az)
             if report.ridge_applied == 0.0:
@@ -442,7 +442,8 @@ class TestRankNSteps:
                     residual = (np.linalg.norm(w_new @ batch.k1 - batch.v1)
                                 / np.linalg.norm(batch.v1))
                 residuals.append(residual)
-            for carried, gram in ((m0, mem.k0_gram), (mp, backlog.kp_gram)):
+            for carried, gram in ((carry.m0, mem.k0_gram),
+                                  (carry.mp, backlog.kp_gram)):
                 dense = w_new @ gram
                 scale = np.linalg.norm(dense)
                 product_gaps.append(np.linalg.norm(carried - dense) / scale
@@ -468,17 +469,102 @@ class TestRankNSteps:
         assert not any(drift_checks)
         assert np.isfinite(result.summary.final_avg_pl)
 
+    @staticmethod
+    def rhs(mem, backlog, batch, params, z):
+        """The lyaplock right-hand side of one step, written out."""
+        return (params.v_weight * (batch.v1 @ batch.k1.T + backlog.vpkpt)
+                + params.a * z * mem.v0k0t)
+
+    def test_carried_remainder_equals_the_explicit_one(self, monkeypatch):
+        """(az - az') (V0 K0^T - M0) - R is v (Vp Kp^T - Mp) + az (V0 K0^T - M0).
+
+        Checked on the carry each step starts from, and on the remainder the
+        solve then receives.
+        """
+        from dataclasses import replace
+
+        import lyapedit.editors as editors
+        import lyapedit.harness as harness
+
+        config = replace(small_config(total=300), alpha=2.0)
+        gaps, explicit, received, az_values = [], [], [], []
+        original_step, original_solve = harness._solve_step, editors._normal_solve
+
+        def step(config, mem, backlog, batch, params, z, carry):
+            az, v = params.a * z, params.v_weight
+            az_values.append(az)
+            scale = np.linalg.norm(self.rhs(mem, backlog, batch, params, z))
+            # Read before the solve, which builds its target in carry.resid.
+            carried = (az - carry.az) * (mem.v0k0t - carry.m0) - carry.resid
+            written = v * (backlog.vpkpt - carry.mp) + az * (mem.v0k0t - carry.m0)
+            gaps.append(np.linalg.norm(carried - written) / scale)
+            explicit.append((written, scale))
+            return original_step(config, mem, backlog, batch, params, z, carry)
+
+        def normal_solve(w, c, u, k1, rest, rhs_full, times_c):
+            if rest is not None:  # a lyaplock remainder; the probe passes None
+                received.append(rest.copy())
+            return original_solve(w, c, u, k1, rest, rhs_full, times_c)
+
+        monkeypatch.setattr(harness, "_solve_step", step)
+        monkeypatch.setattr(editors, "_normal_solve", normal_solve)
+        run(config)
+        assert len(gaps) == len(received) == config.stream.total_batches
+        changed = sum(a != b for a, b in zip(az_values, az_values[1:]))
+        assert 0 < changed < config.stream.total_batches - 1
+        gaps += [np.linalg.norm(rest - written) / scale
+                 for rest, (written, scale) in zip(received, explicit)]
+        assert max(gaps) <= 1e-12
+
+    def test_corrupted_carry_is_not_silent(self, monkeypatch):
+        """An error of 1e-6 ||RHS|| in the carried residual ridges its step.
+
+        The residual check reads the products, not the carried residual, so
+        the step misses the residual target on its unridged attempts.  The
+        residual it carries on is its own, and the next step is ridge-free.
+        """
+        from dataclasses import replace
+
+        import lyapedit.harness as harness
+
+        config = replace(small_config(total=40), alpha=2.0)
+        clean = run(config)
+        assert not clean.ridge_history.any()
+        az = clean.params.a * clean.z_history[:-1]
+        # Step s reads Z(s), entry s-1; the first step whose az equals the
+        # previous one takes the rank-n path, the first that differs does not.
+        same = next(s for s in range(2, 40) if az[s - 1] == az[s - 2])
+        moved = next(s for s in range(2, 40) if az[s - 1] != az[s - 2])
+        original = harness._solve_step
+        for s in (same, moved):
+            calls = []
+
+            def step(config, mem, backlog, batch, params, z, carry):
+                calls.append(None)
+                if len(calls) == s:
+                    carry.resid[0, 0] += 1e-6 * np.linalg.norm(
+                        self.rhs(mem, backlog, batch, params, z))
+                return original(config, mem, backlog, batch, params, z, carry)
+
+            monkeypatch.setattr(harness, "_solve_step", step)
+            try:
+                result = run(config)
+            except RunAborted as exc:
+                assert exc.step == s
+                continue
+            assert result.ridge_history[s - 1] > 0.0, s
+            assert not result.ridge_history[s:].any(), s
+
     def test_drifted_products_are_recomputed(self, make_instance):
         import lyapedit.editors as editors
 
         inst = make_instance(d0=6, d1=4, n=2, m0=24, absorbed=2, seed=31)
         mem, bk = inst.mem, inst.bk
-        m0 = mem.w @ mem.k0_gram
-        mp = mem.w @ bk.kp_gram
-        m0 += 1e-9 * np.abs(m0).max()  # drift far above CARRY_TOLERANCE
-        _, w_new = editors.edit_only_step(mem, bk, inst.batch, m0, mp)
-        assert np.array_equal(m0, w_new @ mem.k0_gram)
-        assert np.array_equal(mp, w_new @ bk.kp_gram)
+        carry = editors.Carry(m0=mem.w @ mem.k0_gram, mp=mem.w @ bk.kp_gram)
+        carry.m0 += 1e-9 * np.abs(carry.m0).max()  # drift far above CARRY_TOLERANCE
+        _, w_new = editors.edit_only_step(mem, bk, inst.batch, carry)
+        assert np.array_equal(carry.m0, w_new @ mem.k0_gram)
+        assert np.array_equal(carry.mp, w_new @ bk.kp_gram)
 
 
 class TestScaleCovariance:
