@@ -30,8 +30,9 @@ comment.  Recognized keys:
 
 Unknown keys are errors, and every key present is checked, even
 ``stream.seed`` under ``--seed``.  Exit status: 0 on success, 1 on
-configuration or verification failure, 2 when a run aborts (``simulate``
-flushes the partial CSV with a final ``# status=aborted`` row).
+configuration or verification failure or an ``--out`` that cannot be
+written, 2 when a run aborts (``simulate`` flushes the partial CSV with a
+final ``# status=aborted`` row).
 
 CSV output uses ``.`` as the decimal separator, ``\\n`` line endings and 17
 significant digits.  Wall-clock columns are written as 0 so that identical
@@ -258,7 +259,10 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        Path(out_path).write_text(text, encoding="utf-8", newline="")
+        try:
+            Path(out_path).write_text(text, encoding="utf-8", newline="")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_path}: {exc}") from exc
 
 
 def _say(args, message: str) -> None:

@@ -19,11 +19,13 @@ transpose by an ulp in the triangle that is not read.  The residual check
 below, assembled from the full carried products, judges every step either
 way.  The routines are those of :mod:`lyapedit.lapack`, called directly.
 
-The ``*_step`` forms serve a step loop.  They take a :class:`Carry`,
-which holds what the loop keeps from step to step: the products
-M0 = W K0K0^T and Mp = W KpKp^T instead of recomputing them, W' K1 for the
-losses and the absorb, and lyaplock's last residual.  Each leaves it at the
-post-edit weights W'.
+Each solver takes an optional :class:`Carry`, which holds what a step loop
+keeps from step to step: the products M0 = W K0K0^T and Mp = W KpKp^T
+instead of recomputing them, W' K1 for the losses and the absorb,
+lyaplock's last residual, and W' itself.  A solve leaves it at the
+post-edit weights W'.  Without a carry, the solver seeds one from ``mem``
+and the backlog and forms the products densely, as a one-shot caller
+needs; with one, it is the step of a loop.
 
 Carried residuals.  Lyaplock's target is U K1^T plus the remainder
 v (Vp Kp^T - Mp) + az (V0 K0^T - M0), and that remainder is never assembled
@@ -103,27 +105,33 @@ class SolveReport:
 class Carry:
     """What a step loop keeps for one member from step to step.
 
-    Every ``*_step`` reads it at the current weights W and leaves it at the
+    Every solve reads it at the current weights W and leaves it at the
     post-edit weights W':
 
     - ``m0`` and ``mp``: the products W K0K0^T and W KpKp^T, updated in place
+    - ``kp_gram``: the backlog Gram KpKp^T that ``mp`` is carried against,
+      held by reference; ``memory.absorb`` grows it in place, and
+      :meth:`absorbed` moves ``mp`` with it
     - ``wk1``: W' K1 for the step's batch, which the editing loss and the
       absorb of the batch read
     - ``resid`` and ``az``: the residual matrix W' C - RHS of the last
       lyaplock solve and the az it solved with, from which the next
       lyaplock target is formed (see the module docstring); the next solve
       builds its target in ``resid``.  The other editors leave both.
+    - ``w``: W' itself, the array the solve's residual check used
     """
 
     m0: np.ndarray
     mp: np.ndarray
+    kp_gram: np.ndarray
     resid: np.ndarray | None = None
     az: float = 0.0
     wk1: np.ndarray | None = None
+    w: np.ndarray | None = None
 
     @classmethod
-    def start(cls, mem: AssociativeMemory) -> "Carry":
-        """At the original weights ``mem.w0`` with an empty backlog.
+    def start(cls, mem: AssociativeMemory, backlog: BacklogAccumulator) -> "Carry":
+        """At the original weights ``mem.w0`` against the empty ``backlog``.
 
         M0 = W0 K0K0^T is a copy of V0 K0^T, and Mp and R are zeros, so the
         first lyaplock target's remainder is exactly 0.  ``np.zeros`` pages
@@ -131,7 +139,15 @@ class Carry:
         an editor that never writes it.
         """
         return cls(m0=mem.v0k0t.copy(), mp=np.zeros(mem.w.shape),
-                   resid=np.zeros(mem.w.shape))
+                   kp_gram=backlog.kp_gram, resid=np.zeros(mem.w.shape))
+
+    def absorbed(self, batch: EditBatch) -> None:
+        """Carry W KpKp^T across the absorb of ``batch``: a rank-n update.
+
+        Called once ``memory.absorb`` has added K1 K1^T to ``kp_gram``; the
+        solve left W' K1 in ``wk1``, so Mp grows by (W' K1) K1^T.
+        """
+        add_outer(self.mp, self.wk1, batch.k1)
 
 
 def _ridge_attempts(matrix: np.ndarray):
@@ -194,13 +210,15 @@ def _cho_solve(factor, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _carry(w_new: np.ndarray, u: np.ndarray, x, products) -> None:
-    """Move each carried product M = W G of ``products`` to W' = W + U X^T.
+def _carry(carry: Carry, k0_gram: np.ndarray, w_new: np.ndarray, u: np.ndarray,
+           x) -> None:
+    """Move the products M = W G of ``carry`` to W' = W + U X^T, in place.
 
-    ``products`` holds (M, G) pairs, updated in place.  With ``x`` None every
-    M is recomputed densely as W' G.  Otherwise M += U (G X)^T, and every M
-    is recomputed densely only if :func:`_drifted` finds a gap.
+    G is ``k0_gram`` for M0 and ``carry.kp_gram`` for Mp.  With ``x`` None
+    every M is recomputed densely as W' G.  Otherwise M += U (G X)^T, and
+    every M is recomputed densely only if :func:`_drifted` finds a gap.
     """
+    products = ((carry.m0, k0_gram), (carry.mp, carry.kp_gram))
     if x is not None:
         for m, g in products:
             add_outer(m, u, g @ x)
@@ -352,8 +370,12 @@ def _check_batch(mem: AssociativeMemory, batch: EditBatch) -> None:
         )
 
 
-def _check_backlog(mem: AssociativeMemory, bk: BacklogAccumulator,
-                   batch: EditBatch) -> None:
+def _check_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
+                    batch: EditBatch, v_weight: float, az: float) -> None:
+    if not (v_weight > 0.0) or not np.isfinite(v_weight):
+        raise InputError(f"v_weight must be positive and finite, got {v_weight!r}")
+    if az < 0.0 or not np.isfinite(az):
+        raise InputError(f"az must be nonnegative and finite, got {az!r}")
     _check_batch(mem, batch)
     if bk.kp_gram.shape[0] != mem.dims.d0:
         raise DimensionMismatchError(
@@ -362,17 +384,9 @@ def _check_backlog(mem: AssociativeMemory, bk: BacklogAccumulator,
         )
 
 
-def _check_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
-                    batch: EditBatch, v_weight: float, az: float) -> None:
-    if not (v_weight > 0.0) or not np.isfinite(v_weight):
-        raise InputError(f"v_weight must be positive and finite, got {v_weight!r}")
-    if az < 0.0 or not np.isfinite(az):
-        raise InputError(f"az must be nonnegative and finite, got {az!r}")
-    _check_backlog(mem, bk, batch)
-
-
 def solve_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
-                   batch: EditBatch, v_weight: float, az: float) -> SolveReport:
+                   batch: EditBatch, v_weight: float, az: float,
+                   carry: Carry | None = None) -> SolveReport:
     """Queue-weighted update: minimize v_weight*(EL + BL) + az*PL.
 
     Parameters
@@ -382,29 +396,22 @@ def solve_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
     - batch: this step's keys and target values
     - v_weight: weight on editing plus backlog loss, must be positive
     - az: preservation weight, the queue value scaled by the queue gain a
+    - carry: a step loop's :class:`Carry` at ``mem.w``, carried against
+      ``bk.kp_gram``; the solve leaves it at W' = W + delta, with this
+      solve's residual and ``az``.  Without one, the solve seeds a carry
+      with R = v_weight (W KpKp^T - Vp Kp^T) and az' = 0.
 
     The perturbation is the unique minimizer whenever
     C = v_weight*(K1 K1^T + Kp Kp^T) + az*K0 K0^T is positive definite.
     """
     _check_lyaplock(mem, bk, batch, v_weight, az)
-    mp = mem.w @ bk.kp_gram
-    with np.errstate(over="ignore"):
-        # With az' = 0 the carried remainder is the one written out.
-        resid = v_weight * (mp - bk.vpkpt)
-    carry = Carry(m0=mem.w @ mem.k0_gram, mp=mp, resid=resid)
-    report, _ = lyaplock_step(mem, bk, batch, v_weight, az, carry)
-    return report
-
-
-def lyaplock_step(mem: AssociativeMemory, bk: BacklogAccumulator,
-                  batch: EditBatch, v_weight: float, az: float, carry: Carry):
-    """:func:`solve_lyaplock` from what a step loop carries.
-
-    Returns the report and W' = W + delta, and leaves ``carry`` at W'; its
-    residual is this solve's, and its az is ``az``.
-    """
-    _check_lyaplock(mem, bk, batch, v_weight, az)
     w, k1, v1 = mem.w, batch.k1, batch.v1
+    if carry is None:
+        mp = w @ bk.kp_gram
+        with np.errstate(over="ignore"):
+            # With az' = 0 the carried remainder is the one written out.
+            resid = v_weight * (mp - bk.vpkpt)
+        carry = Carry(m0=w @ mem.k0_gram, mp=mp, kp_gram=bk.kp_gram, resid=resid)
     m0, mp = carry.m0, carry.mp
     with np.errstate(over="ignore"):
         c = _weighted(az, mem.k0_gram, v_weight, bk.kp_gram, k1, k1)
@@ -419,55 +426,61 @@ def lyaplock_step(mem: AssociativeMemory, bk: BacklogAccumulator,
             rest += moved
 
         def times_c(w_new, x):
-            _carry(w_new, u, x, ((m0, mem.k0_gram), (mp, bk.kp_gram)))
+            _carry(carry, mem.k0_gram, w_new, u, x)
             carry.wk1 = w_new @ k1
             return _weighted(az, m0, v_weight, mp, carry.wk1, k1)
 
-        report, w_new, carry.resid = _normal_solve(w, c, u, k1, rest, rhs_full,
-                                                   times_c)
+        report, carry.w, carry.resid = _normal_solve(w, c, u, k1, rest, rhs_full,
+                                                     times_c)
     carry.az = az
-    return report, w_new
+    return report
 
 
-def solve_baseline(mem: AssociativeMemory, batch: EditBatch) -> SolveReport:
+def solve_baseline(mem: AssociativeMemory, batch: EditBatch,
+                   carry: Carry | None = None) -> SolveReport:
     """Bi-objective update: delta = (V1 - W K1) K1^T (K0 K0^T + K1 K1^T)^-1.
 
     This is the conventional one-shot trade-off between editing and
     preservation; it carries no backlog and no queue weighting, so its
     preservation loss accumulates over sequential use.
+
+    ``carry`` is a step loop's :class:`Carry` at ``mem.w``, which the solve
+    leaves at W' = W + delta.  The backlog enters only through ``carry.mp``,
+    which the loop's backlog loss reads.  Without one, the solve seeds a
+    carry with M0 = W K0K0^T against an empty backlog.
     """
-    carry = Carry(m0=mem.w @ mem.k0_gram, mp=np.zeros_like(mem.w))
-    report, _ = baseline_step(mem, BacklogAccumulator.empty(mem.dims), batch, carry)
-    return report
-
-
-def baseline_step(mem: AssociativeMemory, bk: BacklogAccumulator,
-                  batch: EditBatch, carry: Carry):
-    """:func:`solve_baseline` from what a step loop carries.
-
-    The backlog enters only through ``carry.mp``, which the loop's backlog
-    loss reads.  Returns the report and W' = W + delta, and leaves
-    ``carry`` at W'.
-    """
-    _check_backlog(mem, bk, batch)
+    _check_batch(mem, batch)
     w, k1, v1 = mem.w, batch.k1, batch.v1
-    m0, mp = carry.m0, carry.mp
+    if carry is None:
+        carry = Carry(m0=w @ mem.k0_gram, mp=np.zeros_like(w),
+                      kp_gram=np.zeros_like(mem.k0_gram))
+    m0 = carry.m0
     c = _plus_outer(mem.k0_gram, k1, k1)
     u = v1 - w @ k1
     rhs_full = _plus_outer(m0, v1, k1)  # W C + target
 
     def times_c(w_new, x):
-        _carry(w_new, u, x, ((m0, mem.k0_gram), (mp, bk.kp_gram)))
+        _carry(carry, mem.k0_gram, w_new, u, x)
         carry.wk1 = w_new @ k1
         return _plus_outer(m0, carry.wk1, k1)
 
-    report, w_new, _ = _normal_solve(w, c, u, k1, None, rhs_full, times_c)
-    return report, w_new
+    report, carry.w, _ = _normal_solve(w, c, u, k1, None, rhs_full, times_c)
+    return report
 
 
-def _edit_only(mem: AssociativeMemory, batch: EditBatch):
-    """The edit-only report, W' = W + delta and W' K1, with U and X such
-    that delta = U X^T."""
+def solve_edit_only(mem: AssociativeMemory, batch: EditBatch,
+                    carry: Carry | None = None) -> SolveReport:
+    """Ablation: minimum-Frobenius-norm perturbation fitting the batch exactly.
+
+    Ignores preservation entirely.  With full-column-rank keys the post-edit
+    editing loss is zero up to round-off; rank-deficient keys are ridged, and
+    keys that stay numerically singular beyond the ladder raise.
+
+    ``carry`` is a step loop's :class:`Carry` at ``mem.w``, which the solve
+    leaves at W' = W + delta, moving the products by the rank-n update.
+    Without one, nothing is carried.
+    """
+    _check_batch(mem, batch)
     w, k1, v1 = mem.w, batch.k1, batch.v1
     resid = v1 - w @ k1
     small_gram = k1.T @ k1
@@ -485,34 +498,13 @@ def _edit_only(mem: AssociativeMemory, batch: EditBatch):
         residual = _norm(wk1 - v1) / ref
         if lam == 0.0 and residual > RESIDUAL_TARGET:
             continue
-        return (SolveReport(delta=delta, residual=residual, ridge_applied=lam,
-                            condition_estimate=cond), w_new, wk1, resid, xt.T)
+        if carry is not None:
+            carry.w, carry.wk1 = w_new, wk1
+            _carry(carry, mem.k0_gram, w_new, resid, xt.T)
+        return SolveReport(delta=delta, residual=residual, ridge_applied=lam,
+                           condition_estimate=cond)
     raise SingularSystemError(
         f"batch keys are rank deficient beyond ridge tolerance "
         f"(condition estimate {last_cond:.3e})",
         condition_estimate=last_cond,
     )
-
-
-def solve_edit_only(mem: AssociativeMemory, batch: EditBatch) -> SolveReport:
-    """Ablation: minimum-Frobenius-norm perturbation fitting the batch exactly.
-
-    Ignores preservation entirely.  With full-column-rank keys the post-edit
-    editing loss is zero up to round-off; rank-deficient keys are ridged, and
-    keys that stay numerically singular beyond the ladder raise.
-    """
-    _check_batch(mem, batch)
-    return _edit_only(mem, batch)[0]
-
-
-def edit_only_step(mem: AssociativeMemory, bk: BacklogAccumulator,
-                   batch: EditBatch, carry: Carry):
-    """:func:`solve_edit_only` from what a step loop carries.
-
-    Returns the report and W' = W + delta, and leaves ``carry`` at W'; the
-    products are carried by the rank-n update.
-    """
-    _check_backlog(mem, bk, batch)
-    report, w_new, carry.wk1, u, x = _edit_only(mem, batch)
-    _carry(w_new, u, x, ((carry.m0, mem.k0_gram), (carry.mp, bk.kp_gram)))
-    return report, w_new

@@ -24,11 +24,15 @@ float and fills one per-step table of EL, PL, BL, Z, |delta| and ridge; the
 CSV rows, running averages, summary and an aborted run's output derive from it.
 
 Every member keeps one ``editors.Carry``: the products ``W K0K0^T`` and
-``W KpKp^T`` of its current weights, ``W' K1`` of the step's batch, and
-lyaplock's last residual matrix ``W' C - RHS`` with the az it solved with.
-The solve leaves the carry at the post-edit weights W'.  PL and BL read the
-products; EL reads ``W' K1``, and so does the absorb, which adds the rank-n
-term ``(W' K1) K1^T`` to ``W KpKp^T``.  Lyaplock forms the part of its next
+``W KpKp^T`` of its current weights, the backlog Gram the latter is carried
+against, ``W' K1`` of the step's batch, lyaplock's last residual matrix
+``W' C - RHS`` with the az it solved with, and W' itself.  Each step calls
+the editor's public solver, ``solve_lyaplock``, ``solve_baseline`` or
+``solve_edit_only``, with the member's carry, and the solve leaves the carry
+at the post-edit weights W'; so the loop runs exactly what a one-shot caller
+runs.  PL and BL read the products; EL reads ``W' K1``, and so does
+``Carry.absorbed``, which after the absorb adds the rank-n term
+``(W' K1) K1^T`` to ``W KpKp^T``.  Lyaplock forms the part of its next
 target beyond the batch term from the residual: once the batch is absorbed,
 v (Vp Kp^T - W KpKp^T) + az (V0 K0^T - W K0K0^T) is exactly
 (az - az') (V0 K0^T - W K0K0^T) minus that residual, and it is exactly 0 at
@@ -54,21 +58,7 @@ from .controller import (
     stability_ratio,
     update_queue,
 )
-# solve_lyaplock, solve_baseline, solve_edit_only, backlog_loss,
-# editing_loss, new_memory and preservation_loss have no caller here but
-# stay importable from it:
-# perfbench's traced run wraps them here (so oracle calls
-# harness.solve_lyaplock), and its measured set-up (workloads.setup) calls
-# harness.new_memory.
-from .editors import (  # noqa: F401
-    Carry,
-    baseline_step,
-    edit_only_step,
-    lyaplock_step,
-    solve_baseline,
-    solve_edit_only,
-    solve_lyaplock,
-)
+from .editors import Carry, solve_baseline, solve_edit_only, solve_lyaplock
 from .errors import (
     InputError,
     LyapeditError,
@@ -77,7 +67,9 @@ from .errors import (
     RunAborted,
     SingularSystemError,
 )
-from .lapack import add_outer
+# backlog_loss, editing_loss, new_memory and preservation_loss have no
+# caller here but stay importable from it: perfbench's traced run wraps them
+# here, and its measured set-up (workloads.setup) calls harness.new_memory.
 from .memory import (  # noqa: F401
     AssociativeMemory,
     BacklogAccumulator,
@@ -174,12 +166,10 @@ def estimate_d_base(stream: EditStream, mem: AssociativeMemory) -> float:
     would every loss measured against it.
     """
     spec = stream.spec
-    carry = Carry.start(mem)
-    _, w_probe = baseline_step(replace(mem, w=mem.w0),
-                               BacklogAccumulator.empty(mem.dims), stream.batch(1),
-                               carry)
-    # The solve left carry.m0 = W' K0K0^T, the product PL needs.
-    pl = gram_loss(w_probe, carry.m0, mem.v0k0t, mem.tr_v0v0)
+    carry = Carry.start(mem, BacklogAccumulator.empty(mem.dims))
+    solve_baseline(replace(mem, w=mem.w0), stream.batch(1), carry)
+    # The solve left W' and carry.m0 = W' K0K0^T, the product PL needs.
+    pl = gram_loss(carry.w, carry.m0, mem.v0k0t, mem.tr_v0v0)
     exact = spec.value_mode == "planted-teacher" and spec.teacher_drift == 0.0
     if math.isfinite(pl) and exact:
         return max(pl, _D_BASE_FLOOR)
@@ -206,17 +196,20 @@ def _solve_step(config: RunConfig, mem: AssociativeMemory,
     ``carry`` is at W on entry and at W' on return, whichever editor ran.
     """
     if config.editor == "lyaplock":
-        return lyaplock_step(mem, backlog, batch, params.v_weight,
-                             params.a * z, carry)
-    if config.editor == "baseline":
-        return baseline_step(mem, backlog, batch, carry)
-    return edit_only_step(mem, backlog, batch, carry)
+        report = solve_lyaplock(mem, backlog, batch, params.v_weight,
+                                params.a * z, carry)
+    elif config.editor == "baseline":
+        report = solve_baseline(mem, batch, carry)
+    else:
+        report = solve_edit_only(mem, batch, carry)
+    return report, carry.w
 
 
 class _Member:
     """One configuration's queue value, weights, carry and per-step table."""
 
-    def __init__(self, config: RunConfig, mem: AssociativeMemory, d_base: float):
+    def __init__(self, config: RunConfig, mem: AssociativeMemory, d_base: float,
+                 backlog: BacklogAccumulator):
         params = derive_params(config.alpha, d_base)
         if config.v_weight != 1.0:
             params = replace(params, v_weight=config.v_weight)
@@ -225,7 +218,7 @@ class _Member:
         self.params = params
         self.z = params.z_init
         self.mem = mem
-        self.carry = Carry.start(mem)
+        self.carry = Carry.start(mem, backlog)
         # The per-step table, keyed by RunResult field name: entry t-1 of a
         # column is step t's, and z_history also holds Z(T+1).
         self.table = {name: np.empty(total) for name in (
@@ -280,10 +273,6 @@ class _Member:
         table["z_history"][t] = self.z
         self.sum_wall += time.perf_counter() - started
 
-    def absorbed(self, batch) -> None:
-        """Carry W KpKp^T across the absorb of ``batch``: a rank-n update."""
-        add_outer(self.carry.mp, self.carry.wk1, batch.k1)
-
     def result(self) -> RunResult:
         config, params, table = self.config, self.params, self.table
         total = config.stream.total_batches
@@ -322,15 +311,16 @@ def _run_lockstep(configs: list[RunConfig]) -> list[RunResult]:
     # probe failure is the first one serial execution would raise too; a
     # member whose D = alpha * d_base is not representable fails as at step 1.
     d_base = estimate_d_base(stream, mem)
+    # Each member's carry holds the backlog Gram, which absorb grows in place.
+    backlog = BacklogAccumulator.empty(mem.dims)
     members, failure = [], None
     for config in configs:
         try:
-            members.append(_Member(config, mem, d_base))
+            members.append(_Member(config, mem, d_base, backlog))
         except InputError as exc:
             failure = exc
             break
 
-    backlog = BacklogAccumulator.empty(mem.dims)
     for t in range(1, spec.total_batches + 1):
         if not members:
             break
@@ -344,7 +334,7 @@ def _run_lockstep(configs: list[RunConfig]) -> list[RunResult]:
                 break
         absorb(backlog, batch)
         for member in members:
-            member.absorbed(batch)
+            member.carry.absorbed(batch)
 
     if failure is not None:
         raise failure

@@ -32,4 +32,7 @@ def test_verify_measure_and_trace_pass(perfbench):
         assert result["failed"] == 0
     assert traced["metrics"]["oracle.objective.calls"] == 195
     assert traced["metrics"]["oracle.gradient.calls"] == 120
-    assert traced["metrics"]["editors.lyaplock.calls"] == 35
+    # The oracle's 35 solves and the 300 steps of its telescoped-bound run,
+    # whose probe is the one baseline solve.
+    assert traced["metrics"]["editors.lyaplock.calls"] == 35 + 300
+    assert traced["metrics"]["editors.baseline.calls"] == 1

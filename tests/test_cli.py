@@ -87,6 +87,27 @@ class TestConfigValidation:
     def test_unreadable_config(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 1
 
+    @pytest.mark.parametrize("command", ["simulate", "compare", "sweep", "dbase"])
+    def test_unwritable_out_is_one_error_line(self, tmp_path, command):
+        """An --out under a missing directory exits 1 with no traceback."""
+        import os
+        import subprocess
+        import sys
+
+        import lyapedit
+
+        cfg = write_config(tmp_path, with_value("sweep.alphas", "20, 60"))
+        out = tmp_path / "missing" / "run.csv"
+        src = str(Path(lyapedit.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-m", "lyapedit", command, "--config", str(cfg),
+             "--out", str(out), "--quiet"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+        assert done.returncode == 1
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(f"error: cannot write {out}: ")
+        assert done.stderr.count("\n") == 1
+
     def test_bad_editor_choice(self, tmp_path, capsys):
         cfg = write_config(tmp_path,
                            BASE_CONFIG.replace("editor = lyaplock", "editor = turbo"))

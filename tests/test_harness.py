@@ -318,6 +318,35 @@ class TestLockstep:
         compare(self.mixed_configs())
         assert len(calls) == 1
 
+    def test_the_loop_runs_the_public_solvers(self, monkeypatch):
+        """Every step and the probe call ``harness.solve_*`` by name.
+
+        Wrappers on these names, such as perfbench's editor layers, then see
+        every solve a run makes.
+        """
+        from dataclasses import replace
+        import lyapedit.harness as harness
+
+        calls = dict.fromkeys(
+            ("solve_lyaplock", "solve_baseline", "solve_edit_only"), 0)
+        for name in calls:
+            def counting(*args, _original=getattr(harness, name), _name=name):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(harness, name, counting)
+
+        def counted(call):
+            calls.update(dict.fromkeys(calls, 0))
+            call()
+            return tuple(calls.values())
+
+        base = small_config(total=30)
+        configs = [replace(base, editor=e)
+                   for e in ("lyaplock", "baseline", "edit-only")]
+        # 30 steps each, plus the one probe all members share.
+        assert counted(lambda: compare(configs)) == (30, 31, 30)
+        assert counted(lambda: run(base)) == (30, 1, 0)
+
     def test_run_forms_the_preserved_gram_once(self, monkeypatch):
         from pathlib import Path
 
@@ -346,7 +375,7 @@ class TestLockstep:
         def singular(*args):
             raise SingularSystemError("synthetic probe failure")
 
-        monkeypatch.setattr(harness, "baseline_step", singular)
+        monkeypatch.setattr(harness, "solve_baseline", singular)
         configs = self.mixed_configs()
         with pytest.raises(SingularSystemError) as serial:
             run(configs[0])
@@ -560,9 +589,11 @@ class TestRankNSteps:
 
         inst = make_instance(d0=6, d1=4, n=2, m0=24, absorbed=2, seed=31)
         mem, bk = inst.mem, inst.bk
-        carry = editors.Carry(m0=mem.w @ mem.k0_gram, mp=mem.w @ bk.kp_gram)
+        carry = editors.Carry(m0=mem.w @ mem.k0_gram, mp=mem.w @ bk.kp_gram,
+                              kp_gram=bk.kp_gram)
         carry.m0 += 1e-9 * np.abs(carry.m0).max()  # drift far above CARRY_TOLERANCE
-        _, w_new = editors.edit_only_step(mem, bk, inst.batch, carry)
+        editors.solve_edit_only(mem, inst.batch, carry)
+        w_new = carry.w
         assert np.array_equal(carry.m0, w_new @ mem.k0_gram)
         assert np.array_equal(carry.mp, w_new @ bk.kp_gram)
 
