@@ -88,6 +88,7 @@ EDITOR_NAMES = ("lyaplock", "baseline", "edit-only")
 # Floor for the probed base loss of an exactly representable stream, which
 # probes to a preservation loss of 0 that the schedule cannot accept.
 _D_BASE_FLOOR = float(np.finfo(np.float64).tiny)
+_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -163,7 +164,10 @@ def estimate_d_base(stream: EditStream, mem: AssociativeMemory) -> float:
     stream a loss of 0 or a non-finite one means the losses are not
     representable at its key scale, and NumericalInstabilityError is raised.
     So does a subnormal loss there: it carries fewer than 52 bits, and so
-    would every loss measured against it.
+    would every loss measured against it.  A loss of 0 beside a normal
+    tr(V0 V0^T) has another cause: the Gram form cancels against that trace
+    and resolves no loss below eps * tr(V0 V0^T), which a small
+    ``teacher_drift`` reaches; the error then says so.
     """
     spec = stream.spec
     carry = Carry.start(mem, BacklogAccumulator.empty(mem.dims))
@@ -180,6 +184,15 @@ def estimate_d_base(stream: EditStream, mem: AssociativeMemory) -> float:
             f"d_base = {pl!r} at key_scale={spec.key_scale!r} is below the "
             f"smallest normal double {_D_BASE_FLOOR!r}; the losses at this key "
             f"scale carry fewer than 52 bits"
+        )
+    trace = mem.tr_v0v0
+    if pl == 0.0 and _D_BASE_FLOOR <= trace < math.inf:
+        raise NumericalInstabilityError(
+            f"the d_base probe's preservation loss reads 0.0 at "
+            f"teacher_drift={spec.teacher_drift!r}: its Gram form cancels "
+            f"against tr(V0 V0^T) = {trace!r} and resolves no loss below "
+            f"eps * tr(V0 V0^T) = {_EPS * trace!r}, so this drift is too "
+            f"small to measure; the key scale is not the cause"
         )
     raise NumericalInstabilityError(
         f"the d_base probe's preservation loss is {pl!r} at "

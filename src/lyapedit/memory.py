@@ -25,10 +25,13 @@ from .errors import (
     NonFiniteError,
     NumericalInstabilityError,
 )
-from .lapack import add_outer
+from .lapack import add_outer, in_two
 
 # Relative budget for harmless cancellation in Gram-form losses.
 CANCELLATION_GUARD = 1e-6
+# Products of at least this many multiply-adds (about 10 ms on one core) run
+# in two halves at once.
+_SPLIT_MACS = 1 << 28
 
 
 def _as_matrix(name: str, value) -> np.ndarray:
@@ -165,22 +168,66 @@ def new_memory(w0, k0) -> AssociativeMemory:
     return _memory_from_gram(w0, _preserved_gram(k0))
 
 
+def _split_row(rows: int) -> int:
+    """Where a large product's rows split: half, down to a multiple of 64.
+
+    At such block edges the register tiles of a BLAS on a block coincide
+    with its tiles on the whole product.  With numpy 2.4's OpenBLAS the
+    blocks then give the whole product's bits at the benchmark's shapes
+    (d0 x m0 = 256 x 1024 and 1024 x 4096), but not at every shape: at
+    d0 = 1023, or m0 = 1000, some entries differ in the last bit.  A product
+    this large takes the block form whatever the CPU count, so its bits
+    never depend on it.  0 when ``rows`` is under 128.
+    """
+    return rows // 128 * 64
+
+
 def _preserved_gram(k0: np.ndarray) -> np.ndarray:
     """K0*K0^T: the one place a preserved Gram is formed.
 
     numpy forms ``k0 @ k0.T`` with ``syrk`` and mirrors its triangle, so the
-    Gram is exactly symmetric without a symmetrizing pass.
+    Gram is exactly symmetric without a symmetrizing pass.  A Gram of
+    ``_SPLIT_MACS`` multiply-adds or more is formed in blocks, two halves at
+    once: with K0 = [A; B] split at row h, and A at row q, one half forms
+    A A^T and A[:q] B^T, the other B B^T and A[q:] B^T, and each mirrors its
+    off-diagonal block.  Each half does a quarter of d0^2 m0 multiply-adds.
     """
-    return k0 @ k0.T
+    d0, m0 = k0.shape
+    h = _split_row(d0)
+    if h == 0 or d0 * d0 * m0 < _SPLIT_MACS:
+        return k0 @ k0.T
+    q, b = h // 2, k0[h:]
+    gram = np.empty((d0, d0))
+
+    def half(rows: slice, cross: slice):
+        block = k0[rows]
+        np.matmul(block, block.T, out=gram[rows, rows])
+        np.matmul(k0[cross], b.T, out=gram[cross, h:])
+        gram[h:, cross] = gram[cross, h:].T
+
+    in_two(lambda: half(slice(0, h), slice(0, q)),
+           lambda: half(slice(h, d0), slice(q, h)))
+    return gram
 
 
 def _memory_from_gram(w0: np.ndarray, k0_gram: np.ndarray) -> AssociativeMemory:
-    """The V0 = W(0)*K0 memory of checked ``w0`` and K0*K0^T (see new_memory)."""
-    v0k0t = w0 @ k0_gram
+    """The V0 = W(0)*K0 memory of checked ``w0`` and K0*K0^T (see new_memory).
+
+    A product W0*K0K0^T of ``_SPLIT_MACS`` multiply-adds or more is formed
+    in two blocks of rows at once.
+    """
+    d1, d0 = w0.shape
+    h = _split_row(d1)
+    if h == 0 or d1 * d0 * d0 < _SPLIT_MACS:
+        v0k0t = w0 @ k0_gram
+    else:
+        v0k0t = np.empty((d1, d0))
+        in_two(lambda: np.matmul(w0[:h], k0_gram, out=v0k0t[:h]),
+               lambda: np.matmul(w0[h:], k0_gram, out=v0k0t[h:]))
     tr_v0v0 = float(np.einsum("ij,ij->", v0k0t, w0))
     return AssociativeMemory(w=w0, w0=w0, k0_gram=k0_gram, v0k0t=v0k0t,
                              tr_v0v0=tr_v0v0,
-                             dims=Dims(d0=w0.shape[1], d1=w0.shape[0]))
+                             dims=Dims(d0=d0, d1=d1))
 
 
 def preservation_loss(mem: AssociativeMemory, w) -> float:

@@ -37,7 +37,7 @@ from .errors import (
     NonFiniteError,
     StreamExhausted,
 )
-from .lapack import _potrf
+from .lapack import _potrf, in_two
 from .memory import (
     AssociativeMemory,
     Dims,
@@ -50,8 +50,11 @@ _U64_MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-# Normal pairs per pass of the kernel: each of its five work buffers is 64 KiB.
-_CHUNK_PAIRS = 1 << 13
+# Normal pairs per pass of the kernel: each of its five work buffers is 128 KiB.
+_CHUNK_PAIRS = 1 << 14
+# Kernel calls of at least this many pairs (about 10 ms on one core) run in
+# two halves at once.
+_SPLIT_PAIRS = 1 << 18
 
 
 def _mix64_int(z: int) -> int:
@@ -95,33 +98,39 @@ def _normal_rows(seeds, n: int, drawn: int = 0) -> np.ndarray:
     with ``r = sqrt(-2 log u1_k)`` and ``a = 2 pi u2_k``.  The rows are made
     in passes of at most ``_CHUNK_PAIRS`` pairs (whole rows while they fit)
     in fixed work buffers, so the transcendental functions always run on
-    contiguous arrays.
+    contiguous arrays, and each pass forms its own counters.  A call of
+    ``_SPLIT_PAIRS`` pairs or more makes the first half of its passes on a
+    worker thread (``in_two``); the passes write disjoint parts of the
+    output, so the bits do not change.
     """
     pairs = (n + 1) // 2
     seeds = np.array(seeds, dtype=np.uint64)
     rows = seeds.size
     out = np.empty((rows, 2 * pairs))
-    steps1 = _steps(drawn + 1, pairs)
-    steps2 = _steps(drawn + 1 + pairs, pairs)
     width = max(1, min(pairs, _CHUNK_PAIRS))
     height = min(rows, _CHUNK_PAIRS // width)
-    words, tmp = np.empty((2, height * width), dtype=np.uint64)
-    u1, u2, cos = np.empty((3, height * width))
-    for r0 in range(0, rows, height):
-        r1 = min(rows, r0 + height)
-        seed = seeds[r0:r1, None]
-        for p0 in range(0, pairs, width):
-            p1 = min(pairs, p0 + width)
+    # Word k of a row is mix(seed + k * GOLDEN); a pass adds its first k's
+    # term to the seeds and the terms of 0 .. width - 1 to that.
+    offsets = _steps(0, width)
+    passes = [(r0, p0) for r0 in range(0, rows, height)
+              for p0 in range(0, pairs, width)]
+
+    def make(todo):
+        words, tmp = np.empty((2, height * width), dtype=np.uint64)
+        u1, u2, cos = np.empty((3, height * width))
+        for r0, p0 in todo:
+            r1, p1 = min(rows, r0 + height), min(pairs, p0 + width)
             size = (r1 - r0) * (p1 - p0)
             shape = (r1 - r0, p1 - p0)
             w, t = words[:size].reshape(shape), tmp[:size].reshape(shape)
             a, b, c = (buf[:size].reshape(shape) for buf in (u1, u2, cos))
-            np.add(seed, steps1[p0:p1], out=w)
+            seed, offset = seeds[r0:r1, None], offsets[:p1 - p0]
+            np.add(seed + _steps(drawn + 1 + p0, 1), offset, out=w)
             _mix64(w, t)
             np.right_shift(w, 11, out=w)
             np.add(w, 1, out=w)
             np.multiply(w, 2.0 ** -53, out=a)
-            np.add(seed, steps2[p0:p1], out=w)
+            np.add(seed + _steps(drawn + 1 + pairs + p0, 1), offset, out=w)
             _mix64(w, t)
             np.right_shift(w, 11, out=w)
             np.multiply(w, 2.0 ** -53, out=b)
@@ -133,6 +142,12 @@ def _normal_rows(seeds, n: int, drawn: int = 0) -> np.ndarray:
             np.sin(b, out=b)
             np.multiply(a, c, out=out[r0:r1, 2 * p0:2 * p1:2])
             np.multiply(a, b, out=out[r0:r1, 2 * p0 + 1:2 * p1:2])
+
+    if rows * pairs >= _SPLIT_PAIRS:
+        half = len(passes) // 2
+        in_two(lambda: make(passes[:half]), lambda: make(passes[half:]))
+    else:
+        make(passes)
     return out[:, :n]
 
 
@@ -280,8 +295,9 @@ class EditStream:
         :meth:`preserved_memory` reuses the Gram.
         """
         spec = self.spec
-        k0 = (SplitMix64(derive_seed(spec.seed, _TAG_K0, 0))
-              .matrix(spec.dims.d0, spec.m0) * spec.key_scale)
+        k0 = SplitMix64(derive_seed(spec.seed, _TAG_K0, 0)).matrix(spec.dims.d0,
+                                                                   spec.m0)
+        k0 *= spec.key_scale
         if self._k0_gram is None:
             self._k0_gram = _checked_gram(k0, spec.key_scale)
         return self._w0, k0

@@ -39,6 +39,7 @@ editor = lyaplock
 
 REPO = Path(__file__).resolve().parent.parent
 QUICK = (REPO / "configs" / "quick.cfg").read_text(encoding="utf-8")
+ACCEPTANCE = (REPO / "configs" / "acceptance.cfg").read_text(encoding="utf-8")
 
 
 def write_config(tmp_path, text=BASE_CONFIG, name="run.cfg"):
@@ -390,6 +391,25 @@ class TestKeyScaleOverflow:
         assert err.startswith(
             f"error: the d_base probe's preservation loss is {pl} at "
             f"key_scale={float(key_scale)!r};")
+
+    @pytest.mark.parametrize("command", ["simulate", "dbase"])
+    def test_probe_loss_below_gram_resolution_names_drift(self, tmp_path, capsys,
+                                                           command):
+        """At drift 1e-7 the probe's PL cancels to 0 at a representable scale."""
+        cfg = write_config(tmp_path, with_value("stream.teacher_drift", "1e-7",
+                                                text=ACCEPTANCE))
+        assert main([command, "--config", str(cfg), "--out",
+                     str(tmp_path / "o.csv")]) == 2
+        err = capsys.readouterr().err
+        match = re.match(r"error: the d_base probe's preservation loss reads 0\.0 "
+                         r"at teacher_drift=1e-07: its Gram form cancels against "
+                         r"tr\(V0 V0\^T\) = (\S+) and resolves no loss below "
+                         r"eps \* tr\(V0 V0\^T\) = (\S+), ", err)
+        assert match, err
+        trace, resolution = float(match.group(1)), float(match.group(2))
+        assert np.finfo(np.float64).tiny <= trace < np.inf
+        assert resolution == np.finfo(np.float64).eps * trace
+        assert "key_scale=" not in err
 
     @pytest.mark.parametrize("command", ["simulate", "dbase"])
     @pytest.mark.parametrize("exponent", [-515, -520])

@@ -4,6 +4,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -315,6 +316,22 @@ class TestGeneratePreserved:
         del k0
         gc.collect()
         assert dropped() is None
+
+    def test_transient_memory_is_small(self):
+        """Besides K0 itself, the draw and the checked Gram hold about a MiB.
+
+        The kernel forms its counters per pass and K0 is scaled in place; the
+        whole-row counters and a scaled copy took another 2 and 1 K0's bytes.
+        """
+        d0, m0 = 256, 8192
+        stream = EditStream(spec(d0=d0, d1=192, m0=m0, total=1))
+        tracemalloc.start()
+        try:
+            w0, k0 = stream.generate_preserved()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= k0.nbytes + w0.nbytes + 8 * d0 * d0 + (1 << 20)
 
     def test_w0_scaling(self):
         stream = EditStream(spec(d0=64, d1=64, m0=64, total=1))
