@@ -19,9 +19,13 @@ stream, then kept by the memory; the raw keys are dropped), one memory and
 one probe.  The one dense set-up product W0 K0K0^T is the memory's V0 K0^T,
 since V0 = W0 K0; the probe and every member start from a copy of it.  Each
 batch is generated once per step and absorbed once into the one backlog, which
-depends only on the batches.  Each member keeps its queue value as a plain
-float and fills one per-step table of EL, PL, BL, Z, |delta| and ridge; the
-CSV rows, running averages, summary and an aborted run's output derive from it.
+depends only on the batches.  The step loop runs inside ``EditStream.ahead``,
+so on a long run a forked child may have made the batch, with the same code
+and the same bits, while the loop solved the steps before it; set-up and the
+probe never fork.  Each member keeps its queue value as a plain float and
+fills one per-step table of EL, PL, BL, Z, |delta|, ridge, and the solve's
+condition estimate and residual; the CSV rows, running averages, summary and
+an aborted run's output derive from it.
 
 Every member keeps one ``editors.Carry``: the products ``W K0K0^T`` and
 ``W KpKp^T`` of its current weights, the backlog Gram the latter is carried
@@ -143,6 +147,8 @@ class RunResult:
     z_history: np.ndarray  # Z(1) .. Z(T+1); Z(t) is read by step t's solve
     delta_fro_history: np.ndarray
     ridge_history: np.ndarray
+    cond_history: np.ndarray  # condition estimate, NaN where nothing was factored
+    residual_history: np.ndarray  # the solve's relative residual
     w_initial: np.ndarray
     w_final: np.ndarray
 
@@ -236,7 +242,7 @@ class _Member:
         # column is step t's, and z_history also holds Z(T+1).
         self.table = {name: np.empty(total) for name in (
             "pl_history", "el_history", "bl_history", "delta_fro_history",
-            "ridge_history")}
+            "ridge_history", "cond_history", "residual_history")}
         self.table["z_history"] = np.full(total + 1, self.z)
         self.sum_wall = 0.0
 
@@ -283,6 +289,8 @@ class _Member:
         table["bl_history"][t - 1] = bl
         table["delta_fro_history"][t - 1] = delta_fro
         table["ridge_history"][t - 1] = report.ridge_applied
+        table["cond_history"][t - 1] = report.condition_estimate
+        table["residual_history"][t - 1] = report.residual
         table["z_history"][t] = self.z
         self.sum_wall += time.perf_counter() - started
 
@@ -334,20 +342,21 @@ def _run_lockstep(configs: list[RunConfig]) -> list[RunResult]:
             failure = exc
             break
 
-    for t in range(1, spec.total_batches + 1):
-        if not members:
-            break
-        batch = stream.batch(t)
-        for i, member in enumerate(members):
-            try:
-                member.step(t, batch, backlog)
-            except LyapeditError as exc:
-                failure = exc
-                del members[i:]
+    with stream.ahead():
+        for t in range(1, spec.total_batches + 1):
+            if not members:
                 break
-        absorb(backlog, batch)
-        for member in members:
-            member.carry.absorbed(batch)
+            batch = stream.batch(t)
+            for i, member in enumerate(members):
+                try:
+                    member.step(t, batch, backlog)
+                except LyapeditError as exc:
+                    failure = exc
+                    del members[i:]
+                    break
+            absorb(backlog, batch)
+            for member in members:
+                member.carry.absorbed(batch)
 
     if failure is not None:
         raise failure

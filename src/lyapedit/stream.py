@@ -14,13 +14,26 @@ because at small d0 the fixed cost of a numpy call, not the arithmetic,
 dominated a per-batch generator.  Blocks change no bit: ``batch(t)`` is the
 same pure function of (spec, t) in any access order.
 
+``EditStream.ahead()`` moves that generation off the caller's core for a
+long sequential run: a forked child makes the next blocks, in order, with the
+same code, and hands each block's keys and values to ``batch`` through a
+two-slot ring in shared memory (see ``_Ahead``).  The caller still wraps the
+arrays into batches, so each batch is still made once and validated where it
+is used, and no output bit changes.
+
 KVMX matrix files are little-endian: magic ``KVMX``, format version u32 = 1,
 rows u64, cols u64, then rows*cols IEEE-754 binary64 values in row-major
 order.
 """
 from __future__ import annotations
 
+import contextlib
+import mmap
+import os
 import struct
+import sys
+import threading
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +50,7 @@ from .errors import (
     NonFiniteError,
     StreamExhausted,
 )
+from . import lapack
 from .lapack import _potrf, in_two
 from .memory import (
     AssociativeMemory,
@@ -189,6 +203,10 @@ _TAG_TEACHER = 3
 # Normals generated per block of batches: 36 batches of the d0=64 acceptance
 # stream, one batch at d0=1024.
 _BLOCK_VALUES = 1 << 17
+# ``EditStream.ahead`` forks only when the batches still to come hold at least
+# this many generated values: about 50 ms of kernel time on one core, against
+# about 3 ms to fork and reap the child.
+_AHEAD_VALUES = 1 << 20
 
 
 def _checked_gram(k0: np.ndarray, key_scale: float) -> np.ndarray:
@@ -260,10 +278,11 @@ class EditStream:
     streams that share a seed but differ in total_batches.  Batches are made
     in blocks of consecutive timestamps, sized to about ``_BLOCK_VALUES``
     generated normals; the stream keeps the latest block and serves any
-    ``t`` inside it without generating again.  Every batch's arrays are
-    read-only, since repeated calls return the same object.  Of the
-    preserved set the stream keeps w0 and the checked Gram K0 K0^T, never
-    the raw d0 x m0 keys K0.
+    ``t`` inside it without generating again.  Inside :meth:`ahead` a block
+    may have been made in a forked child; it is the same block.  Every
+    batch's arrays are read-only, since repeated calls return the same
+    object.  Of the preserved set the stream keeps w0 and the checked Gram
+    K0 K0^T, never the raw d0 x m0 keys K0.
     """
 
     def __init__(self, spec: StreamSpec):
@@ -273,14 +292,16 @@ class EditStream:
         self._w0 = (SplitMix64(derive_seed(spec.seed, _TAG_W0, 0))
                     .matrix(d1, d0) / np.sqrt(d0))
         self._k0_gram = None
-        per_batch = d0 * n
+        # Normals generated per batch.
+        self._per_batch = d0 * n
         if spec.value_mode == "random-target":
-            per_batch += d1 * n
+            self._per_batch += d1 * n
         elif spec.teacher_drift != 0.0:
-            per_batch += d1 * d0
-        self._block_size = max(1, _BLOCK_VALUES // per_batch)
+            self._per_batch += d1 * d0
+        self._block_size = max(1, _BLOCK_VALUES // self._per_batch)
         self._block_first = 0
         self._block: list[EditBatch] = []
+        self._ahead: _Ahead | None = None
 
     def generate_preserved(self):
         """Return (w0, k0): original weights and preserved keys.
@@ -317,12 +338,22 @@ class EditStream:
             )
         first = t - (t - 1) % self._block_size
         if first != self._block_first:
-            self._block = self._make_block(first)
+            arrays = self._ahead.take(first) if self._ahead else None
+            k1, v1 = arrays or self._block_arrays(first)
+            k1.flags.writeable = False
+            v1.flags.writeable = False
+            self._block = [EditBatch(k1=keys, v1=values)
+                           for keys, values in zip(k1, v1)]
             self._block_first = first
         return self._block[t - first]
 
-    def _make_block(self, first: int) -> list[EditBatch]:
-        """Batches first .. first + block size - 1, capped at total_batches.
+    def _block_rows(self, first: int) -> int:
+        """The batches in the block that starts at ``first``."""
+        return min(self._block_size, self.spec.total_batches + 1 - first)
+
+    def _block_arrays(self, first: int) -> tuple[np.ndarray, np.ndarray]:
+        """Keys k1 (rows, d0, n) and values v1 (rows, d1, n) of the batches
+        first .. first + block size - 1, capped at total_batches.
 
         One kernel call makes every batch's keys and one makes every
         teacher wobble (or random target); the values come from one stacked
@@ -331,11 +362,11 @@ class EditStream:
         """
         spec = self.spec
         d0, d1, n = spec.dims.d0, spec.dims.d1, spec.n_per_batch
-        times = range(first, min(first + self._block_size, spec.total_batches + 1))
-        rows = len(times)
+        rows = self._block_rows(first)
+        seeds = range(first, first + rows)
 
         def normals(tag, size):
-            return _normal_rows([derive_seed(spec.seed, tag, t) for t in times], size)
+            return _normal_rows([derive_seed(spec.seed, tag, t) for t in seeds], size)
 
         k1 = (normals(_TAG_KEYS, d0 * n) * spec.key_scale).reshape(rows, d0, n)
         if spec.value_mode == "random-target":
@@ -350,9 +381,151 @@ class EditStream:
                 teacher = wobble.reshape(rows, d1, d0)
                 np.add(self._w0, teacher, out=teacher)
                 v1 = np.matmul(teacher, k1)
-        k1.flags.writeable = False
-        v1.flags.writeable = False
-        return [EditBatch(k1=keys, v1=values) for keys, values in zip(k1, v1)]
+        return k1, v1
+
+    @contextlib.contextmanager
+    def ahead(self):
+        """While the caller steps, make the blocks after the current one in a
+        forked child.
+
+        The child starts at the first block not yet made.  ``batch`` takes
+        the child's next block from it when asked for it and makes any other
+        block here, as outside this context.  The child is started only where
+        it pays and is safe: on Linux, with at least 2 CPUs in this process's
+        affinity mask, with no other live thread (forking a multi-threaded
+        process can deadlock), and when the batches from the current block
+        on hold at least ``_AHEAD_VALUES`` generated values.  Leaving the
+        context, by any path, ends and reaps the child.
+        """
+        spec = self.spec
+        first = self._block_first + self._block_size if self._block else 1
+        still = spec.total_batches + 1 - max(self._block_first, 1)
+        ahead = None
+        if (first <= spec.total_batches
+                and sys.platform.startswith("linux")
+                and lapack._cpu_count() >= 2
+                and threading.active_count() == 1
+                and still * self._per_batch >= _AHEAD_VALUES):
+            with contextlib.suppress(OSError):  # no fork: blocks are made here
+                ahead = _Ahead(self, first)
+        if ahead is None:
+            yield
+            return
+        self._ahead = ahead
+        try:
+            yield
+        finally:
+            self._ahead = None
+            ahead.close()
+
+
+class _Ahead:
+    """A forked child that makes a stream's blocks, in order, into a ring.
+
+    The ring is a shared anonymous ``mmap`` of two slots, each the size of
+    one full block's k1 and v1.  The child makes the blocks that start at
+    ``first``, ``first + block size``, ... with ``EditStream._block_arrays``,
+    copies block i into slot i % 2 and writes one token on the ready pipe:
+    ``b"k"``, or ``b"e"`` if making the block raised or warned, after which
+    it exits.  Before it reuses a slot it reads one "slot free" byte from
+    the free pipe.  It ends with ``os._exit`` and writes nothing to stdio:
+    after its last block, on EOF of the free pipe, or on EPIPE when the
+    parent is gone.
+
+    :meth:`take` copies the child's next block out of its slot and frees the
+    slot.  On an error token or EOF the ring is closed, and the stream makes
+    that block and every later one itself, so an error is raised by the
+    caller's own ``_block_arrays`` at the same ``t`` as without a child.
+    """
+
+    def __init__(self, stream: EditStream, first: int):
+        spec = stream.spec
+        self._stream = stream
+        self._firsts = range(first, spec.total_batches + 1, stream._block_size)
+        self._slot = (stream._block_size * (spec.dims.d0 + spec.dims.d1)
+                      * spec.n_per_batch)
+        self._ring = mmap.mmap(-1, 2 * 8 * self._slot)
+        self._values = np.frombuffer(self._ring, dtype=np.float64)
+        self._taken = 0
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        ready_r, ready_w, free_r, free_w = fds
+        if pid == 0:  # the child; it never returns into the caller's stack
+            try:
+                os.close(ready_r)
+                os.close(free_w)
+                self._serve(ready_w, free_r)
+            finally:
+                os._exit(0)
+        os.close(ready_w)
+        os.close(free_r)
+        self._pid, self._ready, self._free = pid, ready_r, free_w
+
+    def _serve(self, ready: int, free: int) -> None:
+        """The child's loop: make each block into its slot, in order."""
+        # A warning is an error token, so the parent makes that block and
+        # warns itself.
+        warnings.simplefilter("error")
+        for i, first in enumerate(self._firsts):
+            if i >= 2 and not os.read(free, 1):
+                return
+            try:
+                k1, v1 = self._stream._block_arrays(first)
+            except BaseException:  # the parent makes this block and raises
+                os.write(ready, b"e")
+                raise
+            slot = self._values[(i % 2) * self._slot:][:k1.size + v1.size]
+            slot[:k1.size] = k1.ravel()
+            slot[k1.size:] = v1.ravel()
+            os.write(ready, b"k")
+
+    def take(self, first: int) -> tuple[np.ndarray, np.ndarray] | None:
+        """Block ``first``'s (k1, v1) from the child, or None if it has none."""
+        i = self._taken
+        if self._pid is None or i >= len(self._firsts) or first != self._firsts[i]:
+            return None
+        try:
+            token = os.read(self._ready, 1)
+        except OSError:
+            token = b""
+        if token != b"k":
+            self.close()
+            return None
+        dims, n = self._stream.spec.dims, self._stream.spec.n_per_batch
+        rows = self._stream._block_rows(first)
+        slot = self._values[(i % 2) * self._slot:]
+        keys = rows * dims.d0 * n
+        k1 = slot[:keys].reshape(rows, dims.d0, n).copy()
+        v1 = slot[keys:keys + rows * dims.d1 * n].reshape(rows, dims.d1, n).copy()
+        self._taken = i + 1
+        if i + 2 < len(self._firsts):
+            try:
+                os.write(self._free, b"f")
+            except OSError:  # the child is gone; the next read sees EOF
+                pass
+        return k1, v1
+
+    def close(self) -> None:
+        """Close both pipes, unmap the ring and reap the child.
+
+        The child exits at EOF of the free pipe or EPIPE on the ready pipe,
+        at the latest once the block it is making is done.
+        """
+        if self._pid is None:
+            return
+        pid, self._pid = self._pid, None
+        os.close(self._free)
+        os.close(self._ready)
+        self._values = None
+        self._ring.close()
+        os.waitpid(pid, 0)
 
 
 # --- KVMX file format -------------------------------------------------------
@@ -365,7 +538,17 @@ _MAX_ELEMENTS = 1 << 48
 
 
 def save_matrix_file(path, matrix) -> None:
-    arr = np.ascontiguousarray(matrix, dtype="<f8")
+    """Write a 2-D matrix of bool, integer or floating values as KVMX.
+
+    Any other dtype (complex, string, object) raises InputError before
+    anything is written: a cast to float64 would drop an imaginary part.
+    """
+    arr = np.asarray(matrix)
+    if arr.dtype.kind not in "biuf":
+        raise InputError(
+            f"matrix dtype {arr.dtype} is not bool, integer or floating; "
+            f"KVMX files hold real float64 values")
+    arr = np.ascontiguousarray(arr, dtype="<f8")
     if arr.ndim != 2:
         raise InputError(f"matrix must be 2-D, got shape {arr.shape}")
     if not np.isfinite(arr).all():

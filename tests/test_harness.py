@@ -19,7 +19,8 @@ from lyapedit.errors import InputError, RunAborted, SingularSystemError
 from lyapedit.harness import running_average
 
 HISTORIES = ("pl_history", "el_history", "bl_history", "z_history",
-             "delta_fro_history", "ridge_history")
+             "delta_fro_history", "ridge_history", "cond_history",
+             "residual_history")
 
 
 def small_spec(seed=17, total=120, drift=0.15, mode="planted-teacher"):
@@ -157,6 +158,39 @@ class TestAbortPaths:
         with pytest.raises(RunAborted) as err:
             harness.run(small_config(total=10))
         assert err.value.step == 1
+
+
+class TestSolveDiagnostics:
+    """cond_history and residual_history record what every solve reported."""
+
+    @staticmethod
+    def acceptance_run(drift=0.1, total=2000):
+        spec = StreamSpec(dims=Dims(d0=64, d1=48), n_per_batch=8,
+                          total_batches=total, key_scale=1.0,
+                          value_mode="planted-teacher", teacher_drift=drift,
+                          seed=188, m0=2048)
+        return run(RunConfig(stream=spec, editor="lyaplock", alpha=60.0))
+
+    @staticmethod
+    def assert_nan_only_on_zero_edits(result):
+        unsolved = np.isnan(result.cond_history)
+        assert np.all(result.delta_fro_history[unsolved] == 0.0)
+
+    def test_acceptance_run(self):
+        result = self.acceptance_run()
+        plain = result.ridge_history == 0.0
+        assert plain.any()
+        assert np.all(result.residual_history[plain] <= 1e-8)
+        cond = result.cond_history[plain]
+        assert np.all(np.isfinite(cond))
+        assert np.all(cond <= 1e12)
+        self.assert_nan_only_on_zero_edits(result)
+
+    def test_satisfied_systems_record_nan(self):
+        result = self.acceptance_run(drift=0.0, total=60)
+        assert np.all(np.isnan(result.cond_history))
+        self.assert_nan_only_on_zero_edits(result)
+        assert np.all(result.residual_history <= 1e-8)
 
 
 class TestExplicitReplay:

@@ -409,6 +409,30 @@ class TestKvmxFormat:
     def test_many_random_round_trips(self, rng):
         assert kvmx_round_trip_failures(200, rng, max_side=11) == []
 
+    def test_complex_matrix_is_refused_before_writing(self, tmp_path):
+        path = tmp_path / "c.kvmx"
+        with pytest.raises(InputError, match="complex128"):
+            save_matrix_file(path, [[1 + 2j, 3]])
+        assert not path.exists()
+
+    @pytest.mark.parametrize("matrix", [np.array([["a", "b"]]),
+                                        np.array([[1.0, None]], dtype=object)])
+    def test_string_and_object_matrices_are_refused(self, tmp_path, matrix):
+        path = tmp_path / "s.kvmx"
+        with pytest.raises(InputError, match=str(matrix.dtype)):
+            save_matrix_file(path, matrix)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("matrix", [np.array([[True, False], [False, True]]),
+                                        np.array([[1, -2, 3]], dtype=np.int32),
+                                        np.array([[7, 8]], dtype=np.uint8)])
+    def test_bool_and_integer_matrices_round_trip(self, tmp_path, matrix):
+        path = tmp_path / "i.kvmx"
+        save_matrix_file(path, matrix)
+        back = load_matrix_file(path)
+        assert back.dtype == np.float64
+        assert np.array_equal(back, matrix.astype(np.float64))
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.kvmx"
         path.write_bytes(b"NOPE" + b"\x00" * 40)
