@@ -277,8 +277,7 @@ def _summary_line(s) -> str:
         f"d_base={_fmt(s.d_base)} d={_fmt(s.d_threshold)} "
         f"avg_pl={_fmt(s.final_avg_pl)} avg_el={_fmt(s.final_avg_el)} "
         f"constraint_satisfied={_bool(s.constraint_satisfied)} "
-        f"z_final={_fmt(s.final_z)} stability={_fmt(s.stability)} "
-        f"mean_wall_ms={s.mean_wall_ms:.3f}"
+        f"z_final={_fmt(s.final_z)} stability={_fmt(s.stability)}"
     )
 
 

@@ -36,8 +36,9 @@ def derive_params(alpha: float, d_base: float) -> QueueParams:
 
     D = alpha * d_base, a = 1/sqrt(D), b = 0, z_init = z_max = sqrt(D) and the
     editing weight is 1.  With these choices the initial preservation weight
-    a * z_init is exactly 1, and when a step's preservation loss reaches 2*D
-    the weight doubles.  Raises InputError if D overflows, or underflows to 0.
+    a * z_init equals 1 to within one rounding (at D = 15 it is
+    0.9999999999999999), and when a step's preservation loss reaches 2*D the
+    weight doubles.  Raises InputError if D overflows, or underflows to 0.
     """
     if not (alpha > 0.0) or not math.isfinite(alpha):
         raise InputError(f"alpha must be positive and finite, got {alpha!r}")

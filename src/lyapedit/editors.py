@@ -63,7 +63,7 @@ in the carried products cannot grow unseen.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -103,7 +103,7 @@ class SolveReport:
 
 @dataclass(eq=False)
 class Carry:
-    """What a step loop keeps for one member from step to step.
+    """What a step loop keeps for one weight trajectory from step to step.
 
     Every solve reads it at the current weights W and leaves it at the
     post-edit weights W':
@@ -148,6 +148,16 @@ class Carry:
         solve left W' K1 in ``wk1``, so Mp grows by (W' K1) K1^T.
         """
         add_outer(self.mp, self.wk1, batch.k1)
+
+    def copy(self) -> "Carry":
+        """A carry at the same weights whose solves leave this one as it is.
+
+        A solve updates ``m0``, ``mp`` and ``resid`` in place, so those are
+        copied.  It replaces ``wk1`` and ``w`` without writing them, and
+        ``kp_gram`` is the one backlog Gram, so those are shared.
+        """
+        return replace(self, m0=self.m0.copy(), mp=self.mp.copy(),
+                       resid=self.resid.copy())
 
 
 def _ridge_attempts(matrix: np.ndarray):

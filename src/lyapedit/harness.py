@@ -17,7 +17,7 @@ Runs over one stream share one step loop.  ``run`` is its one-member case;
 happens once: one stream, one preserved Gram (formed and checked by the
 stream, then kept by the memory; the raw keys are dropped), one memory and
 one probe.  The one dense set-up product W0 K0K0^T is the memory's V0 K0^T,
-since V0 = W0 K0; the probe and every member start from a copy of it.  Each
+since V0 = W0 K0; the probe and the first path start from a copy of it.  Each
 batch is generated once per step and absorbed once into the one backlog, which
 depends only on the batches.  The step loop runs inside ``EditStream.ahead``,
 so on a long run a forked child may have made the batch, with the same code
@@ -27,15 +27,29 @@ fills one per-step table of EL, PL, BL, Z, |delta|, ridge, and the solve's
 condition estimate and residual; the CSV rows, running averages, summary and
 an aborted run's output derive from it.
 
-Every member keeps one ``editors.Carry``: the products ``W K0K0^T`` and
-``W KpKp^T`` of its current weights, the backlog Gram the latter is carried
-against, ``W' K1`` of the step's batch, lyaplock's last residual matrix
-``W' C - RHS`` with the az it solved with, and W' itself.  Each step calls
-the editor's public solver, ``solve_lyaplock``, ``solve_baseline`` or
-``solve_edit_only``, with the member's carry, and the solve leaves the carry
-at the post-edit weights W'; so the loop runs exactly what a one-shot caller
-runs.  PL and BL read the products; EL reads ``W' K1``, and so does
-``Carry.absorbed``, which after the absorb adds the rank-n term
+Members share paths.  A path is a weight trajectory: the memory at its
+current weights and one ``editors.Carry``.  Every member starts on one path.
+Before each step, the members of a path are split by their solve key, what
+their solve reads beyond the path: lyaplock's v and a*Z, compared by their
+exact bits, or the editor's name alone.  The first key keeps the path and
+each other key gets a fork with a copy of the carry; paths never merge.  So
+the members of an alpha sweep solve once per step while their queues sit on
+the floor, where a*Z is the same for all of them, and a baseline or
+edit-only sweep solves once per step throughout.  A path's solve is the very
+one each member would make alone, so sharing changes no output bit.  A path
+is solved lazily, by its lowest-index member, which also raises its error;
+each member still runs its own overflow check, queue update and table.  With
+one member no split is made.
+
+A carry holds the products ``W K0K0^T`` and ``W KpKp^T`` of its path's
+weights, the backlog Gram the latter is carried against, ``W' K1`` of the
+step's batch, lyaplock's last residual matrix ``W' C - RHS`` with the az it
+solved with, and W' itself.  Each step calls the editor's public solver,
+``solve_lyaplock``, ``solve_baseline`` or ``solve_edit_only``, with the
+path's carry, and the solve leaves the carry at the post-edit weights W';
+so the loop runs exactly what a one-shot caller runs.  PL and BL read the
+products; EL reads ``W' K1``, and so does ``Carry.absorbed``, which the
+loop calls once per live path after the absorb: it adds the rank-n term
 ``(W' K1) K1^T`` to ``W KpKp^T``.  Lyaplock forms the part of its next
 target beyond the batch term from the residual: once the batch is absorbed,
 v (Vp Kp^T - W KpKp^T) + az (V0 K0^T - W K0K0^T) is exactly
@@ -51,8 +65,7 @@ its PL from the ``W' K0K0^T`` that its own solve left.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -132,7 +145,6 @@ class RunSummary:
     constraint_satisfied: bool
     final_z: float
     stability: float  # Z(T)/T
-    mean_wall_ms: float = field(compare=False, default=0.0)
 
 
 @dataclass
@@ -210,8 +222,10 @@ def estimate_d_base(stream: EditStream, mem: AssociativeMemory) -> float:
 def _solve_step(config: RunConfig, mem: AssociativeMemory,
                 backlog: BacklogAccumulator, batch, params: QueueParams,
                 z: float, carry: Carry):
-    """One member's solve: the report and W' = W + delta.
+    """One path's solve: the report and W' = W + delta.
 
+    ``config``, ``params`` and ``z`` are those of the path's first member;
+    every other member of the path would pass the same solve inputs.
     ``carry`` is at W on entry and at W' on return, whichever editor ran.
     """
     if config.editor == "lyaplock":
@@ -224,11 +238,43 @@ def _solve_step(config: RunConfig, mem: AssociativeMemory,
     return report, carry.w
 
 
-class _Member:
-    """One configuration's queue value, weights, carry and per-step table."""
+# The per-step columns one solve on a path yields, in the order of _Path.row.
+_COLUMNS = ("pl_history", "el_history", "bl_history", "delta_fro_history",
+            "ridge_history", "cond_history", "residual_history")
 
-    def __init__(self, config: RunConfig, mem: AssociativeMemory, d_base: float,
-                 backlog: BacklogAccumulator):
+
+class _Path:
+    """Weights and a carry shared by members whose solves coincide.
+
+    ``row`` holds step ``t``'s values of ``_COLUMNS``, measured once by the
+    path's first member to reach step t.  A path refers to no member.
+    """
+
+    def __init__(self, mem: AssociativeMemory, carry: Carry):
+        self.mem, self.carry, self.t, self.row = mem, carry, 0, ()
+
+
+def _split(members: list["_Member"]) -> None:
+    """Give each solve key among the members of one path a path of its own.
+
+    The first key met in member order keeps the path and every other key
+    gets a fork of it, so members share a path exactly while their solves
+    read the same inputs.  Paths never merge back.
+    """
+    paths, kept = {}, set()
+    for member in members:
+        path = member.path
+        slot = (path, member.key())
+        if slot not in paths:
+            paths[slot] = _Path(path.mem, path.carry.copy()) if path in kept else path
+            kept.add(path)
+        member.path = paths[slot]
+
+
+class _Member:
+    """One configuration's queue value, path and per-step table."""
+
+    def __init__(self, config: RunConfig, path: _Path, d_base: float):
         params = derive_params(config.alpha, d_base)
         if config.v_weight != 1.0:
             params = replace(params, v_weight=config.v_weight)
@@ -236,15 +282,18 @@ class _Member:
         self.config = config
         self.params = params
         self.z = params.z_init
-        self.mem = mem
-        self.carry = Carry.start(mem, backlog)
+        self.path = path
         # The per-step table, keyed by RunResult field name: entry t-1 of a
         # column is step t's, and z_history also holds Z(T+1).
-        self.table = {name: np.empty(total) for name in (
-            "pl_history", "el_history", "bl_history", "delta_fro_history",
-            "ridge_history", "cond_history", "residual_history")}
+        self.table = {name: np.empty(total) for name in _COLUMNS}
         self.table["z_history"] = np.full(total + 1, self.z)
-        self.sum_wall = 0.0
+
+    def key(self) -> tuple:
+        """What this member's solve reads beyond its path's weights and carry;
+        the queue weight is compared by its exact bits."""
+        if self.config.editor == "lyaplock":
+            return ("lyaplock", self.params.v_weight, self.params.a * self.z)
+        return (self.config.editor,)
 
     def aborted(self, t: int, message: str) -> RunAborted:
         """Step t's error, carrying the table of steps 1..t-1 and Z(1)..Z(t)."""
@@ -253,30 +302,37 @@ class _Member:
         return RunAborted(message, step=t, histories=done)
 
     def step(self, t: int, batch, backlog: BacklogAccumulator) -> None:
-        """Solve, apply and measure step t against the backlog of steps < t."""
-        started = time.perf_counter()
-        config, params, z = self.config, self.params, self.z
+        """Step t against the backlog of steps < t.
+
+        The first member of the path to reach step t solves, applies and
+        measures it; the others read its row.
+        """
+        config, params, z, path = self.config, self.params, self.z, self.path
         if config.editor == "lyaplock" and not math.isfinite(params.a * z):
             raise self.aborted(t, (
                 f"queue overflow at step {t}: the preservation weight a*Z = "
                 f"{params.a * z!r} is not finite; Z={z!r} a={params.a!r} "
                 f"D={params.d_threshold!r}"))
-        try:
-            report, w_new = _solve_step(config, self.mem, backlog, batch, params,
-                                        z, self.carry)
-        except SingularSystemError as exc:
-            raise self.aborted(t, f"solver aborted at step {t}: {exc}") from exc
-        delta_fro = float(np.linalg.norm(report.delta))
-        carry = self.carry
-        try:
-            self.mem = mem = self.mem.with_weights(w_new)
-            el = fit_loss(carry.wk1, batch.v1)
-            pl = gram_loss(w_new, carry.m0, mem.v0k0t, mem.tr_v0v0)
-            bl = gram_loss(w_new, carry.mp, backlog.vpkpt, backlog.tr_vpvp)
-        except (NonFiniteError, NumericalInstabilityError) as exc:
-            raise self.aborted(t, (
-                f"loss measurement failed at step {t}: {exc}; z={z!r} "
-                f"|delta|={delta_fro!r}")) from exc
+        if path.t != t:
+            carry = path.carry
+            try:
+                report, w_new = _solve_step(config, path.mem, backlog, batch,
+                                            params, z, carry)
+            except SingularSystemError as exc:
+                raise self.aborted(t, f"solver aborted at step {t}: {exc}") from exc
+            delta_fro = float(np.linalg.norm(report.delta))
+            try:
+                path.mem = mem = path.mem.with_weights(w_new)
+                el = fit_loss(carry.wk1, batch.v1)
+                pl = gram_loss(w_new, carry.m0, mem.v0k0t, mem.tr_v0v0)
+                bl = gram_loss(w_new, carry.mp, backlog.vpkpt, backlog.tr_vpvp)
+            except (NonFiniteError, NumericalInstabilityError) as exc:
+                raise self.aborted(t, (
+                    f"loss measurement failed at step {t}: {exc}; z={z!r} "
+                    f"|delta|={delta_fro!r}")) from exc
+            path.t, path.row = t, (pl, el, bl, delta_fro, report.ridge_applied,
+                                   report.condition_estimate, report.residual)
+        pl, el, bl, delta_fro, ridge, cond, residual = path.row
         if not (math.isfinite(el) and math.isfinite(pl) and math.isfinite(bl)):
             raise self.aborted(t, (
                 f"non-finite loss at step {t}: el={el!r} pl={pl!r} bl={bl!r} "
@@ -288,11 +344,10 @@ class _Member:
         table["el_history"][t - 1] = el
         table["bl_history"][t - 1] = bl
         table["delta_fro_history"][t - 1] = delta_fro
-        table["ridge_history"][t - 1] = report.ridge_applied
-        table["cond_history"][t - 1] = report.condition_estimate
-        table["residual_history"][t - 1] = report.residual
+        table["ridge_history"][t - 1] = ridge
+        table["cond_history"][t - 1] = cond
+        table["residual_history"][t - 1] = residual
         table["z_history"][t] = self.z
-        self.sum_wall += time.perf_counter() - started
 
     def result(self) -> RunResult:
         config, params, table = self.config, self.params, self.table
@@ -309,11 +364,11 @@ class _Member:
             constraint_satisfied=avg_pl <= params.d_threshold,
             final_z=float(table["z_history"][-1]),
             stability=stability_ratio(table["z_history"][:total]),
-            mean_wall_ms=self.sum_wall * 1e3 / total,
         )
+        mem = self.path.mem
         return RunResult(
             config=config, params=params, d_base=params.d_base, summary=summary,
-            w_initial=self.mem.w0, w_final=self.mem.w, **table,
+            w_initial=mem.w0, w_final=mem.w, **table,
         )
 
 
@@ -324,6 +379,8 @@ def _run_lockstep(configs: list[RunConfig]) -> list[RunResult]:
     too: a member that fails is dropped together with every later member,
     earlier members keep stepping, and at the end the failure of the lowest
     index is raised, which is the one serial execution would have raised.
+    A path's solve is made by its lowest-index member, so a failing solve
+    is that member's failure.
     """
     spec = configs[0].stream
     stream = EditStream(spec)
@@ -332,12 +389,14 @@ def _run_lockstep(configs: list[RunConfig]) -> list[RunResult]:
     # probe failure is the first one serial execution would raise too; a
     # member whose D = alpha * d_base is not representable fails as at step 1.
     d_base = estimate_d_base(stream, mem)
-    # Each member's carry holds the backlog Gram, which absorb grows in place.
+    # Every carry holds the backlog Gram, which absorb grows in place.
     backlog = BacklogAccumulator.empty(mem.dims)
+    # Every member starts on one path: W0 and one carry.
+    start = _Path(mem, Carry.start(mem, backlog))
     members, failure = [], None
     for config in configs:
         try:
-            members.append(_Member(config, mem, d_base, backlog))
+            members.append(_Member(config, start, d_base))
         except InputError as exc:
             failure = exc
             break
@@ -347,6 +406,8 @@ def _run_lockstep(configs: list[RunConfig]) -> list[RunResult]:
             if not members:
                 break
             batch = stream.batch(t)
+            if len(members) > 1:
+                _split(members)
             for i, member in enumerate(members):
                 try:
                     member.step(t, batch, backlog)
@@ -355,8 +416,8 @@ def _run_lockstep(configs: list[RunConfig]) -> list[RunResult]:
                     del members[i:]
                     break
             absorb(backlog, batch)
-            for member in members:
-                member.carry.absorbed(batch)
+            for path in {member.path: None for member in members}:
+                path.carry.absorbed(batch)
 
     if failure is not None:
         raise failure

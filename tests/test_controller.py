@@ -39,6 +39,11 @@ class TestDeriveParams:
         params = derive_params(alpha, d_base)
         assert params.a * params.z_init == pytest.approx(1.0, rel=1e-12)
 
+    def test_initial_preservation_weight_can_miss_one_by_an_ulp(self):
+        params = derive_params(15.0, 1.0)
+        assert params.a * params.z_init != 1.0
+        assert params.a * params.z_init == 1.0 - 2.0 ** -53
+
     def test_rejects_non_positive(self):
         with pytest.raises(InputError):
             derive_params(0.0, 1.0)

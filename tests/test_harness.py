@@ -456,6 +456,125 @@ class TestLockstep:
             assert np.array_equal(got, want), name
         assert lockstep.value.histories["pl_history"].size == fail_at[20.0] - 1
 
+    @staticmethod
+    def count_solves(monkeypatch):
+        """Wrap ``harness.solve_*`` to count calls; lyaplock's record az."""
+        import lyapedit.harness as harness
+        calls = {"solve_lyaplock": [], "solve_baseline": [], "solve_edit_only": []}
+        for name, record in calls.items():
+            def counting(*args, _original=getattr(harness, name), _record=record):
+                _record.append(args[4] if len(args) > 4 else None)
+                return _original(*args)
+            monkeypatch.setattr(harness, name, counting)
+        return calls
+
+    @staticmethod
+    def assert_standalone(configs):
+        import lyapedit.harness as harness
+        for config, together in zip(configs, harness._run_lockstep(configs)):
+            alone = run(config)
+            assert alone.summary == together.summary
+            for name in HISTORIES + ("w_final",):
+                assert np.array_equal(getattr(alone, name),
+                                      getattr(together, name)), name
+
+    def test_equal_members_share_one_solve_per_step(self, monkeypatch):
+        cfg = small_config(total=60)
+        calls = self.count_solves(monkeypatch)
+        sweep_alpha(cfg, [40.0, 40.0, 40.0])
+        assert len(calls["solve_lyaplock"]) == 60
+        monkeypatch.undo()
+        self.assert_standalone([cfg] * 3)
+
+    def test_members_fork_when_their_queue_weights_part(self, monkeypatch):
+        """Alpha 5 leaves the queue floor at step 20; 40 and 80 stay on it."""
+        from dataclasses import replace
+        cfg = small_config(total=60)
+        calls = self.count_solves(monkeypatch)
+        sweep_alpha(cfg, [5.0, 40.0, 80.0])
+        # One path for steps 1-19, two from step 20 on.
+        assert len(calls["solve_lyaplock"]) == 19 + 2 * 41
+        monkeypatch.undo()
+        self.assert_standalone([replace(cfg, alpha=a) for a in (5.0, 40.0, 80.0)])
+
+    def test_an_ulp_apart_splits_at_step_one(self, monkeypatch):
+        """a * z_init misses 1 by an ulp for some alphas; that member solves
+        on its own path from step 1 and still matches its standalone run."""
+        from dataclasses import replace
+        from lyapedit.controller import derive_params
+        cfg = small_config(total=40)
+        d_base = run(cfg).d_base
+
+        def weight(alpha):
+            params = derive_params(alpha, d_base)
+            return params.a * params.z_init
+
+        off = next(a for a in (40.0 + k / 8 for k in range(100)) if weight(a) != 1.0)
+        assert weight(40.0) == 1.0
+        calls = self.count_solves(monkeypatch)
+        sweep_alpha(cfg, [40.0, off])
+        assert calls["solve_lyaplock"][:2] == [1.0, weight(off)]
+        assert len(calls["solve_lyaplock"]) == 80
+        monkeypatch.undo()
+        self.assert_standalone([replace(cfg, alpha=a) for a in (40.0, off)])
+
+    def test_baseline_sweep_makes_one_solve_per_step(self, monkeypatch):
+        cfg = small_config(editor="baseline", total=30)
+        calls = self.count_solves(monkeypatch)
+        sweep_alpha(cfg, [5.0, 40.0, 80.0])
+        # The probe, then one solve per step for all three members.
+        assert len(calls["solve_baseline"]) == 31
+        assert not calls["solve_lyaplock"]
+
+    def test_shared_path_failure_matches_serial_execution(self, monkeypatch):
+        from dataclasses import replace
+        import lyapedit.harness as harness
+
+        original = harness.solve_lyaplock
+        calls = []
+
+        def explode(*args):
+            calls.append(args[4])
+            if len(calls) == 5:
+                raise SingularSystemError("synthetic failure")
+            return original(*args)
+
+        monkeypatch.setattr(harness, "solve_lyaplock", explode)
+        base = small_config(total=30)
+        configs = [replace(base, editor="edit-only"), base,
+                   replace(base, alpha=80.0)]
+        with pytest.raises(RunAborted) as serial:
+            run(configs[1])  # configs[0], edit-only, makes no lyaplock solve
+        calls.clear()
+        with pytest.raises(RunAborted) as lockstep:
+            compare(configs)
+        # Both lyaplock members were on one path: five solves, not nine.
+        assert len(calls) == 5
+        assert lockstep.value.step == serial.value.step == 5
+        assert str(lockstep.value) == str(serial.value)
+        assert sorted(lockstep.value.histories) == sorted(serial.value.histories)
+        for name in HISTORIES:
+            got, want = lockstep.value.histories[name], serial.value.histories[name]
+            assert np.array_equal(got, want), name
+
+    def test_finished_run_leaves_no_carry_to_the_collector(self):
+        """Members refer to paths and paths to no member, so reference
+        counting alone frees every carry when the call returns."""
+        import gc
+        from lyapedit.editors import Carry
+
+        def carries():
+            return sum(isinstance(o, Carry) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = carries()
+            sweep_alpha(small_config(total=30), [5.0, 40.0, 80.0])
+            after = carries()
+        finally:
+            gc.enable()
+        assert after == before
 
 class TestRankNSteps:
     """Rank-n steps keep the full normal equations and the carried products."""
