@@ -22,7 +22,7 @@ way.  The routines are those of :mod:`lyapedit.lapack`, called directly.
 Each solver takes an optional :class:`Carry`, which holds what a step loop
 keeps from step to step: the products M0 = W K0K0^T and Mp = W KpKp^T
 instead of recomputing them, W' K1 for the losses and the absorb,
-lyaplock's last residual, and W' itself.  A solve leaves it at the
+lyaplock's last residual and kept factor, and W' itself.  A solve leaves it at the
 post-edit weights W'.  Without a carry, the solver seeds one from ``mem``
 and the backlog and forms the products densely, as a one-shot caller
 needs; with one, it is the step of a loop.
@@ -58,12 +58,31 @@ with W' C assembled from the products.  A rank-n step that misses
 recomputes the products densely.  After every rank-n update a Freivalds
 check compares M z with W' (G z) for one fixed vector z, O(d0^2 + d1 d0); a
 gap beyond ``CARRY_TOLERANCE`` recomputes the products densely, so rounding
-in the carried products cannot grow unseen.
+in the carried products cannot grow unseen.  z and K0K0^T z are formed once
+per carry, since K0K0^T never changes.
+
+Kept factor.  While (v, az) hold, C(t) = az K0K0^T + v (KpKp^T + K1K1^T)
+is the last factored system C(s) plus v K~ K~^T for the keys K~ of the
+batches since step s, the step's own included.  The carry keeps the
+unridged factor of C(s), with its condition estimate, K~, Y~ = C(s)^-1 K~
+and the Woodbury core I/v + K~^T Y~.  A rank-n step at the same (v, az)
+first solves C X = K1 as X = Y1 - Y~ core^-1 (K~^T Y1), Y1 = C(s)^-1 K1,
+without assembling C(t) and without ``potrf``, ``lange`` or ``pocon``: one
+n-column ``potrs`` and an r x r Cholesky, r = n k under ``_rank_cap``.  It
+reports pocon's estimate for C(s) times 1 + v sum ||K_j||_F^2 / (tr(C(s))/d0),
+an upper estimate since C(t) >= C(s), and the estimate must stay within
+``CONDITION_LIMIT``.  A finite core and a finite X stand in for the
+finiteness check of C, and the step passes the same residual check.  A
+miss, an az or v that changed, a full cap or a snapped step drops the kept
+factor and falls through to the ridge ladder, which recomputes the products
+densely if the kept attempt moved them; the ladder's unridged factor, if
+it solves the step, is kept in turn.
 """
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -83,6 +102,7 @@ SNAP_THRESHOLD = 1e-10
 # within 6e-15 of the dense ones.
 CARRY_TOLERANCE = 1e-12
 _TINY = float(np.finfo(np.float64).tiny)
+_NO_CORE = np.zeros((0, 0))
 
 
 @dataclass(frozen=True)
@@ -92,13 +112,123 @@ class SolveReport:
     ``residual`` is the relative normal-equation (or fit) residual of the
     returned perturbation; it is at most 1e-8 whenever ``ridge_applied`` is 0.
     ``condition_estimate`` is NaN when the system was already satisfied and no
-    factorization was needed.
+    factorization was needed.  On a step solved by a kept factor it is the
+    kept factor's estimate times 1 + v sum ||K_j||_F^2 / (tr(C(s))/d0), an
+    upper estimate for the step's C (see the module docstring).
     """
 
     delta: np.ndarray
     residual: float
     ridge_applied: float
     condition_estimate: float
+
+
+def _rank_cap(d0: int, n: int) -> int:
+    """The largest pending rank r = n k a kept factor serves before C is
+    refactored: max(n, d0 / 4).
+
+    A kept solve at rank r against assembling C, ``potrf``, ``pocon`` and
+    one ``potrs`` (n = 8, one BLAS thread, 2-vCPU Xeon host, medians):
+    d0=64: 0.026 ms at r=16 and 0.049 ms at r=56, against 0.043 ms;
+    d0=256: 0.087 ms at r=16 and 0.51 ms at r=256, against 0.65 ms;
+    d0=1024: 0.87 ms at r=16 and 10.6 ms at r=1024, against 14.2 ms.  So
+    the crossover lies near 3 d0 / 4 at d0=64 and beyond d0 at d0=256 and
+    1024; the cap stays well below it, which also bounds the d0 x r solves
+    held.
+    """
+    return max(n, d0 // 4)
+
+
+class _Kept:
+    """An unridged lyaplock factor, kept while (v, az) hold.
+
+    ``factor`` is (L, shift) from :func:`_ridge_attempts` for C(s), the
+    system of the step s that factored it at ``v`` and ``az``, with pocon's
+    ``cond`` and ``unit`` = tr(C(s))/d0 * 2^-shift.  Each later step t adds
+    its batch's v K_t K_t^T, so C(t) = C(s) + v K~ K~^T for the keys K~ of
+    the batches since s, the step's own included.  ``keys`` holds those
+    K_j, ``solves`` the C(s)^-1 K_j, ``core`` the r x r Woodbury core
+    I/v + K~^T C(s)^-1 K~, and ``grown`` v sum ||K_j||_F^2 * 2^-shift.
+    The lists grow in place, so :meth:`copy` copies them; every array is
+    replaced, never written.
+    """
+
+    def __init__(self):
+        self.v = self.az = math.nan
+        self.keys, self.solves = [], []
+        self.clear()
+
+    def copy(self) -> "_Kept":
+        other = copy.copy(self)
+        other.keys, other.solves = list(self.keys), list(self.solves)
+        return other
+
+    def at(self, v: float, az: float) -> None:
+        """Drop a factor made at another (v, az); the next one is at these."""
+        if (self.v, self.az) != (v, az):
+            self.clear()
+            self.v, self.az = v, az
+
+    def clear(self) -> None:
+        self.seed(None, math.nan, math.nan)
+
+    def seed(self, factor, cond: float, unit: float) -> None:
+        """Keep ``factor``, with no batch pending."""
+        self.factor, self.cond, self.unit = factor, cond, unit
+        self.keys.clear()
+        self.solves.clear()
+        self.core, self.grown = _NO_CORE, 0.0
+
+    def solve(self, k1: np.ndarray):
+        """(X, condition estimate) with C(t) X = K1, or None.
+
+        X = Y1 - Y~ core^-1 (K~^T Y1) with Y1 = C(s)^-1 K1, by one n-column
+        ``potrs`` and an r x r Cholesky.  The estimate is pocon's for C(s)
+        times 1 + v sum ||K_j||_F^2 / (tr(C(s))/d0), an upper estimate since
+        C(t) >= C(s) and tr(C(s))/d0 is at most C(s)'s largest eigenvalue.
+        None when the pending rank would pass :func:`_rank_cap`, the
+        estimate passes ``CONDITION_LIMIT``, the core is not positive
+        definite, or X, and with it the core, is not finite; C(t) is never
+        formed.  On success K1 and Y1 join the pending lists.
+        """
+        d0, n = k1.shape
+        r0 = self.core.shape[0]
+        if r0 + n > _rank_cap(d0, n):
+            return None
+        # shift is even, so 2^(-shift/2) is exact.
+        grown = self.grown + self.v * (_norm(k1) * math.ldexp(1.0, -self.factor[1] // 2)) ** 2
+        cond = self.cond * (1.0 + grown / self.unit)
+        if not cond <= CONDITION_LIMIT:
+            return None
+        y1 = _cho_solve(self.factor, k1)
+        r = r0 + n
+        core = np.empty((r, r))
+        core[:r0, :r0] = self.core
+        at = 0
+        for k in self.keys + [k1]:  # the new columns, K~^T Y1
+            core[at:at + k.shape[1], r0:] = k.T @ y1
+            at += k.shape[1]
+        cross = core[:, r0:].copy(order="F")
+        core[r0:, :r0] = core[:r0, r0:].T
+        core.flat[r0 * (r + 1)::r + 1] += 1.0 / self.v
+        lower, info = _potrf(core.T, lower=True, clean=False)
+        if info != 0:
+            return None
+        s, info = _potrs(lower, cross, lower=True, overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of potrs")
+        x, at = y1.copy(), 0
+        for y in self.solves + [y1]:
+            x -= y @ s[at:at + y.shape[1]]
+            at += y.shape[1]
+        # Every new entry of the core is a right-hand side of its solve, so
+        # a finite X also means a finite core.
+        if not np.isfinite(x).all():
+            return None
+        self.keys.append(k1)
+        self.solves.append(y1)
+        self.core, self.grown = core, grown
+        return x, cond
 
 
 @dataclass(eq=False)
@@ -119,6 +249,10 @@ class Carry:
       lyaplock target is formed (see the module docstring); the next solve
       builds its target in ``resid``.  The other editors leave both.
     - ``w``: W' itself, the array the solve's residual check used
+    - ``kept``: lyaplock's last unridged factor and the batches absorbed
+      since (see the module docstring)
+    - ``freivalds``: the fixed vector z of the Freivalds check and
+      K0K0^T z, formed at its first rank-n step
     """
 
     m0: np.ndarray
@@ -128,6 +262,8 @@ class Carry:
     az: float = 0.0
     wk1: np.ndarray | None = None
     w: np.ndarray | None = None
+    kept: _Kept = field(default_factory=_Kept)
+    freivalds: tuple | None = None
 
     @classmethod
     def start(cls, mem: AssociativeMemory, backlog: BacklogAccumulator) -> "Carry":
@@ -152,12 +288,13 @@ class Carry:
     def copy(self) -> "Carry":
         """A carry at the same weights whose solves leave this one as it is.
 
-        A solve updates ``m0``, ``mp`` and ``resid`` in place, so those are
-        copied.  It replaces ``wk1`` and ``w`` without writing them, and
-        ``kp_gram`` is the one backlog Gram, so those are shared.
+        A solve updates ``m0``, ``mp``, ``resid`` and ``kept``'s pending
+        lists in place, so those are copied.  It replaces ``wk1``, ``w`` and
+        every array ``kept`` holds without writing them, ``kp_gram`` is the
+        one backlog Gram and ``freivalds`` is fixed, so those are shared.
         """
         return replace(self, m0=self.m0.copy(), mp=self.mp.copy(),
-                       resid=self.resid.copy())
+                       resid=self.resid.copy(), kept=self.kept.copy())
 
 
 def _ridge_attempts(matrix: np.ndarray):
@@ -232,22 +369,25 @@ def _carry(carry: Carry, k0_gram: np.ndarray, w_new: np.ndarray, u: np.ndarray,
     if x is not None:
         for m, g in products:
             add_outer(m, u, g @ x)
-        if not _drifted(w_new, products):
+        if carry.freivalds is None:
+            z = np.cos(np.arange(w_new.shape[1], dtype=np.float64))
+            carry.freivalds = z, k0_gram @ z
+        z, g0z = carry.freivalds
+        if not _drifted(w_new, z, ((carry.m0, g0z), (carry.mp, carry.kp_gram @ z))):
             return
     for m, g in products:
         np.matmul(w_new, g, out=m)
 
 
-def _drifted(w_new: np.ndarray, products) -> bool:
+def _drifted(w_new: np.ndarray, z: np.ndarray, products) -> bool:
     """Whether some M of ``products`` is not W' G, by a Freivalds check.
 
-    Compares M z with W' (G z) for one fixed vector z, in O(d0^2 + d1 d0);
-    a relative gap above ``CARRY_TOLERANCE`` counts as drift.
+    ``products`` pairs each M with G z for the carry's fixed vector z, and
+    M z is compared with W' (G z) in O(d1 d0); a relative gap above
+    ``CARRY_TOLERANCE`` counts as drift.
     """
-    z = np.cos(np.arange(w_new.shape[1], dtype=np.float64))
     w_norm = _norm(w_new)
-    for m, g in products:
-        gz = g @ z
+    for m, gz in products:
         if not _norm(m @ z - w_new @ gz) <= CARRY_TOLERANCE * w_norm * _norm(gz):
             return True
     return False
@@ -291,28 +431,39 @@ def _overflowed(x: np.ndarray, norm: float) -> bool:
     return not math.isfinite(norm) and not np.isfinite(x).all()
 
 
-def _normal_solve(w: np.ndarray, c: np.ndarray, u: np.ndarray, k1: np.ndarray,
-                  rest, rhs_full: np.ndarray, times_c):
+def _assembly_overflowed() -> SingularSystemError:
+    return SingularSystemError(
+        "normal-equation assembly overflowed; the weighted system is not "
+        "representable in double precision"
+    )
+
+
+def _normal_solve(w: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
+                  rest, rhs_full: np.ndarray, times_c, kept: _Kept | None = None):
     """Solve ``delta @ C = U K1^T + rest``.
 
     Returns the report, ``W + delta`` and the residual matrix
     ``(W + delta) @ C - RHS``, whose norm over ||RHS|| is the reported
     residual.  The target U K1^T + rest is RHS - W @ C, assembled from
     residual products by the caller; ``rest`` is None when it is exactly 0.
-    ``c`` and ``rest`` are the caller's scratch, overwritten here, so a
-    d0 x d0 and a d1 x d0 copy fewer are live at once.  ``rhs_full`` is
-    only used to measure the residual.  ``times_c(w_new, x)`` moves the
-    caller's products to ``w_new`` and returns ``w_new @ C`` as a new array
-    assembled from them: by the rank-n update for delta = U X^T, or densely
-    when ``x`` is None.  That array becomes the residual matrix.
+    ``system()`` assembles C as a new array, which is then factored in
+    place; it is called only when a factorization is needed.  ``rest`` is
+    the caller's scratch, overwritten here.  ``rhs_full`` is only used to
+    measure the residual.  ``times_c(w_new, x)`` moves the caller's
+    products to ``w_new`` and returns ``w_new @ C`` as a new array assembled
+    from them: by the rank-n update for delta = U X^T, or densely when ``x``
+    is None.  That array becomes the residual matrix.
 
-    ``c`` is factored as it is, through its Fortran-ordered view, and only
+    C is factored as it is, through its Fortran-ordered view, and only
     one of its triangles is read: it need not be exactly symmetric, and it
     is not symmetrized (see the module docstring).
 
-    When ||rest|| <= SNAP_THRESHOLD ||RHS||, the unridged factor first solves
-    C X = K1 for n columns and tries delta = U X^T (see the module
-    docstring); every other attempt solves for the full target.
+    When ||rest|| <= SNAP_THRESHOLD ||RHS||, the solve tries delta = U X^T
+    with C X = K1 for n columns (see the module docstring): first by
+    ``kept``'s factor, if it holds one, then by the unridged factor of C.
+    Every other attempt solves for the full target.  ``kept`` holds the
+    caller's last unridged factor for this (v, az); the solve leaves it
+    holding the factor it solved with, extended or new, or none.
     """
     rhs_norm = _norm(rhs_full)
     ref = max(rhs_norm, _TINY)
@@ -322,19 +473,34 @@ def _normal_solve(w: np.ndarray, c: np.ndarray, u: np.ndarray, k1: np.ndarray,
         rank_n, target = _norm(rest) <= SNAP_THRESHOLD * ref, rest
         add_outer(target, u, k1)
     target_norm = _norm(target)
-    if (not np.isfinite(c).all() or _overflowed(target, target_norm)
-            or _overflowed(rhs_full, rhs_norm)):
-        raise SingularSystemError(
-            "normal-equation assembly overflowed; the weighted system is not "
-            "representable in double precision"
-        )
+    if _overflowed(target, target_norm) or _overflowed(rhs_full, rhs_norm):
+        raise _assembly_overflowed()
 
     def checked(w_new, x):
         resid = times_c(w_new, x)
         resid -= rhs_full
         return _norm(resid) / ref, resid
 
-    if target_norm <= SNAP_THRESHOLD * ref:
+    snap = target_norm <= SNAP_THRESHOLD * ref
+    # Whether a kept attempt moved the products, so that only a dense
+    # recompute puts them at the next candidate's weights.
+    moved = False
+    if kept is not None and kept.factor is not None:
+        solved = kept.solve(k1) if rank_n and not snap else None
+        if solved is not None:
+            x, cond = solved
+            delta = u @ x.T
+            w_new = w + delta
+            residual, resid = checked(w_new, x)
+            if residual <= RESIDUAL_TARGET:
+                return SolveReport(delta=delta, residual=residual, ridge_applied=0.0,
+                                   condition_estimate=cond), w_new, resid
+            moved = True
+        kept.clear()
+    c = system()
+    if not np.isfinite(c).all():
+        raise _assembly_overflowed()
+    if snap:
         residual, resid = checked(w, None)
         return SolveReport(delta=np.zeros_like(w), residual=residual,
                            ridge_applied=0.0,
@@ -344,22 +510,27 @@ def _normal_solve(w: np.ndarray, c: np.ndarray, u: np.ndarray, k1: np.ndarray,
         last_cond = cond
         if factor is None:
             continue
+        report = None
         if rank_n and lam == 0.0:
             x = _cho_solve(factor, k1)
             delta = u @ x.T
             w_new = w + delta
-            residual, resid = checked(w_new, x)
+            residual, resid = checked(w_new, None if moved else x)
             if residual <= RESIDUAL_TARGET:
-                return SolveReport(delta=delta, residual=residual,
-                                   ridge_applied=lam,
-                                   condition_estimate=cond), w_new, resid
-        delta = _cho_solve(factor, target.T).T
-        w_new = w + delta
-        residual, resid = checked(w_new, None)
-        if not np.isfinite(residual) or (lam == 0.0 and residual > RESIDUAL_TARGET):
-            continue
-        return SolveReport(delta=delta, residual=residual, ridge_applied=lam,
-                           condition_estimate=cond), w_new, resid
+                report = SolveReport(delta=delta, residual=residual,
+                                     ridge_applied=lam, condition_estimate=cond)
+        if report is None:
+            delta = _cho_solve(factor, target.T).T
+            w_new = w + delta
+            residual, resid = checked(w_new, None)
+            if not np.isfinite(residual) or (lam == 0.0 and residual > RESIDUAL_TARGET):
+                continue
+            report = SolveReport(delta=delta, residual=residual, ridge_applied=lam,
+                                 condition_estimate=cond)
+        if kept is not None and lam == 0.0:
+            # _ridge_attempts scaled c by 2^-shift in place.
+            kept.seed(factor, cond, float(c.trace()) / c.shape[0])
+        return report, w_new, resid
     raise SingularSystemError(
         f"normal-equation matrix is numerically singular "
         f"(condition estimate {last_cond:.3e}) after maximum ridge escalation",
@@ -408,8 +579,9 @@ def solve_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
     - az: preservation weight, the queue value scaled by the queue gain a
     - carry: a step loop's :class:`Carry` at ``mem.w``, carried against
       ``bk.kp_gram``; the solve leaves it at W' = W + delta, with this
-      solve's residual and ``az``.  Without one, the solve seeds a carry
-      with R = v_weight (W KpKp^T - Vp Kp^T) and az' = 0.
+      solve's residual, ``az`` and kept factor.  Without one, the solve
+      seeds a carry with R = v_weight (W KpKp^T - Vp Kp^T), az' = 0 and no
+      kept factor.
 
     The perturbation is the unique minimizer whenever
     C = v_weight*(K1 K1^T + Kp Kp^T) + az*K0 K0^T is positive definite.
@@ -423,8 +595,8 @@ def solve_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
             resid = v_weight * (mp - bk.vpkpt)
         carry = Carry(m0=w @ mem.k0_gram, mp=mp, kp_gram=bk.kp_gram, resid=resid)
     m0, mp = carry.m0, carry.mp
+    carry.kept.at(v_weight, az)
     with np.errstate(over="ignore"):
-        c = _weighted(az, mem.k0_gram, v_weight, bk.kp_gram, k1, k1)
         rhs_full = _weighted(az, mem.v0k0t, v_weight, bk.vpkpt, v1, k1)
         # Residual assembly: exact zeros survive, unlike rhs_full - w @ c.
         u = v_weight * (v1 - w @ k1)
@@ -440,8 +612,11 @@ def solve_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
             carry.wk1 = w_new @ k1
             return _weighted(az, m0, v_weight, mp, carry.wk1, k1)
 
-        report, carry.w, carry.resid = _normal_solve(w, c, u, k1, rest, rhs_full,
-                                                     times_c)
+        def system():
+            return _weighted(az, mem.k0_gram, v_weight, bk.kp_gram, k1, k1)
+
+        report, carry.w, carry.resid = _normal_solve(w, system, u, k1, rest, rhs_full,
+                                                     times_c, carry.kept)
     carry.az = az
     return report
 
@@ -465,7 +640,6 @@ def solve_baseline(mem: AssociativeMemory, batch: EditBatch,
         carry = Carry(m0=w @ mem.k0_gram, mp=np.zeros_like(w),
                       kp_gram=np.zeros_like(mem.k0_gram))
     m0 = carry.m0
-    c = _plus_outer(mem.k0_gram, k1, k1)
     u = v1 - w @ k1
     rhs_full = _plus_outer(m0, v1, k1)  # W C + target
 
@@ -474,7 +648,8 @@ def solve_baseline(mem: AssociativeMemory, batch: EditBatch,
         carry.wk1 = w_new @ k1
         return _plus_outer(m0, carry.wk1, k1)
 
-    report, carry.w, _ = _normal_solve(w, c, u, k1, None, rhs_full, times_c)
+    report, carry.w, _ = _normal_solve(w, lambda: _plus_outer(mem.k0_gram, k1, k1),
+                                       u, k1, None, rhs_full, times_c)
     return report
 
 

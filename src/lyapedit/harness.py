@@ -59,8 +59,13 @@ moves the products by rank-n updates instead of two dense d1 x d0^2
 passes: on every baseline and edit-only step, and on a lyaplock step whose
 target part beyond the batch term is round-off, as it is whenever az did
 not change.  A Freivalds check after each rank-n update recomputes the
-products densely if they drift (see ``lyapedit.editors``).  The probe reads
-its PL from the ``W' K0K0^T`` that its own solve left.
+products densely if they drift (see ``lyapedit.editors``).  The carry also
+keeps lyaplock's last unridged factor: while a*Z and v hold, a rank-n step
+solves by a Woodbury correction over the batches absorbed since, with no
+factorization, and its condition estimate is an upper estimate from the
+kept one.  A fork's carry copies the pending batches, so a path forked in
+such a stretch solves as it would alone.  The probe reads its PL from the
+``W' K0K0^T`` that its own solve left.
 """
 from __future__ import annotations
 
@@ -159,7 +164,10 @@ class RunResult:
     z_history: np.ndarray  # Z(1) .. Z(T+1); Z(t) is read by step t's solve
     delta_fro_history: np.ndarray
     ridge_history: np.ndarray
-    cond_history: np.ndarray  # condition estimate, NaN where nothing was factored
+    # pocon's condition estimate, NaN where the edit snapped to zero; on a
+    # step solved by a kept factor, the kept estimate times
+    # 1 + v sum ||K_j||_F^2 / (tr(C(s))/d0), an upper estimate for C(t)
+    cond_history: np.ndarray
     residual_history: np.ndarray  # the solve's relative residual
     w_initial: np.ndarray
     w_final: np.ndarray

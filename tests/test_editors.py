@@ -342,10 +342,10 @@ class TestDirectLapack:
     """The bound routines give the scipy wrappers' results bit for bit."""
 
     def solve_both(self, scipy_wrappers, w, c, *args):
-        # _normal_solve overwrites its system matrix.
-        bound = editors._normal_solve(w, c.copy(), *args)
+        # _normal_solve factors the system matrix in place.
+        bound = editors._normal_solve(w, c.copy, *args)
         scipy_wrappers()
-        wrapped = editors._normal_solve(w, c.copy(), *args)
+        wrapped = editors._normal_solve(w, c.copy, *args)
         same_report(bound[0], wrapped[0])
         assert bound[1].tobytes() == wrapped[1].tobytes()
         return bound[0]
@@ -402,10 +402,10 @@ class TestDirectLapack:
         target = rng.standard_normal((3, dim))
         args = (target, np.eye(dim), None, w @ c + target, lambda w_new, x: w_new @ c)
         with pytest.raises(SingularSystemError) as bound:
-            editors._normal_solve(w, c.copy(), *args)
+            editors._normal_solve(w, c.copy, *args)
         scipy_wrappers()
         with pytest.raises(SingularSystemError) as wrapped:
-            editors._normal_solve(w, c.copy(), *args)
+            editors._normal_solve(w, c.copy, *args)
         assert str(bound.value) == str(wrapped.value)
         assert bound.value.condition_estimate == wrapped.value.condition_estimate
 
@@ -469,7 +469,7 @@ class TestRankNForm:
             # The rank-n attempt reports a residual far above the target.
             return w_new @ c + (0.0 if x is None else 1.0)
 
-        report, _, _ = editors._normal_solve(w, c.copy(), u, k1, None,
+        report, _, _ = editors._normal_solve(w, c.copy, u, k1, None,
                                              w @ c + target, times_c)
         assert dense == [False, True]
         assert report.residual <= editors.RESIDUAL_TARGET
@@ -528,7 +528,7 @@ class TestNativeLayout:
 
         def solve(matrix):
             report, _, _ = editors._normal_solve(
-                w, matrix, u, k1, None if rest is None else rest.copy(), rhs_full,
+                w, lambda: matrix, u, k1, None if rest is None else rest.copy(), rhs_full,
                 lambda w_new, x: w_new @ c)
             return report
 
@@ -546,3 +546,119 @@ class TestNativeLayout:
         assert report.residual <= editors.RESIDUAL_TARGET
         # The triangle potrf does read moves the edit.
         assert solve(bumped(rows_below=False)).delta.tobytes() != plain.delta.tobytes()
+
+
+class TestKeptFactor:
+    """Lyaplock steps at an unchanged (v, az) solve by the kept factor; every
+    other step refactors C, and the next unridged factor is kept."""
+
+    # cap = max(n, d0 // 4) = 4: a factored step, two kept steps, a full cap.
+    SPEC = StreamSpec(dims=Dims(d0=16, d1=12), n_per_batch=2, total_batches=12,
+                      key_scale=1.0, value_mode="planted-teacher",
+                      teacher_drift=0.1, seed=188, m0=64)
+
+    class Loop:
+        """Steps one carry through the stream, as the run's loop does."""
+
+        def __init__(self, spec):
+            self.stream = EditStream(spec)
+            self.mem = self.stream.preserved_memory()
+            self.backlog = BacklogAccumulator.empty(self.mem.dims)
+            self.carry = editors.Carry.start(self.mem, self.backlog)
+            self.t, self.batch = 0, None
+
+        def step(self, az, v=1.0):
+            """Solve step t + 1, after absorbing step t's batch."""
+            if self.batch is not None:
+                absorb(self.backlog, self.batch)
+                self.carry.absorbed(self.batch)
+            self.t += 1
+            self.batch = self.stream.batch(self.t)
+            report = solve_lyaplock(self.mem, self.backlog, self.batch, v, az,
+                                    self.carry)
+            self.mem = self.mem.with_weights(self.carry.w)
+            return report
+
+    @pytest.fixture
+    def refactors(self, monkeypatch):
+        """The number of d0 x d0 systems ``potrf`` factored, one count per
+        call: Woodbury cores are at most 4 x 4 here."""
+        factored = []
+
+        def recording(a, *args, **kwargs):
+            factored.append(a.shape[0] == self.SPEC.dims.d0)
+            return lapack._potrf(a, *args, **kwargs)
+
+        monkeypatch.setattr(editors, "_potrf", recording)
+
+        def count(step):
+            before = sum(factored)
+            report = step()
+            return sum(factored) - before, report
+        return count
+
+    def test_kept_steps_until_the_cap_is_full(self, refactors):
+        loop = self.Loop(self.SPEC)
+        counts = []
+        for _ in range(7):
+            n, report = refactors(lambda: loop.step(az=1.0))
+            counts.append(n)
+            assert report.ridge_applied == 0.0
+            assert report.residual <= editors.RESIDUAL_TARGET
+            assert report.condition_estimate <= editors.CONDITION_LIMIT
+        assert counts == [1, 0, 0, 1, 0, 0, 1]
+
+    def test_a_changed_weight_refactors(self, refactors):
+        loop = self.Loop(self.SPEC)
+        assert [refactors(lambda: loop.step(az=1.0))[0] for _ in range(2)] == [1, 0]
+        assert refactors(lambda: loop.step(az=1.5))[0] == 1
+        assert refactors(lambda: loop.step(az=1.5))[0] == 0
+        # A run never changes v on a carry, but a factor made at another v
+        # is dropped all the same.
+        kept = loop.carry.kept
+        kept.at(1.0, 1.5)
+        assert kept.factor is not None
+        kept.at(2.0, 1.5)
+        assert kept.factor is None and not kept.keys and not kept.solves
+
+    def test_a_ridged_step_keeps_no_factor(self, refactors, monkeypatch):
+        loop = self.Loop(self.SPEC)
+        assert [refactors(lambda: loop.step(az=1.0))[0] for _ in range(2)] == [1, 0]
+        # No unridged attempt can meet a residual target of 0.
+        with monkeypatch.context() as patch:
+            patch.setattr(editors, "RESIDUAL_TARGET", 0.0)
+            n, report = refactors(lambda: loop.step(az=1.0))
+        assert n >= 2 and report.ridge_applied > 0.0
+        assert loop.carry.kept.factor is None
+        assert refactors(lambda: loop.step(az=1.0))[0] == 1
+        assert refactors(lambda: loop.step(az=1.0))[0] == 0
+
+    def test_a_kept_miss_refactors_and_recomputes_the_products(self, refactors,
+                                                               monkeypatch):
+        """The kept attempt has moved the products; the fallback must not move
+        them a second time by a rank-n update."""
+        original, drifts = editors._Kept.solve, []
+
+        def off(kept, k1):
+            solved = original(kept, k1)
+            return None if solved is None else (solved[0] * (1.0 + 1e-4), solved[1])
+
+        original_drifted = editors._drifted
+
+        def drifted(*args):
+            drifts.append(original_drifted(*args))
+            return drifts[-1]
+
+        monkeypatch.setattr(editors, "_drifted", drifted)
+        loop = self.Loop(self.SPEC)
+        assert refactors(lambda: loop.step(az=1.0))[0] == 1
+        monkeypatch.setattr(editors._Kept, "solve", off)
+        for _ in range(2):
+            n, report = refactors(lambda: loop.step(az=1.0))
+            assert n == 1
+            assert report.ridge_applied == 0.0
+            assert report.residual <= editors.RESIDUAL_TARGET
+            carry, w = loop.carry, loop.carry.w
+            assert np.array_equal(carry.m0, w @ loop.mem.k0_gram)
+            assert np.array_equal(carry.mp, w @ loop.backlog.kp_gram)
+        assert drifts and not any(drifts)

@@ -600,8 +600,8 @@ class TestRankNSteps:
             wide_solves.append(b.shape[1] == d1)
             return original_cho(factor, b)
 
-        def drifted(w_new, products):
-            drift_checks.append(original_drifted(w_new, products))
+        def drifted(*args):
+            drift_checks.append(original_drifted(*args))
             return drift_checks[-1]
 
         def step(config, mem, backlog, batch, params, z, carry):
@@ -661,7 +661,8 @@ class TestRankNSteps:
         """(az - az') (V0 K0^T - M0) - R is v (Vp Kp^T - Mp) + az (V0 K0^T - M0).
 
         Checked on the carry each step starts from, and on the remainder the
-        solve then receives.
+        solve then receives, both where a kept factor makes the first attempt
+        and where C is refactored.
         """
         from dataclasses import replace
 
@@ -669,7 +670,7 @@ class TestRankNSteps:
         import lyapedit.harness as harness
 
         config = replace(small_config(total=300), alpha=2.0)
-        gaps, explicit, received, az_values = [], [], [], []
+        gaps, explicit, received, az_values, kept = [], [], [], [], []
         original_step, original_solve = harness._solve_step, editors._normal_solve
 
         def step(config, mem, backlog, batch, params, z, carry):
@@ -683,10 +684,11 @@ class TestRankNSteps:
             explicit.append((written, scale))
             return original_step(config, mem, backlog, batch, params, z, carry)
 
-        def normal_solve(w, c, u, k1, rest, rhs_full, times_c):
+        def normal_solve(w, system, u, k1, rest, rhs_full, times_c, held=None):
             if rest is not None:  # a lyaplock remainder; the probe passes None
                 received.append(rest.copy())
-            return original_solve(w, c, u, k1, rest, rhs_full, times_c)
+                kept.append(held.factor is not None)
+            return original_solve(w, system, u, k1, rest, rhs_full, times_c, held)
 
         monkeypatch.setattr(harness, "_solve_step", step)
         monkeypatch.setattr(editors, "_normal_solve", normal_solve)
@@ -694,6 +696,7 @@ class TestRankNSteps:
         assert len(gaps) == len(received) == config.stream.total_batches
         changed = sum(a != b for a, b in zip(az_values, az_values[1:]))
         assert 0 < changed < config.stream.total_batches - 1
+        assert 0 < sum(kept) < config.stream.total_batches
         gaps += [np.linalg.norm(rest - written) / scale
                  for rest, (written, scale) in zip(received, explicit)]
         assert max(gaps) <= 1e-12
@@ -796,14 +799,27 @@ class TestScaleCovariance:
 
     @classmethod
     def scale_free_view(cls, shape, editor, key_scale):
+        """PL/D, a*Z and |delta|, and the number of steps a kept factor solved."""
+        from unittest import mock
+
+        import lyapedit.editors as editors
+
         d0, d1, n, m0 = shape
         spec = StreamSpec(dims=Dims(d0=d0, d1=d1), n_per_batch=n, total_batches=200,
                           key_scale=key_scale, value_mode="planted-teacher",
                           teacher_drift=0.1, seed=7, m0=m0)
-        result = run(RunConfig(stream=spec, editor=editor, alpha=60.0))
+        original, kept = editors._Kept.solve, []
+
+        def counting(self, k1):
+            solved = original(self, k1)
+            kept.append(solved is not None)
+            return solved
+
+        with mock.patch.object(editors._Kept, "solve", counting):
+            result = run(RunConfig(stream=spec, editor=editor, alpha=60.0))
         return (result.pl_history / result.params.d_threshold,
                 result.params.a * result.z_history,
-                result.delta_fro_history)
+                result.delta_fro_history), sum(kept)
 
     @settings(max_examples=30, derandomize=True, deadline=None, database=None)
     # Found by this test: a subnormal ridge and pivots at 2^-500, before the
@@ -814,16 +830,89 @@ class TestScaleCovariance:
     def test_power_of_two_key_scale_is_bit_identical(self, k, shape, editor):
         """Keys scaled by 2^k give bit for bit the PL/D, a*Z and |delta| of 2^0.
 
-        Every operation then scales exactly, rank-n and full steps alike, as
-        long as nothing the solver forms is subnormal or overflows.
+        Every operation then scales exactly, rank-n, full and kept-factor
+        steps alike, as long as nothing the solver forms is subnormal or
+        overflows.  Every lyaplock run has kept-factor steps.
         """
-        unit = self._unit_runs.get((shape, editor))
-        if unit is None:
-            unit = self._unit_runs[(shape, editor)] = self.scale_free_view(
-                shape, editor, 1.0)
-        scaled = self.scale_free_view(shape, editor, 2.0 ** k)
+        if (shape, editor) not in self._unit_runs:
+            self._unit_runs[(shape, editor)] = self.scale_free_view(shape, editor, 1.0)
+        unit, unit_kept = self._unit_runs[(shape, editor)]
+        scaled, scaled_kept = self.scale_free_view(shape, editor, 2.0 ** k)
         for name, a, b in zip(("PL/D", "a*Z", "|delta|"), unit, scaled):
             assert a.tobytes() == b.tobytes(), name
+        assert scaled_kept == unit_kept
+        assert (unit_kept > 0) == (editor == "lyaplock")
+
+
+class TestKeptFactor:
+    """Steps at an unchanged (v, a*Z) solve by the path's kept factor."""
+
+    @staticmethod
+    def no_kept_factor():
+        from unittest import mock
+
+        import lyapedit.editors as editors
+        return mock.patch.object(editors, "_rank_cap", lambda d0, n: 0)
+
+    # d0 = 16 and n = 2 give a cap of 4: a factored step, then two kept
+    # steps, then a full cap.  Low alphas leave the floor early, and the
+    # members that share their path split, often inside a kept stretch.
+    @settings(max_examples=25, derandomize=True, deadline=None, database=None)
+    @example(members=[(2.0, 1.0), (60.0, 1.0), (2.0, 1.0), (5.0, 2.0)], seed=3)
+    @given(members=st.lists(st.tuples(st.sampled_from((2.0, 5.0, 60.0)),
+                                      st.sampled_from((1.0, 2.0))),
+                            min_size=2, max_size=4),
+           seed=st.integers(0, 7))
+    def test_lockstep_is_standalone_and_refactoring_agrees(self, members, seed):
+        """Lockstep members equal standalone runs bit for bit, and runs that
+        refactor every step agree within 1e-10 relative.
+
+        A kept step's residual is the round-off of another factorization and
+        its condition estimate an upper estimate, so those two histories are
+        left out of the second comparison.
+        """
+        import lyapedit.harness as harness
+
+        spec = StreamSpec(dims=Dims(d0=16, d1=12), n_per_batch=2, total_batches=60,
+                          key_scale=1.0, value_mode="planted-teacher",
+                          teacher_drift=0.15, seed=seed, m0=64)
+        configs = [RunConfig(stream=spec, editor="lyaplock", alpha=alpha,
+                             v_weight=v) for alpha, v in members]
+        together = harness._run_lockstep(configs)
+        for config, shared in zip(configs, together):
+            alone = run(config)
+            assert alone.summary == shared.summary
+            for name in HISTORIES + ("w_final",):
+                assert getattr(alone, name).tobytes() == getattr(shared, name).tobytes(), name
+        with self.no_kept_factor():
+            refactored = harness._run_lockstep(configs)
+        for kept, factored in zip(together, refactored):
+            for name in ("pl_history", "el_history", "bl_history", "z_history",
+                         "delta_fro_history", "w_final"):
+                assert np.allclose(getattr(kept, name), getattr(factored, name),
+                                   rtol=1e-10, atol=0.0), name
+
+    @pytest.mark.long_horizon
+    def test_long_horizon_matches_refactoring(self):
+        """T = 10,000 on the acceptance stream, where Z sits on its floor on
+        most steps: the histories agree within 1e-10 relative, and the
+        telescoped certificate holds for both runs."""
+        from lyapedit.oracle import check_sufficiency_empirical
+
+        spec = StreamSpec(dims=Dims(d0=64, d1=48), n_per_batch=8,
+                          total_batches=10_000, key_scale=1.0,
+                          value_mode="planted-teacher", teacher_drift=0.1,
+                          seed=188, m0=2048)
+        config = RunConfig(stream=spec, editor="lyaplock", alpha=60.0)
+        kept = run(config)
+        with self.no_kept_factor():
+            factored = run(config)
+        for name in ("pl_history", "el_history", "bl_history", "z_history"):
+            assert np.allclose(getattr(kept, name), getattr(factored, name),
+                               rtol=1e-10, atol=0.0), name
+        for result in (kept, factored):
+            assert check_sufficiency_empirical(result.pl_history, result.z_history,
+                                               result.params).passed
 
 
 class TestCompare:
