@@ -31,15 +31,16 @@ Carried residuals.  Lyaplock's target is U K1^T plus the remainder
 v (Vp Kp^T - Mp) + az (V0 K0^T - M0), and that remainder is never assembled
 from the products.  After a step solves with az' and its batch is absorbed,
 Kp Kp^T and Vp Kp^T have grown by that batch's K1 K1^T and V1 K1^T, so the
-next remainder is exactly (az - az') (V0 K0^T - M0) - R, where
-R = W' C - RHS is the residual matrix that step's check built.  The carry
-keeps R and az'; the first term is formed only when az changed, so on a
-step at the queue floor the remainder is -R, round-off.  A fresh carry
-seeds R = 0 and az' = 0 at the original weights, where the remainder is
-exactly 0; :func:`solve_lyaplock` seeds R = v (W KpKp^T - Vp Kp^T) and
-az' = 0, which gives the remainder as it is written above.  The residual
-check of every step judges the result, so an error in R cannot pass
-unseen: the step it enters misses ``RESIDUAL_TARGET`` and is ridged.
+next remainder is exactly
+(az - az') (V0 K0^T - M0) + (v - v') (Vp Kp^T - Mp) - R, where
+R = W' C - RHS is the residual matrix that step's check built with az' and
+v'.  The carry keeps R, az' and v'; each weight's term is formed only when
+that weight changed, so on a step at the queue floor the remainder is -R,
+round-off.  A fresh carry seeds R = 0 and az' = v' = 0, which gives the
+remainder as it is written above: at the original weights against an
+empty backlog, exactly 0.  The residual check of every step judges the
+result, so an error in R cannot pass unseen: the step it enters misses
+``RESIDUAL_TARGET`` and is ridged.
 
 Rank-n steps.  A step's perturbation has the form delta = U X^T whenever
 its target is U K1^T for the n keys K1 of the batch: then C X = K1 is a
@@ -77,6 +78,18 @@ miss, an az or v that changed, a full cap or a snapped step drops the kept
 factor and falls through to the ridge ladder, which recomputes the products
 densely if the kept attempt moved them; the ladder's unridged factor, if
 it solves the step, is kept in turn.
+
+The preserved Gram's factor.  A memory built by
+``EditStream.preserved_memory`` carries the unridged factor of K0K0^T that
+the stream's check made (``mem.k0_factor``, from :func:`_factor_gram`).
+Baseline's C is K0K0^T + K1K1^T on every step, and lyaplock's is
+K0K0^T + v K1K1^T at an empty backlog and az = 1, which with the queue
+floored at exactly 1 is every path's step 1.  Both are C(s) = K0K0^T with
+the step's batch pending, so they seed a kept factor from it: baseline a
+fresh one on every call, the probe included, and lyaplock the carry's,
+whose stretch then goes on as above.  Its estimate is pocon's for K0K0^T
+times 1 + v ||K1||_F^2 / (tr(K0K0^T)/d0).  A memory without it, as
+``new_memory`` builds, factors C on those steps.
 """
 from __future__ import annotations
 
@@ -140,10 +153,11 @@ def _rank_cap(d0: int, n: int) -> int:
 
 
 class _Kept:
-    """An unridged lyaplock factor, kept while (v, az) hold.
+    """An unridged factor, kept while (v, az) hold.
 
     ``factor`` is (L, shift) from :func:`_ridge_attempts` for C(s), the
-    system of the step s that factored it at ``v`` and ``az``, with pocon's
+    system of the step s that factored it at ``v`` and ``az``, or from
+    :func:`_factor_gram` for C(s) = K0K0^T at az = 1, with pocon's
     ``cond`` and ``unit`` = tr(C(s))/d0 * 2^-shift.  Each later step t adds
     its batch's v K_t K_t^T, so C(t) = C(s) + v K~ K~^T for the keys K~ of
     the batches since s, the step's own included.  ``keys`` holds those
@@ -244,13 +258,13 @@ class Carry:
       :meth:`absorbed` moves ``mp`` with it
     - ``wk1``: W' K1 for the step's batch, which the editing loss and the
       absorb of the batch read
-    - ``resid`` and ``az``: the residual matrix W' C - RHS of the last
-      lyaplock solve and the az it solved with, from which the next
-      lyaplock target is formed (see the module docstring); the next solve
-      builds its target in ``resid``.  The other editors leave both.
+    - ``resid``, ``az`` and ``v``: the residual matrix W' C - RHS of the
+      last lyaplock solve and the az and v it solved with, from which the
+      next lyaplock target is formed (see the module docstring); the next
+      solve builds its target in ``resid``.  The other editors leave them.
     - ``w``: W' itself, the array the solve's residual check used
-    - ``kept``: lyaplock's last unridged factor and the batches absorbed
-      since (see the module docstring)
+    - ``kept``: lyaplock's last unridged factor, or the preserved Gram's,
+      and the batches absorbed since (see the module docstring)
     - ``freivalds``: the fixed vector z of the Freivalds check and
       K0K0^T z, formed at its first rank-n step
     """
@@ -260,6 +274,7 @@ class Carry:
     kp_gram: np.ndarray
     resid: np.ndarray | None = None
     az: float = 0.0
+    v: float = 0.0
     wk1: np.ndarray | None = None
     w: np.ndarray | None = None
     kept: _Kept = field(default_factory=_Kept)
@@ -270,9 +285,9 @@ class Carry:
         """At the original weights ``mem.w0`` against the empty ``backlog``.
 
         M0 = W0 K0K0^T is a copy of V0 K0^T, and Mp and R are zeros, so the
-        first lyaplock target's remainder is exactly 0.  ``np.zeros`` pages
-        in no memory until it is written, so R costs nothing resident for
-        an editor that never writes it.
+        first lyaplock target's remainder is exactly 0 whatever its az and
+        v.  ``np.zeros`` pages in no memory until it is written, so R costs
+        nothing resident for an editor that never writes it.
         """
         return cls(m0=mem.v0k0t.copy(), mp=np.zeros(mem.w.shape),
                    kp_gram=backlog.kp_gram, resid=np.zeros(mem.w.shape))
@@ -297,6 +312,24 @@ class Carry:
                        resid=self.resid.copy(), kept=self.kept.copy())
 
 
+def _mean_diagonal(matrix: np.ndarray) -> float:
+    """tr(C)/dim, inf where the trace overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.trace(matrix)) / matrix.shape[0]
+
+
+def _even_shift(scale: float) -> int:
+    """The even power of two that brings ``scale`` into [1/2, 2)."""
+    return 2 * (math.frexp(scale)[1] // 2)
+
+
+def _condition(factor: np.ndarray, anorm: float) -> float:
+    """pocon's estimate of the condition of the matrix whose Cholesky factor
+    is ``factor`` and whose 1-norm is ``anorm``; inf if it finds none."""
+    rcond, info = _pocon(factor, anorm, uplo="L")
+    return 1.0 / float(rcond) if info == 0 and rcond > 0.0 else float("inf")
+
+
 def _ridge_attempts(matrix: np.ndarray):
     """Yield (lam, factor, condition_estimate) over the ladder.
 
@@ -318,8 +351,7 @@ def _ridge_attempts(matrix: np.ndarray):
     repair that: it raises SingularSystemError naming the underflow.
     """
     dim = matrix.shape[0]
-    with np.errstate(over="ignore"):
-        scale = float(np.trace(matrix)) / dim
+    scale = _mean_diagonal(matrix)
     if not np.isfinite(scale):  # the trace overflowed; a finite diagonal's mean cannot
         scale = float(np.sum(np.diagonal(matrix) / dim))
     if 0.0 < scale < _TINY:
@@ -327,7 +359,7 @@ def _ridge_attempts(matrix: np.ndarray):
             f"system matrix C underflowed: its mean diagonal tr(C)/dim = {scale!r} is "
             f"below the smallest normal double {_TINY!r}, so it is not "
             f"representable in double precision")
-    shift = 2 * (math.frexp(scale)[1] // 2)
+    shift = _even_shift(scale)
     unit = math.ldexp(1.0, -shift)
     matrix *= unit
     for rung in (0.0,) + RIDGE_LADDER:
@@ -342,10 +374,36 @@ def _ridge_attempts(matrix: np.ndarray):
         if info > 0:  # a leading minor is not positive definite
             yield lam, None, float("inf")
             continue
-        anorm = float(_lange("I", ridged.T))  # the 1-norm: the largest column sum
-        rcond, info = _pocon(factor, anorm, uplo="L")
-        cond = 1.0 / float(rcond) if info == 0 and rcond > 0.0 else float("inf")
+        cond = _condition(factor, float(_lange("I", ridged.T)))  # the 1-norm
         yield lam, ((factor, shift) if cond <= CONDITION_LIMIT else None), cond
+
+
+def _factor_gram(gram: np.ndarray, keep: bool):
+    """``potrf`` of a finite symmetric Gram, as the unridged rung of
+    :func:`_ridge_attempts` would factor it: (info, kept).
+
+    The Gram is factored on one scaled copy, by the same power of two, and
+    ``gram`` is left as it is.  ``info`` is ``potrf``'s, nonzero when the
+    Gram is not positive definite.  ``kept`` is None, or, with ``keep``,
+    (factor, cond, unit) for :meth:`_Kept.seed`: the factor (L, shift)
+    made read-only, pocon's estimate and tr(G)/dim * 2^-shift.  A Gram
+    whose mean diagonal is subnormal or whose trace overflows, which
+    ``_ridge_attempts`` would reject or scale by another rule, is checked
+    by ``potrf`` unscaled and keeps no factor; so does a failed one.
+    """
+    scale = _mean_diagonal(gram)
+    if not _TINY <= scale < math.inf:
+        _, info = _potrf(gram.T, lower=True, clean=False)
+        return info, None
+    shift = _even_shift(scale)
+    unit = math.ldexp(1.0, -shift)
+    scaled = np.multiply(gram, unit)
+    anorm = float(_lange("I", scaled.T)) if keep else None
+    factor, info = _potrf(scaled.T, lower=True, clean=False, overwrite_a=1)
+    if info != 0 or not keep:
+        return info, None
+    factor.flags.writeable = False
+    return 0, ((factor, shift), _condition(factor, anorm), scale * unit)
 
 
 def _cho_solve(factor, b: np.ndarray) -> np.ndarray:
@@ -579,9 +637,13 @@ def solve_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
     - az: preservation weight, the queue value scaled by the queue gain a
     - carry: a step loop's :class:`Carry` at ``mem.w``, carried against
       ``bk.kp_gram``; the solve leaves it at W' = W + delta, with this
-      solve's residual, ``az`` and kept factor.  Without one, the solve
-      seeds a carry with R = v_weight (W KpKp^T - Vp Kp^T), az' = 0 and no
-      kept factor.
+      solve's residual, ``az``, ``v_weight`` and kept factor.  Without one,
+      the solve seeds a carry with R = 0, az' = v' = 0 and no kept factor,
+      so the remainder is formed as it is written out.
+
+    At an empty backlog and ``az`` = 1, C = K0K0^T + v_weight K1 K1^T, and a
+    carry that holds no factor is seeded with ``mem.k0_factor``, if the
+    memory has one (see the module docstring).
 
     The perturbation is the unique minimizer whenever
     C = v_weight*(K1 K1^T + Kp Kp^T) + az*K0 K0^T is positive definite.
@@ -589,23 +651,27 @@ def solve_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
     _check_lyaplock(mem, bk, batch, v_weight, az)
     w, k1, v1 = mem.w, batch.k1, batch.v1
     if carry is None:
-        mp = w @ bk.kp_gram
-        with np.errstate(over="ignore"):
-            # With az' = 0 the carried remainder is the one written out.
-            resid = v_weight * (mp - bk.vpkpt)
-        carry = Carry(m0=w @ mem.k0_gram, mp=mp, kp_gram=bk.kp_gram, resid=resid)
-    m0, mp = carry.m0, carry.mp
-    carry.kept.at(v_weight, az)
+        carry = Carry(m0=w @ mem.k0_gram, mp=w @ bk.kp_gram, kp_gram=bk.kp_gram,
+                      resid=np.zeros(w.shape))
+    m0, mp, kept = carry.m0, carry.mp, carry.kept
+    kept.at(v_weight, az)
+    if (kept.factor is None and az == 1.0 and bk.absorbed == 0
+            and mem.k0_factor is not None):
+        kept.seed(*mem.k0_factor)
     with np.errstate(over="ignore"):
         rhs_full = _weighted(az, mem.v0k0t, v_weight, bk.vpkpt, v1, k1)
         # Residual assembly: exact zeros survive, unlike rhs_full - w @ c.
         u = v_weight * (v1 - w @ k1)
-        # The remainder from the carried residual, in its buffer.
+        # The remainder from the carried residual, in its buffer, plus a
+        # term for each weight that changed since R was built.
         rest = np.negative(carry.resid, out=carry.resid)
-        if az != carry.az:
-            moved = np.subtract(mem.v0k0t, m0)
-            moved *= az - carry.az
-            rest += moved
+        if az != carry.az or v_weight != carry.v:  # not on a step at the floor
+            for weight, was, cross, m in ((az, carry.az, mem.v0k0t, m0),
+                                          (v_weight, carry.v, bk.vpkpt, mp)):
+                if weight != was:
+                    moved = np.subtract(cross, m)
+                    moved *= weight - was
+                    rest += moved
 
         def times_c(w_new, x):
             _carry(carry, mem.k0_gram, w_new, u, x)
@@ -616,8 +682,8 @@ def solve_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
             return _weighted(az, mem.k0_gram, v_weight, bk.kp_gram, k1, k1)
 
         report, carry.w, carry.resid = _normal_solve(w, system, u, k1, rest, rhs_full,
-                                                     times_c, carry.kept)
-    carry.az = az
+                                                     times_c, kept)
+    carry.az, carry.v = az, v_weight
     return report
 
 
@@ -633,6 +699,10 @@ def solve_baseline(mem: AssociativeMemory, batch: EditBatch,
     leaves at W' = W + delta.  The backlog enters only through ``carry.mp``,
     which the loop's backlog loss reads.  Without one, the solve seeds a
     carry with M0 = W K0K0^T against an empty backlog.
+
+    C is K0K0^T with this batch pending, so with ``mem.k0_factor`` the
+    solve seeds a fresh kept factor from it on every call (see the module
+    docstring); the carry's is not used.
     """
     _check_batch(mem, batch)
     w, k1, v1 = mem.w, batch.k1, batch.v1
@@ -648,8 +718,13 @@ def solve_baseline(mem: AssociativeMemory, batch: EditBatch,
         carry.wk1 = w_new @ k1
         return _plus_outer(m0, carry.wk1, k1)
 
+    kept = None
+    if mem.k0_factor is not None:
+        kept = _Kept()
+        kept.at(1.0, 1.0)
+        kept.seed(*mem.k0_factor)
     report, carry.w, _ = _normal_solve(w, lambda: _plus_outer(mem.k0_gram, k1, k1),
-                                       u, k1, None, rhs_full, times_c)
+                                       u, k1, None, rhs_full, times_c, kept)
     return report
 
 

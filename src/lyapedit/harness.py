@@ -15,17 +15,19 @@ step's update.
 Runs over one stream share one step loop.  ``run`` is its one-member case;
 ``compare`` and ``sweep_alpha`` step all their members together.  Set-up
 happens once: one stream, one preserved Gram (formed and checked by the
-stream, then kept by the memory; the raw keys are dropped), one memory and
-one probe.  The one dense set-up product W0 K0K0^T is the memory's V0 K0^T,
-since V0 = W0 K0; the probe and the first path start from a copy of it.  Each
-batch is generated once per step and absorbed once into the one backlog, which
-depends only on the batches.  The step loop runs inside ``EditStream.ahead``,
-so on a long run a forked child may have made the batch, with the same code
-and the same bits, while the loop solved the steps before it; set-up and the
-probe never fork.  Each member keeps its queue value as a plain float and
-fills one per-step table of EL, PL, BL, Z, |delta|, ridge, and the solve's
-condition estimate and residual; the CSV rows, running averages, summary and
-an aborted run's output derive from it.
+stream, then kept by the memory with the check's unridged factor; the raw
+keys are dropped), one memory and one probe.  The one dense set-up product
+W0 K0K0^T is the memory's V0 K0^T, since V0 = W0 K0; the probe and the first
+path start from a copy of it.  Each batch is generated once per step and
+absorbed once into the one backlog, which depends only on the batches.  The
+step loop runs inside ``EditStream.ahead``, so on a long run a forked child
+may have made the batch, with the same code and the same bits, while the
+loop solved the steps before it; set-up and the probe never fork.  Each member keeps its queue in weight units, the
+preservation weight a*Z as a plain float, floored at exactly 1 (see
+``controller.in_weight_units``), and fills one per-step table of EL, PL,
+BL, Z = (a*Z) * z_max, |delta|, ridge, and the solve's condition estimate
+and residual; the CSV rows, running averages, summary and an aborted run's
+output derive from it.
 
 Members share paths.  A path is a weight trajectory: the memory at its
 current weights and one ``editors.Carry``.  Every member starts on one path.
@@ -34,7 +36,7 @@ their solve reads beyond the path: lyaplock's v and a*Z, compared by their
 exact bits, or the editor's name alone.  The first key keeps the path and
 each other key gets a fork with a copy of the carry; paths never merge.  So
 the members of an alpha sweep solve once per step while their queues sit on
-the floor, where a*Z is the same for all of them, and a baseline or
+the floor, where a*Z is exactly 1 for all of them, and a baseline or
 edit-only sweep solves once per step throughout.  A path's solve is the very
 one each member would make alone, so sharing changes no output bit.  A path
 is solved lazily, by its lowest-index member, which also raises its error;
@@ -63,8 +65,11 @@ products densely if they drift (see ``lyapedit.editors``).  The carry also
 keeps lyaplock's last unridged factor: while a*Z and v hold, a rank-n step
 solves by a Woodbury correction over the batches absorbed since, with no
 factorization, and its condition estimate is an upper estimate from the
-kept one.  A fork's carry copies the pending batches, so a path forked in
-such a stretch solves as it would alone.  The probe reads its PL from the
+kept one.  The first such factor is the preserved Gram's, which serves
+every path's step 1 at a*Z = 1, every baseline step and the probe: their
+systems are K0K0^T with the step's batch pending.  A fork's carry copies
+the pending batches and shares the factors, so a path forked in such a
+stretch solves as it would alone.  The probe reads its PL from the
 ``W' K0K0^T`` that its own solve left.
 """
 from __future__ import annotations
@@ -77,6 +82,7 @@ import numpy as np
 from .controller import (
     QueueParams,
     derive_params,
+    in_weight_units,
     stability_ratio,
     update_queue,
 )
@@ -166,7 +172,9 @@ class RunResult:
     ridge_history: np.ndarray
     # pocon's condition estimate, NaN where the edit snapped to zero; on a
     # step solved by a kept factor, the kept estimate times
-    # 1 + v sum ||K_j||_F^2 / (tr(C(s))/d0), an upper estimate for C(t)
+    # 1 + v sum ||K_j||_F^2 / (tr(C(s))/d0), an upper estimate for C(t).
+    # Every baseline step reads pocon(K0K0^T) (1 + ||K1||_F^2 / (tr(K0K0^T)/d0))
+    # when the memory carries the preserved Gram's factor.
     cond_history: np.ndarray
     residual_history: np.ndarray  # the solve's relative residual
     w_initial: np.ndarray
@@ -229,16 +237,16 @@ def estimate_d_base(stream: EditStream, mem: AssociativeMemory) -> float:
 
 def _solve_step(config: RunConfig, mem: AssociativeMemory,
                 backlog: BacklogAccumulator, batch, params: QueueParams,
-                z: float, carry: Carry):
+                weight: float, carry: Carry):
     """One path's solve: the report and W' = W + delta.
 
-    ``config``, ``params`` and ``z`` are those of the path's first member;
-    every other member of the path would pass the same solve inputs.
-    ``carry`` is at W on entry and at W' on return, whichever editor ran.
+    ``config``, ``params`` and the preservation weight ``weight`` = a*Z are
+    those of the path's first member; every other member of the path would
+    pass the same solve inputs.  ``carry`` is at W on entry and at W' on
+    return, whichever editor ran.
     """
     if config.editor == "lyaplock":
-        report = solve_lyaplock(mem, backlog, batch, params.v_weight,
-                                params.a * z, carry)
+        report = solve_lyaplock(mem, backlog, batch, params.v_weight, weight, carry)
     elif config.editor == "baseline":
         report = solve_baseline(mem, batch, carry)
     else:
@@ -280,7 +288,12 @@ def _split(members: list["_Member"]) -> None:
 
 
 class _Member:
-    """One configuration's queue value, path and per-step table."""
+    """One configuration's queue, path and per-step table.
+
+    The queue is kept in weight units, ``weight`` = a*Z, which is what the
+    solve reads; it starts and is floored at exactly 1.  The table records
+    Z = weight * z_max.
+    """
 
     def __init__(self, config: RunConfig, path: _Path, d_base: float):
         params = derive_params(config.alpha, d_base)
@@ -289,18 +302,24 @@ class _Member:
         total = config.stream.total_batches
         self.config = config
         self.params = params
-        self.z = params.z_init
+        self.queue = in_weight_units(params)
+        self.weight = self.queue.z_init
         self.path = path
         # The per-step table, keyed by RunResult field name: entry t-1 of a
         # column is step t's, and z_history also holds Z(T+1).
         self.table = {name: np.empty(total) for name in _COLUMNS}
         self.table["z_history"] = np.full(total + 1, self.z)
 
+    @property
+    def z(self) -> float:
+        """The queue value Z = weight * z_max, as the table records it."""
+        return self.weight * self.params.z_max
+
     def key(self) -> tuple:
         """What this member's solve reads beyond its path's weights and carry;
         the queue weight is compared by its exact bits."""
         if self.config.editor == "lyaplock":
-            return ("lyaplock", self.params.v_weight, self.params.a * self.z)
+            return ("lyaplock", self.params.v_weight, self.weight)
         return (self.config.editor,)
 
     def aborted(self, t: int, message: str) -> RunAborted:
@@ -315,17 +334,17 @@ class _Member:
         The first member of the path to reach step t solves, applies and
         measures it; the others read its row.
         """
-        config, params, z, path = self.config, self.params, self.z, self.path
-        if config.editor == "lyaplock" and not math.isfinite(params.a * z):
+        config, params, weight, path = self.config, self.params, self.weight, self.path
+        if config.editor == "lyaplock" and not math.isfinite(weight):
             raise self.aborted(t, (
                 f"queue overflow at step {t}: the preservation weight a*Z = "
-                f"{params.a * z!r} is not finite; Z={z!r} a={params.a!r} "
+                f"{weight!r} is not finite; Z={self.z!r} a={params.a!r} "
                 f"D={params.d_threshold!r}"))
         if path.t != t:
             carry = path.carry
             try:
                 report, w_new = _solve_step(config, path.mem, backlog, batch,
-                                            params, z, carry)
+                                            params, weight, carry)
             except SingularSystemError as exc:
                 raise self.aborted(t, f"solver aborted at step {t}: {exc}") from exc
             delta_fro = float(np.linalg.norm(report.delta))
@@ -336,7 +355,7 @@ class _Member:
                 bl = gram_loss(w_new, carry.mp, backlog.vpkpt, backlog.tr_vpvp)
             except (NonFiniteError, NumericalInstabilityError) as exc:
                 raise self.aborted(t, (
-                    f"loss measurement failed at step {t}: {exc}; z={z!r} "
+                    f"loss measurement failed at step {t}: {exc}; z={self.z!r} "
                     f"|delta|={delta_fro!r}")) from exc
             path.t, path.row = t, (pl, el, bl, delta_fro, report.ridge_applied,
                                    report.condition_estimate, report.residual)
@@ -344,8 +363,8 @@ class _Member:
         if not (math.isfinite(el) and math.isfinite(pl) and math.isfinite(bl)):
             raise self.aborted(t, (
                 f"non-finite loss at step {t}: el={el!r} pl={pl!r} bl={bl!r} "
-                f"z={z!r} |delta|={delta_fro!r}"))
-        self.z = update_queue(z, params, pl)
+                f"z={self.z!r} |delta|={delta_fro!r}"))
+        self.weight = update_queue(weight, self.queue, pl)
 
         table = self.table
         table["pl_history"][t - 1] = pl
@@ -355,7 +374,7 @@ class _Member:
         table["ridge_history"][t - 1] = ridge
         table["cond_history"][t - 1] = cond
         table["residual_history"][t - 1] = residual
-        table["z_history"][t] = self.z
+        table["z_history"][t] = self.weight * params.z_max
 
     def result(self) -> RunResult:
         config, params, table = self.config, self.params, self.table

@@ -106,7 +106,9 @@ class AssociativeMemory:
 
     ``w`` is the current weight matrix; ``w0`` stays frozen at the original
     weights.  ``k0_gram``, ``v0k0t`` and ``tr_v0v0`` are K0*K0^T, V0*K0^T and
-    tr(V0*V0^T); raw K0/V0 are not retained.
+    tr(V0*V0^T); raw K0/V0 are not retained.  ``k0_factor`` is None or the
+    unridged Cholesky factor of K0*K0^T that the stream's check made, in the
+    form ``editors._factor_gram`` returns: the solvers start from it.
     """
 
     w: np.ndarray
@@ -115,6 +117,7 @@ class AssociativeMemory:
     v0k0t: np.ndarray
     tr_v0v0: float
     dims: Dims
+    k0_factor: tuple | None = None
 
     def with_weights(self, w: np.ndarray) -> "AssociativeMemory":
         """Return a copy of this memory whose current weights are ``w``."""
@@ -210,8 +213,10 @@ def _preserved_gram(k0: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _memory_from_gram(w0: np.ndarray, k0_gram: np.ndarray) -> AssociativeMemory:
-    """The V0 = W(0)*K0 memory of checked ``w0`` and K0*K0^T (see new_memory).
+def _memory_from_gram(w0: np.ndarray, k0_gram: np.ndarray,
+                      k0_factor: tuple | None = None) -> AssociativeMemory:
+    """The V0 = W(0)*K0 memory of checked ``w0`` and K0*K0^T (see new_memory),
+    carrying ``k0_factor``.
 
     A product W0*K0K0^T of ``_SPLIT_MACS`` multiply-adds or more is formed
     in two blocks of rows at once.
@@ -226,8 +231,8 @@ def _memory_from_gram(w0: np.ndarray, k0_gram: np.ndarray) -> AssociativeMemory:
                lambda: np.matmul(w0[h:], k0_gram, out=v0k0t[h:]))
     tr_v0v0 = float(np.einsum("ij,ij->", v0k0t, w0))
     return AssociativeMemory(w=w0, w0=w0, k0_gram=k0_gram, v0k0t=v0k0t,
-                             tr_v0v0=tr_v0v0,
-                             dims=Dims(d0=d0, d1=d1))
+                             tr_v0v0=tr_v0v0, dims=Dims(d0=d0, d1=d1),
+                             k0_factor=k0_factor)
 
 
 def preservation_loss(mem: AssociativeMemory, w) -> float:

@@ -51,7 +51,8 @@ from .errors import (
     StreamExhausted,
 )
 from . import lapack
-from .lapack import _potrf, in_two
+from .editors import _factor_gram
+from .lapack import in_two
 from .memory import (
     AssociativeMemory,
     Dims,
@@ -209,12 +210,14 @@ _BLOCK_VALUES = 1 << 17
 _AHEAD_VALUES = 1 << 20
 
 
-def _checked_gram(k0: np.ndarray, key_scale: float) -> np.ndarray:
-    """The preserved Gram of ``k0``, checked finite and positive definite.
+def _checked_gram(k0: np.ndarray, key_scale: float, keep: bool):
+    """The preserved Gram of ``k0``, checked finite and positive definite,
+    and with ``keep`` its unridged factor: (gram, factor or None).
 
     Finiteness is tested first: ``potrf`` can factor an overflowed Gram
-    without complaint.  ``potrf`` gets the Fortran-ordered view ``gram.T``,
-    the same matrix, without a transposing copy.  The smallest eigenvalue
+    without complaint.  ``editors._factor_gram`` factors one scaled copy of
+    the Gram, as the solvers' unridged rung would, and with ``keep`` that
+    copy becomes the factor the memory carries.  The smallest eigenvalue
     is computed only to report a rank deficiency.
     """
     with np.errstate(over="ignore", invalid="ignore"):
@@ -224,14 +227,14 @@ def _checked_gram(k0: np.ndarray, key_scale: float) -> np.ndarray:
             f"preserved key Gram K0 K0^T overflowed at key_scale={key_scale!r}; "
             f"the keys are not representable in double precision"
         )
-    _, info = _potrf(gram.T, lower=True, clean=False)
+    info, factor = _factor_gram(gram, keep)
     if info != 0:
         smallest = float(np.linalg.eigvalsh(gram)[0])
         raise GenerationError(
             f"preserved keys are rank deficient (smallest Gram eigenvalue "
             f"{smallest!r}); check key_scale, got {key_scale!r}"
         )
-    return gram
+    return gram, factor
 
 
 @dataclass(frozen=True)
@@ -282,7 +285,8 @@ class EditStream:
     may have been made in a forked child; it is the same block.  Every
     batch's arrays are read-only, since repeated calls return the same
     object.  Of the preserved set the stream keeps w0 and the checked Gram
-    K0 K0^T, never the raw d0 x m0 keys K0.
+    K0 K0^T, and the factor of that check if :meth:`preserved_memory` made
+    it, never the raw d0 x m0 keys K0.
     """
 
     def __init__(self, spec: StreamSpec):
@@ -291,7 +295,9 @@ class EditStream:
         # The last tag, 0, is the draw: one per stream.
         self._w0 = (SplitMix64(derive_seed(spec.seed, _TAG_W0, 0))
                     .matrix(d1, d0) / np.sqrt(d0))
-        self._k0_gram = None
+        self._k0_gram = self._k0_factor = None
+        # Whether the check keeps the Gram's factor: only for preserved_memory.
+        self._keep_factor = False
         # Normals generated per batch.
         self._per_batch = d0 * n
         if spec.value_mode == "random-target":
@@ -313,21 +319,32 @@ class EditStream:
         Otherwise this raises GenerationError.  Such a failure comes from
         key_scale (zero, or beyond the range of double precision), so a
         fresh draw would not help and none is made.
-        :meth:`preserved_memory` reuses the Gram.
+        :meth:`preserved_memory` reuses the Gram.  This call keeps no
+        factor of it.
         """
         spec = self.spec
         k0 = SplitMix64(derive_seed(spec.seed, _TAG_K0, 0)).matrix(spec.dims.d0,
                                                                    spec.m0)
         k0 *= spec.key_scale
         if self._k0_gram is None:
-            self._k0_gram = _checked_gram(k0, spec.key_scale)
+            self._k0_gram, self._k0_factor = _checked_gram(k0, spec.key_scale,
+                                                           self._keep_factor)
         return self._w0, k0
 
     def preserved_memory(self) -> AssociativeMemory:
-        """The memory of ``generate_preserved()``, built on its checked Gram."""
+        """The memory of ``generate_preserved()``, built on its checked Gram.
+
+        If this call makes the check, the check's unridged factor of the
+        Gram is kept and the memory carries it as ``k0_factor``; after an
+        earlier ``generate_preserved()`` call the memory carries none.
+        """
         if self._k0_gram is None:
-            self.generate_preserved()
-        return _memory_from_gram(self._w0, self._k0_gram)
+            self._keep_factor = True
+            try:
+                self.generate_preserved()
+            finally:
+                self._keep_factor = False
+        return _memory_from_gram(self._w0, self._k0_gram, self._k0_factor)
 
     def batch(self, t: int) -> EditBatch:
         """Batch for timestamp t (1-based)."""

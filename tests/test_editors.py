@@ -1,6 +1,8 @@
 """Closed-form solvers: hand solutions, fixed points, and optimality checks."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -23,7 +25,7 @@ from lyapedit import (
     solve_edit_only,
     solve_lyaplock,
 )
-from lyapedit import editors, lapack, stream
+from lyapedit import editors, lapack
 from lyapedit.errors import InputError, SingularSystemError
 from lyapedit.oracle import closed_form_errors, quadratic_objective
 
@@ -500,8 +502,9 @@ class TestNativeLayout:
             seen.append(a.flags.f_contiguous)
             return lapack._potrf(a, *args, **kwargs)
 
+        # The stream's check of the preserved Gram factors it through
+        # editors._factor_gram, so this one name sees every call.
         monkeypatch.setattr(editors, "_potrf", recording)
-        monkeypatch.setattr(stream, "_potrf", recording)
         return seen
 
     @pytest.mark.parametrize("editor", ["lyaplock", "baseline", "edit-only"])
@@ -550,9 +553,12 @@ class TestNativeLayout:
 
 class TestKeptFactor:
     """Lyaplock steps at an unchanged (v, az) solve by the kept factor; every
-    other step refactors C, and the next unridged factor is kept."""
+    other step refactors C, and the next unridged factor is kept.  Step 1 at
+    az = 1 starts from the preserved Gram's factor, which the memory of
+    ``preserved_memory`` carries."""
 
-    # cap = max(n, d0 // 4) = 4: a factored step, two kept steps, a full cap.
+    # cap = max(n, d0 // 4) = 4: two kept steps on the preserved Gram's
+    # factor, a full cap, then a factored step and two kept steps.
     SPEC = StreamSpec(dims=Dims(d0=16, d1=12), n_per_batch=2, total_batches=12,
                       key_scale=1.0, value_mode="planted-teacher",
                       teacher_drift=0.1, seed=188, m0=64)
@@ -606,11 +612,11 @@ class TestKeptFactor:
             assert report.ridge_applied == 0.0
             assert report.residual <= editors.RESIDUAL_TARGET
             assert report.condition_estimate <= editors.CONDITION_LIMIT
-        assert counts == [1, 0, 0, 1, 0, 0, 1]
+        assert counts == [0, 0, 1, 0, 0, 1, 0]
 
     def test_a_changed_weight_refactors(self, refactors):
         loop = self.Loop(self.SPEC)
-        assert [refactors(lambda: loop.step(az=1.0))[0] for _ in range(2)] == [1, 0]
+        assert [refactors(lambda: loop.step(az=1.0))[0] for _ in range(2)] == [0, 0]
         assert refactors(lambda: loop.step(az=1.5))[0] == 1
         assert refactors(lambda: loop.step(az=1.5))[0] == 0
         # A run never changes v on a carry, but a factor made at another v
@@ -621,9 +627,65 @@ class TestKeptFactor:
         kept.at(2.0, 1.5)
         assert kept.factor is None and not kept.keys and not kept.solves
 
+    def test_a_changed_v_adds_its_term_to_the_remainder(self, refactors):
+        """The carry keeps the v its residual was built with, so a direct
+        step at another v forms its full target: one factorization, no
+        ridge, and the solve of a fresh carry."""
+        loop = self.Loop(self.SPEC)
+        for _ in range(2):
+            loop.step(az=1.0)
+        mem = loop.mem
+        n, report = refactors(lambda: loop.step(az=1.0, v=2.0))
+        assert n == 1 and report.ridge_applied == 0.0
+        # The loop absorbed step 2's batch before it solved step 3.
+        fresh = solve_lyaplock(mem, loop.backlog, loop.batch, 2.0, 1.0)
+        gap = np.linalg.norm(report.delta - fresh.delta)
+        assert gap <= 1e-10 * np.linalg.norm(fresh.delta)
+        assert loop.carry.v == 2.0
+
+    def test_step_one_and_the_probe_factor_nothing(self, refactors):
+        """Baseline's C is K0K0^T with its batch pending, and so is a
+        lyaplock step at an empty backlog and az = 1: both solve by the
+        preserved Gram's factor, which a carry copy shares."""
+        mem = EditStream(self.SPEC).preserved_memory()
+        batch = EditStream(self.SPEC).batch(1)
+        backlog = BacklogAccumulator.empty(mem.dims)
+        for solve in (lambda: solve_baseline(mem, batch),
+                      lambda: solve_lyaplock(mem, backlog, batch, 1.0, 1.0),
+                      lambda: solve_lyaplock(mem, backlog, batch, 2.0, 1.0)):
+            n, report = refactors(solve)
+            assert n == 0 and report.ridge_applied == 0.0
+            assert report.residual <= editors.RESIDUAL_TARGET
+        # At another az, or without the factor, C is factored.
+        assert refactors(lambda: solve_lyaplock(mem, backlog, batch, 1.0, 1.5))[0] == 1
+        assert refactors(lambda: solve_baseline(replace(mem, k0_factor=None),
+                                                batch))[0] == 1
+        carry = editors.Carry.start(mem, backlog)
+        solve_lyaplock(mem, backlog, batch, 1.0, 1.0, carry)
+        assert carry.copy().kept.factor[0] is mem.k0_factor[0][0]
+
+    def test_a_memory_without_the_factor_solves_as_the_ladder(self, refactors):
+        """``new_memory`` keeps no factor: its solves factor C, and match
+        the bits of a preserved memory with the factor dropped."""
+        stream = EditStream(self.SPEC)
+        with_factor = stream.preserved_memory()
+        plain = new_memory(*stream.generate_preserved())
+        assert plain.k0_factor is None
+        assert plain.k0_gram.tobytes() == with_factor.k0_gram.tobytes()
+        batch = stream.batch(1)
+
+        def deltas(mem):
+            backlog = BacklogAccumulator.empty(mem.dims)
+            counted = [refactors(lambda: solve_baseline(mem, batch)),
+                       refactors(lambda: solve_lyaplock(mem, backlog, batch, 1.0, 1.0))]
+            assert [n for n, _ in counted] == [1, 1]
+            return [report.delta.tobytes() for _, report in counted]
+
+        assert deltas(plain) == deltas(replace(with_factor, k0_factor=None))
+
     def test_a_ridged_step_keeps_no_factor(self, refactors, monkeypatch):
         loop = self.Loop(self.SPEC)
-        assert [refactors(lambda: loop.step(az=1.0))[0] for _ in range(2)] == [1, 0]
+        assert [refactors(lambda: loop.step(az=1.0))[0] for _ in range(2)] == [0, 0]
         # No unridged attempt can meet a residual target of 0.
         with monkeypatch.context() as patch:
             patch.setattr(editors, "RESIDUAL_TARGET", 0.0)
@@ -651,7 +713,7 @@ class TestKeptFactor:
 
         monkeypatch.setattr(editors, "_drifted", drifted)
         loop = self.Loop(self.SPEC)
-        assert refactors(lambda: loop.step(az=1.0))[0] == 1
+        assert refactors(lambda: loop.step(az=1.0))[0] == 0
         monkeypatch.setattr(editors._Kept, "solve", off)
         for _ in range(2):
             n, report = refactors(lambda: loop.step(az=1.0))

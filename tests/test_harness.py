@@ -497,9 +497,11 @@ class TestLockstep:
         monkeypatch.undo()
         self.assert_standalone([replace(cfg, alpha=a) for a in (5.0, 40.0, 80.0)])
 
-    def test_an_ulp_apart_splits_at_step_one(self, monkeypatch):
-        """a * z_init misses 1 by an ulp for some alphas; that member solves
-        on its own path from step 1 and still matches its standalone run."""
+    def test_an_ulp_off_alpha_shares_the_floor_path(self, monkeypatch):
+        """a * z_init misses 1 by an ulp for some alphas, but a member keeps
+        its queue as the weight a*Z, floored at exactly 1: on the floor such
+        a member shares the path, one solve per step, and still matches its
+        standalone run."""
         from dataclasses import replace
         from lyapedit.controller import derive_params
         cfg = small_config(total=40)
@@ -509,14 +511,15 @@ class TestLockstep:
             params = derive_params(alpha, d_base)
             return params.a * params.z_init
 
-        off = next(a for a in (40.0 + k / 8 for k in range(100)) if weight(a) != 1.0)
-        assert weight(40.0) == 1.0
+        alphas = [40.0 + k / 8 for k in range(100)]
+        on = next(a for a in alphas if weight(a) == 1.0)
+        off = next(a for a in alphas if weight(a) != 1.0)
         calls = self.count_solves(monkeypatch)
-        sweep_alpha(cfg, [40.0, off])
-        assert calls["solve_lyaplock"][:2] == [1.0, weight(off)]
-        assert len(calls["solve_lyaplock"]) == 80
+        sweep_alpha(cfg, [on, off])
+        # Both members sit on the floor throughout.
+        assert calls["solve_lyaplock"] == [1.0] * 40
         monkeypatch.undo()
-        self.assert_standalone([replace(cfg, alpha=a) for a in (40.0, off)])
+        self.assert_standalone([replace(cfg, alpha=a) for a in (on, off)])
 
     def test_baseline_sweep_makes_one_solve_per_step(self, monkeypatch):
         cfg = small_config(editor="baseline", total=30)
@@ -604,10 +607,10 @@ class TestRankNSteps:
             drift_checks.append(original_drifted(*args))
             return drift_checks[-1]
 
-        def step(config, mem, backlog, batch, params, z, carry):
-            report, w_new = original_step(config, mem, backlog, batch, params, z,
+        def step(config, mem, backlog, batch, params, weight, carry):
+            report, w_new = original_step(config, mem, backlog, batch, params, weight,
                                           carry)
-            az = params.a * z
+            az = weight
             az_values.append(az)
             if report.ridge_applied == 0.0:
                 if config.editor == "lyaplock":
@@ -652,10 +655,10 @@ class TestRankNSteps:
         assert np.isfinite(result.summary.final_avg_pl)
 
     @staticmethod
-    def rhs(mem, backlog, batch, params, z):
+    def rhs(mem, backlog, batch, params, weight):
         """The lyaplock right-hand side of one step, written out."""
         return (params.v_weight * (batch.v1 @ batch.k1.T + backlog.vpkpt)
-                + params.a * z * mem.v0k0t)
+                + weight * mem.v0k0t)
 
     def test_carried_remainder_equals_the_explicit_one(self, monkeypatch):
         """(az - az') (V0 K0^T - M0) - R is v (Vp Kp^T - Mp) + az (V0 K0^T - M0).
@@ -673,16 +676,16 @@ class TestRankNSteps:
         gaps, explicit, received, az_values, kept = [], [], [], [], []
         original_step, original_solve = harness._solve_step, editors._normal_solve
 
-        def step(config, mem, backlog, batch, params, z, carry):
-            az, v = params.a * z, params.v_weight
+        def step(config, mem, backlog, batch, params, weight, carry):
+            az, v = weight, params.v_weight
             az_values.append(az)
-            scale = np.linalg.norm(self.rhs(mem, backlog, batch, params, z))
+            scale = np.linalg.norm(self.rhs(mem, backlog, batch, params, weight))
             # Read before the solve, which builds its target in carry.resid.
             carried = (az - carry.az) * (mem.v0k0t - carry.m0) - carry.resid
             written = v * (backlog.vpkpt - carry.mp) + az * (mem.v0k0t - carry.m0)
             gaps.append(np.linalg.norm(carried - written) / scale)
             explicit.append((written, scale))
-            return original_step(config, mem, backlog, batch, params, z, carry)
+            return original_step(config, mem, backlog, batch, params, weight, carry)
 
         def normal_solve(w, system, u, k1, rest, rhs_full, times_c, held=None):
             if rest is not None:  # a lyaplock remainder; the probe passes None
@@ -724,12 +727,12 @@ class TestRankNSteps:
         for s in (same, moved):
             calls = []
 
-            def step(config, mem, backlog, batch, params, z, carry):
+            def step(config, mem, backlog, batch, params, weight, carry):
                 calls.append(None)
                 if len(calls) == s:
                     carry.resid[0, 0] += 1e-6 * np.linalg.norm(
-                        self.rhs(mem, backlog, batch, params, z))
-                return original(config, mem, backlog, batch, params, z, carry)
+                        self.rhs(mem, backlog, batch, params, weight))
+                return original(config, mem, backlog, batch, params, weight, carry)
 
             monkeypatch.setattr(harness, "_solve_step", step)
             try:
@@ -832,7 +835,8 @@ class TestScaleCovariance:
 
         Every operation then scales exactly, rank-n, full and kept-factor
         steps alike, as long as nothing the solver forms is subnormal or
-        overflows.  Every lyaplock run has kept-factor steps.
+        overflows.  The probe and every baseline step solve by the preserved
+        Gram's factor, and every lyaplock run has kept-factor steps.
         """
         if (shape, editor) not in self._unit_runs:
             self._unit_runs[(shape, editor)] = self.scale_free_view(shape, editor, 1.0)
@@ -841,7 +845,9 @@ class TestScaleCovariance:
         for name, a, b in zip(("PL/D", "a*Z", "|delta|"), unit, scaled):
             assert a.tobytes() == b.tobytes(), name
         assert scaled_kept == unit_kept
-        assert (unit_kept > 0) == (editor == "lyaplock")
+        steps_kept = unit_kept - 1  # the probe's
+        assert (steps_kept > 0) == (editor != "edit-only")
+        assert editor != "baseline" or steps_kept == 200
 
 
 class TestKeptFactor:
@@ -854,18 +860,24 @@ class TestKeptFactor:
         import lyapedit.editors as editors
         return mock.patch.object(editors, "_rank_cap", lambda d0, n: 0)
 
-    # d0 = 16 and n = 2 give a cap of 4: a factored step, then two kept
-    # steps, then a full cap.  Low alphas leave the floor early, and the
-    # members that share their path split, often inside a kept stretch.
+    # d0 = 16 and n = 2 give a cap of 4: two kept steps on the preserved
+    # Gram's factor, then a full cap, a factored step and two kept steps.
+    # Low alphas leave the floor early, and the members that share their
+    # path split, often inside a kept stretch.  Baseline solves every step
+    # on the preserved Gram's factor.
     @settings(max_examples=25, derandomize=True, deadline=None, database=None)
-    @example(members=[(2.0, 1.0), (60.0, 1.0), (2.0, 1.0), (5.0, 2.0)], seed=3)
-    @given(members=st.lists(st.tuples(st.sampled_from((2.0, 5.0, 60.0)),
+    @example(members=[("lyaplock", 2.0, 1.0), ("lyaplock", 60.0, 1.0),
+                      ("baseline", 2.0, 1.0), ("lyaplock", 5.0, 2.0)], seed=3)
+    @given(members=st.lists(st.tuples(st.sampled_from(("lyaplock", "lyaplock",
+                                                       "baseline")),
+                                      st.sampled_from((2.0, 5.0, 60.0)),
                                       st.sampled_from((1.0, 2.0))),
                             min_size=2, max_size=4),
            seed=st.integers(0, 7))
     def test_lockstep_is_standalone_and_refactoring_agrees(self, members, seed):
         """Lockstep members equal standalone runs bit for bit, and runs that
-        refactor every step agree within 1e-10 relative.
+        refactor every step agree within 1e-10 relative: with a rank cap of
+        0, neither a kept factor nor the preserved Gram's serves a step.
 
         A kept step's residual is the round-off of another factorization and
         its condition estimate an upper estimate, so those two histories are
@@ -876,8 +888,8 @@ class TestKeptFactor:
         spec = StreamSpec(dims=Dims(d0=16, d1=12), n_per_batch=2, total_batches=60,
                           key_scale=1.0, value_mode="planted-teacher",
                           teacher_drift=0.15, seed=seed, m0=64)
-        configs = [RunConfig(stream=spec, editor="lyaplock", alpha=alpha,
-                             v_weight=v) for alpha, v in members]
+        configs = [RunConfig(stream=spec, editor=editor, alpha=alpha, v_weight=v)
+                   for editor, alpha, v in members]
         together = harness._run_lockstep(configs)
         for config, shared in zip(configs, together):
             alone = run(config)
@@ -891,6 +903,30 @@ class TestKeptFactor:
                          "delta_fro_history", "w_final"):
                 assert np.allclose(getattr(kept, name), getattr(factored, name),
                                    rtol=1e-10, atol=0.0), name
+
+    @pytest.mark.parametrize("editor", ["lyaplock", "baseline"])
+    def test_no_factorization_after_the_check(self, monkeypatch, editor):
+        """d0 = 64, n = 2 and T = 8, so T n = d0 / 4: the preserved Gram's
+        factor, with every batch since pending, serves each lyaplock step on
+        the queue's floor, and a fresh one each baseline step and the probe.
+        The one d0 x d0 ``potrf`` is the stream's check of the Gram."""
+        from lyapedit import lapack
+        import lyapedit.editors as editors
+
+        spec = StreamSpec(dims=Dims(d0=64, d1=48), n_per_batch=2, total_batches=8,
+                          key_scale=1.0, value_mode="planted-teacher",
+                          teacher_drift=0.1, seed=188, m0=256)
+        factored = []
+
+        def recording(a, *args, **kwargs):
+            factored.append(a.shape[0])
+            return lapack._potrf(a, *args, **kwargs)
+
+        monkeypatch.setattr(editors, "_potrf", recording)
+        result = run(RunConfig(stream=spec, editor=editor, alpha=60.0))
+        assert factored.count(64) == 1
+        assert not result.ridge_history.any()
+        assert (result.z_history == result.params.z_max).all()
 
     @pytest.mark.long_horizon
     def test_long_horizon_matches_refactoring(self):
@@ -913,6 +949,42 @@ class TestKeptFactor:
         for result in (kept, factored):
             assert check_sufficiency_empirical(result.pl_history, result.z_history,
                                                result.params).passed
+
+
+    @pytest.mark.long_horizon
+    def test_long_horizon_compare_matches_without_the_preserved_factor(self):
+        """``compare``'s lockstep of lyaplock and baseline at T = 10,000 on
+        the acceptance stream, with and without the preserved Gram's factor:
+        the final avg PL, avg EL and Z agree within 1e-11 relative, and the
+        telescoped certificate holds for every run."""
+        from dataclasses import replace
+        from pathlib import Path
+        from unittest import mock
+
+        import lyapedit.harness as harness
+        from lyapedit.cli import load_config
+        from lyapedit.oracle import check_sufficiency_empirical
+        from lyapedit.stream import EditStream
+
+        config = load_config(Path(__file__).resolve().parent.parent
+                             / "configs" / "acceptance.cfg")["run"]
+        config = replace(config, stream=replace(config.stream, total_batches=10_000))
+        configs = [replace(config, editor=e) for e in ("lyaplock", "baseline")]
+        kept = harness._run_lockstep(configs)
+        original = EditStream.preserved_memory
+
+        def without_factor(stream):
+            return replace(original(stream), k0_factor=None)
+
+        with mock.patch.object(EditStream, "preserved_memory", without_factor):
+            factored = harness._run_lockstep(configs)
+        for a, b in zip(kept, factored):
+            for name in ("final_avg_pl", "final_avg_el", "final_z"):
+                x, y = getattr(a.summary, name), getattr(b.summary, name)
+                assert abs(x - y) <= 1e-11 * abs(y), (a.config.editor, name)
+            for result in (a, b):
+                assert check_sufficiency_empirical(
+                    result.pl_history, result.z_history, result.params).passed
 
 
 class TestCompare:

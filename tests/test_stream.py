@@ -19,6 +19,7 @@ from lyapedit import (
     StreamSpec,
     derive_seed,
     load_matrix_file,
+    new_memory,
     save_matrix_file,
 )
 from lyapedit.errors import (
@@ -332,6 +333,37 @@ class TestGeneratePreserved:
         finally:
             tracemalloc.stop()
         assert peak <= k0.nbytes + w0.nbytes + 8 * d0 * d0 + (1 << 20)
+
+    def test_preserved_memory_carries_the_checks_factor(self):
+        """The check's factor of K0 K0^T, scaled by an even power of two as
+        the solvers' unridged rung scales, read-only; generate_preserved
+        keeps none."""
+        plain = EditStream(spec(d0=16, d1=12, m0=64))
+        plain.generate_preserved()
+        assert plain._k0_factor is None
+        assert plain.preserved_memory().k0_factor is None
+
+        mem = EditStream(spec(d0=16, d1=12, m0=64)).preserved_memory()
+        (lower, shift), cond, unit = mem.k0_factor
+        assert not lower.flags.writeable
+        low = np.tril(lower)
+        gram = mem.k0_gram
+        assert shift % 2 == 0
+        assert np.allclose(low @ low.T * 2.0 ** shift, gram, rtol=0.0,
+                           atol=1e-14 * np.abs(gram).max())
+        assert unit == np.trace(gram) / 16 * 2.0 ** -shift
+        assert 1.0 <= cond <= 1e3
+        assert new_memory(*EditStream(spec(d0=16, d1=12, m0=64))
+                          .generate_preserved()).k0_factor is None
+
+    @pytest.mark.parametrize("key_scale", [1.1e-161, 2.0 ** 508])
+    def test_no_factor_where_the_ridge_ladder_would_not_scale_the_gram(self,
+                                                                     key_scale):
+        """tr(K0 K0^T)/d0 is subnormal at 1.1e-161 and the trace overflows at
+        2^508: the Gram is still checked, and keeps no factor."""
+        mem = EditStream(spec(d0=16, d1=12, m0=64, key_scale=key_scale)
+                         ).preserved_memory()
+        assert mem.k0_factor is None
 
     def test_w0_scaling(self):
         stream = EditStream(spec(d0=64, d1=64, m0=64, total=1))
