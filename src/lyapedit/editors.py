@@ -22,10 +22,10 @@ way.  The routines are those of :mod:`lyapedit.lapack`, called directly.
 Each solver takes an optional :class:`Carry`, which holds what a step loop
 keeps from step to step: the products M0 = W K0K0^T and Mp = W KpKp^T
 instead of recomputing them, W' K1 for the losses and the absorb,
-lyaplock's last residual and kept factor, and W' itself.  A solve leaves it at the
-post-edit weights W'.  Without a carry, the solver seeds one from ``mem``
-and the backlog and forms the products densely, as a one-shot caller
-needs; with one, it is the step of a loop.
+lyaplock's last residual, the last kept factor, and W' itself.  A solve
+leaves it at the post-edit weights W'.  Without a carry, the solver seeds
+one from ``mem`` and the backlog and forms the products densely, as a
+one-shot caller needs; with one, it is the step of a loop.
 
 Carried residuals.  Lyaplock's target is U K1^T plus the remainder
 v (Vp Kp^T - Mp) + az (V0 K0^T - M0), and that remainder is never assembled
@@ -42,16 +42,25 @@ empty backlog, exactly 0.  The residual check of every step judges the
 result, so an error in R cannot pass unseen: the step it enters misses
 ``RESIDUAL_TARGET`` and is ridged.
 
+Baseline's corner.  Baseline, the MEMIT-style batch update, solves
+lyaplock's system at v = az = 1, with the preservation term anchored at
+the current weights and no backlog: the carried M0 = W K0K0^T stands in for
+V0 K0^T, so the remainder is exactly 0, and the backlog is left out of C,
+of the RHS and of W' C.  Its target is U K1^T, C = K0K0^T + K1K1^T and
+RHS = M0 + V1 K1^T.  Both editors make one private solve; in the corner it
+leaves the carry's R, az' and v' as they were and moves M0, Mp, W' K1, W'
+and the kept factor as for lyaplock.
+
 Rank-n steps.  A step's perturbation has the form delta = U X^T whenever
 its target is U K1^T for the n keys K1 of the batch: then C X = K1 is a
 solve for n columns, not d1, and the products follow by rank-n updates,
 M0 += U (K0K0^T X)^T and Mp += U (KpKp^T X)^T, each one in-place BLAS
 ``gemm``.  No dense d1 x d0^2 product is formed.  The target is exactly
 U K1^T for baseline and edit-only on every step, and for lyaplock when its
-remainder is 0 or -R.  Baseline and lyaplock try the rank-n form on the
-unridged factor, lyaplock only when the remainder is at most
-``SNAP_THRESHOLD`` ||RHS||, round-off and not signal; the rule reads only
-the step's own inputs.  Edit-only always has this form, ridged or not.
+remainder is 0 or -R.  The preserving solve tries the rank-n form on the
+unridged factor when the remainder is 0 or at most ``SNAP_THRESHOLD``
+||RHS||, round-off and not signal; the rule reads only the step's own
+inputs.  Edit-only always has this form, ridged or not.
 
 Either form ends with the same residual check, ||W' C - RHS|| / ||RHS||,
 with W' C assembled from the products.  A rank-n step that misses
@@ -82,13 +91,15 @@ it solves the step, is kept in turn.
 The preserved Gram's factor.  A memory built by
 ``EditStream.preserved_memory`` carries the unridged factor of K0K0^T that
 the stream's check made (``mem.k0_factor``, from :func:`_factor_gram`).
-Baseline's C is K0K0^T + K1K1^T on every step, and lyaplock's is
-K0K0^T + v K1K1^T at an empty backlog and az = 1, which with the queue
-floored at exactly 1 is every path's step 1.  Both are C(s) = K0K0^T with
-the step's batch pending, so they seed a kept factor from it: baseline a
-fresh one on every call, the probe included, and lyaplock the carry's,
-whose stretch then goes on as above.  Its estimate is pocon's for K0K0^T
-times 1 + v ||K1||_F^2 / (tr(K0K0^T)/d0).  A memory without it, as
+At az = 1 and without a backlog, C is K0K0^T + v K1K1^T, that is
+C(s) = K0K0^T with the step's batch pending.  So whenever az = 1 and the
+system has no backlog, the solve seeds the carry's kept factor from it, or
+clears the kept factor if the memory has none.  That holds on every
+baseline call, the probe included, so a baseline batch never joins its own
+next system, and on lyaplock's steps at an empty backlog, which with the
+queue floored at exactly 1 is every path's step 1; lyaplock's stretch then
+goes on as above.  Its estimate is pocon's for K0K0^T times
+1 + v ||K1||_F^2 / (tr(K0K0^T)/d0).  A memory without it, as
 ``new_memory`` builds, factors C on those steps.
 """
 from __future__ import annotations
@@ -263,7 +274,7 @@ class Carry:
       next lyaplock target is formed (see the module docstring); the next
       solve builds its target in ``resid``.  The other editors leave them.
     - ``w``: W' itself, the array the solve's residual check used
-    - ``kept``: lyaplock's last unridged factor, or the preserved Gram's,
+    - ``kept``: the last solve's unridged factor, or the preserved Gram's,
       and the batches absorbed since (see the module docstring)
     - ``freivalds``: the fixed vector z of the Freivalds check and
       K0K0^T z, formed at its first rank-n step
@@ -451,31 +462,27 @@ def _drifted(w_new: np.ndarray, z: np.ndarray, products) -> bool:
     return False
 
 
-def _plus_outer(g: np.ndarray, u: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``g + u @ y.T`` as a new array, by one ``gemm`` on a copy of ``g``.
-
-    numpy forms ``k1 @ k1.T`` with ``syrk`` and then mirrors its triangle in
-    a scalar loop: ``k1 @ k1.T + g`` took 10.4 ms at d0=1024 and n=8, against
-    2.4 ms for the copy and the ``gemm`` (one BLAS thread).
-    """
-    out = g.copy()
-    add_outer(out, u, y)
-    return out
-
-
-def _weighted(az: float, a: np.ndarray, v: float, b: np.ndarray,
+def _weighted(az: float, a: np.ndarray, v: float, b: np.ndarray | None,
               u: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``az a + v (b + u @ y.T)`` as a new array.
+    """``az a + v (b + u @ y.T)`` as a new array; a ``b`` of None, which
+    only baseline's corner passes, at v = 1, leaves its term out.
 
     With v = 1, as in every run without a ``v_weight``, no other temporary
     is made: ``b`` is added in place and ``u @ y.T`` by one ``gemm``.
+    Otherwise ``b + u @ y.T`` is one ``gemm`` on a copy of ``b``.  numpy
+    forms ``k1 @ k1.T`` with ``syrk`` and then mirrors its triangle in a
+    scalar loop: ``k1 @ k1.T + g`` took 10.4 ms at d0=1024 and n=8, against
+    2.4 ms for the copy and the ``gemm`` (one BLAS thread).
     """
     out = np.multiply(a, az)
     if v == 1.0:
-        out += b
+        if b is not None:
+            out += b
         add_outer(out, u, y)
     else:
-        out += v * _plus_outer(b, u, y)
+        part = b.copy()
+        add_outer(part, u, y)
+        out += v * part
     return out
 
 
@@ -497,7 +504,7 @@ def _assembly_overflowed() -> SingularSystemError:
 
 
 def _normal_solve(w: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
-                  rest, rhs_full: np.ndarray, times_c, kept: _Kept | None = None):
+                  rest, rhs_full: np.ndarray, times_c, kept: _Kept):
     """Solve ``delta @ C = U K1^T + rest``.
 
     Returns the report, ``W + delta`` and the residual matrix
@@ -520,8 +527,8 @@ def _normal_solve(w: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
     with C X = K1 for n columns (see the module docstring): first by
     ``kept``'s factor, if it holds one, then by the unridged factor of C.
     Every other attempt solves for the full target.  ``kept`` holds the
-    caller's last unridged factor for this (v, az); the solve leaves it
-    holding the factor it solved with, extended or new, or none.
+    caller's last unridged factor for this (v, az), or none; the solve
+    leaves it holding the factor it solved with, extended or new, or none.
     """
     rhs_norm = _norm(rhs_full)
     ref = max(rhs_norm, _TINY)
@@ -543,7 +550,7 @@ def _normal_solve(w: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
     # Whether a kept attempt moved the products, so that only a dense
     # recompute puts them at the next candidate's weights.
     moved = False
-    if kept is not None and kept.factor is not None:
+    if kept.factor is not None:
         solved = kept.solve(k1) if rank_n and not snap else None
         if solved is not None:
             x, cond = solved
@@ -585,7 +592,7 @@ def _normal_solve(w: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
                 continue
             report = SolveReport(delta=delta, residual=residual, ridge_applied=lam,
                                  condition_estimate=cond)
-        if kept is not None and lam == 0.0:
+        if lam == 0.0:
             # _ridge_attempts scaled c by 2^-shift in place.
             kept.seed(factor, cond, float(c.trace()) / c.shape[0])
         return report, w_new, resid
@@ -623,6 +630,60 @@ def _check_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
         )
 
 
+def _preserving_solve(mem: AssociativeMemory, bk: BacklogAccumulator | None,
+                      batch: EditBatch, v_weight: float, az: float,
+                      carry: Carry | None) -> SolveReport:
+    """Lyaplock's solve, or with ``bk`` None baseline's corner of it (see
+    the module docstring), on inputs the caller has checked."""
+    w, k1, v1 = mem.w, batch.k1, batch.v1
+    if carry is None:
+        kp_gram = np.zeros_like(mem.k0_gram) if bk is None else bk.kp_gram
+        mp = np.zeros_like(w) if bk is None else w @ kp_gram
+        carry = Carry(m0=w @ mem.k0_gram, mp=mp, kp_gram=kp_gram,
+                      resid=np.zeros(w.shape))
+    m0, kept = carry.m0, carry.kept
+    if bk is None:
+        anchor, vpkpt, kp_gram, mp = m0, None, None, None
+    else:
+        anchor, vpkpt, kp_gram, mp = mem.v0k0t, bk.vpkpt, bk.kp_gram, carry.mp
+    kept.at(v_weight, az)
+    if az == 1.0 and (bk is None or bk.absorbed == 0):
+        if mem.k0_factor is None:
+            kept.clear()
+        else:
+            kept.seed(*mem.k0_factor)
+    with np.errstate(over="ignore"):
+        rhs_full = _weighted(az, anchor, v_weight, vpkpt, v1, k1)
+        # Residual assembly: exact zeros survive, unlike rhs_full - w @ c.
+        u = v_weight * (v1 - w @ k1)
+        rest = None
+        if bk is not None:
+            # The remainder from the carried residual, in its buffer, plus a
+            # term for each weight that changed since R was built.
+            rest = np.negative(carry.resid, out=carry.resid)
+            if az != carry.az or v_weight != carry.v:  # not on a step at the floor
+                for weight, was, cross, m in ((az, carry.az, mem.v0k0t, m0),
+                                              (v_weight, carry.v, vpkpt, mp)):
+                    if weight != was:
+                        moved = np.subtract(cross, m)
+                        moved *= weight - was
+                        rest += moved
+
+        def times_c(w_new, x):
+            _carry(carry, mem.k0_gram, w_new, u, x)
+            carry.wk1 = w_new @ k1
+            return _weighted(az, m0, v_weight, mp, carry.wk1, k1)
+
+        def system():
+            return _weighted(az, mem.k0_gram, v_weight, kp_gram, k1, k1)
+
+        report, carry.w, resid = _normal_solve(w, system, u, k1, rest, rhs_full,
+                                               times_c, kept)
+    if bk is not None:
+        carry.resid, carry.az, carry.v = resid, az, v_weight
+    return report
+
+
 def solve_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
                    batch: EditBatch, v_weight: float, az: float,
                    carry: Carry | None = None) -> SolveReport:
@@ -641,50 +702,15 @@ def solve_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
       the solve seeds a carry with R = 0, az' = v' = 0 and no kept factor,
       so the remainder is formed as it is written out.
 
-    At an empty backlog and ``az`` = 1, C = K0K0^T + v_weight K1 K1^T, and a
-    carry that holds no factor is seeded with ``mem.k0_factor``, if the
-    memory has one (see the module docstring).
+    At an empty backlog and ``az`` = 1, C = K0K0^T + v_weight K1 K1^T, and
+    the carry's kept factor is seeded with ``mem.k0_factor``, or cleared if
+    the memory has none (see the module docstring).
 
     The perturbation is the unique minimizer whenever
     C = v_weight*(K1 K1^T + Kp Kp^T) + az*K0 K0^T is positive definite.
     """
     _check_lyaplock(mem, bk, batch, v_weight, az)
-    w, k1, v1 = mem.w, batch.k1, batch.v1
-    if carry is None:
-        carry = Carry(m0=w @ mem.k0_gram, mp=w @ bk.kp_gram, kp_gram=bk.kp_gram,
-                      resid=np.zeros(w.shape))
-    m0, mp, kept = carry.m0, carry.mp, carry.kept
-    kept.at(v_weight, az)
-    if (kept.factor is None and az == 1.0 and bk.absorbed == 0
-            and mem.k0_factor is not None):
-        kept.seed(*mem.k0_factor)
-    with np.errstate(over="ignore"):
-        rhs_full = _weighted(az, mem.v0k0t, v_weight, bk.vpkpt, v1, k1)
-        # Residual assembly: exact zeros survive, unlike rhs_full - w @ c.
-        u = v_weight * (v1 - w @ k1)
-        # The remainder from the carried residual, in its buffer, plus a
-        # term for each weight that changed since R was built.
-        rest = np.negative(carry.resid, out=carry.resid)
-        if az != carry.az or v_weight != carry.v:  # not on a step at the floor
-            for weight, was, cross, m in ((az, carry.az, mem.v0k0t, m0),
-                                          (v_weight, carry.v, bk.vpkpt, mp)):
-                if weight != was:
-                    moved = np.subtract(cross, m)
-                    moved *= weight - was
-                    rest += moved
-
-        def times_c(w_new, x):
-            _carry(carry, mem.k0_gram, w_new, u, x)
-            carry.wk1 = w_new @ k1
-            return _weighted(az, m0, v_weight, mp, carry.wk1, k1)
-
-        def system():
-            return _weighted(az, mem.k0_gram, v_weight, bk.kp_gram, k1, k1)
-
-        report, carry.w, carry.resid = _normal_solve(w, system, u, k1, rest, rhs_full,
-                                                     times_c, kept)
-    carry.az, carry.v = az, v_weight
-    return report
+    return _preserving_solve(mem, bk, batch, v_weight, az, carry)
 
 
 def solve_baseline(mem: AssociativeMemory, batch: EditBatch,
@@ -693,39 +719,17 @@ def solve_baseline(mem: AssociativeMemory, batch: EditBatch,
 
     This is the conventional one-shot trade-off between editing and
     preservation; it carries no backlog and no queue weighting, so its
-    preservation loss accumulates over sequential use.
+    preservation loss accumulates over sequential use.  It is lyaplock's
+    system at v = az = 1, anchored at the current weights and without the
+    backlog (see the module docstring).
 
     ``carry`` is a step loop's :class:`Carry` at ``mem.w``, which the solve
     leaves at W' = W + delta.  The backlog enters only through ``carry.mp``,
     which the loop's backlog loss reads.  Without one, the solve seeds a
     carry with M0 = W K0K0^T against an empty backlog.
-
-    C is K0K0^T with this batch pending, so with ``mem.k0_factor`` the
-    solve seeds a fresh kept factor from it on every call (see the module
-    docstring); the carry's is not used.
     """
     _check_batch(mem, batch)
-    w, k1, v1 = mem.w, batch.k1, batch.v1
-    if carry is None:
-        carry = Carry(m0=w @ mem.k0_gram, mp=np.zeros_like(w),
-                      kp_gram=np.zeros_like(mem.k0_gram))
-    m0 = carry.m0
-    u = v1 - w @ k1
-    rhs_full = _plus_outer(m0, v1, k1)  # W C + target
-
-    def times_c(w_new, x):
-        _carry(carry, mem.k0_gram, w_new, u, x)
-        carry.wk1 = w_new @ k1
-        return _plus_outer(m0, carry.wk1, k1)
-
-    kept = None
-    if mem.k0_factor is not None:
-        kept = _Kept()
-        kept.at(1.0, 1.0)
-        kept.seed(*mem.k0_factor)
-    report, carry.w, _ = _normal_solve(w, lambda: _plus_outer(mem.k0_gram, k1, k1),
-                                       u, k1, None, rhs_full, times_c, kept)
-    return report
+    return _preserving_solve(mem, None, batch, 1.0, 1.0, carry)
 
 
 def solve_edit_only(mem: AssociativeMemory, batch: EditBatch,

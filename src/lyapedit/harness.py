@@ -49,12 +49,14 @@ step's batch, lyaplock's last residual matrix ``W' C - RHS`` with the az it
 solved with, and W' itself.  Each step calls the editor's public solver,
 ``solve_lyaplock``, ``solve_baseline`` or ``solve_edit_only``, with the
 path's carry, and the solve leaves the carry at the post-edit weights W';
-so the loop runs exactly what a one-shot caller runs.  PL and BL read the
-products; EL reads ``W' K1``, and so does ``Carry.absorbed``, which the
-loop calls once per live path after the absorb: it adds the rank-n term
-``(W' K1) K1^T`` to ``W KpKp^T``.  Lyaplock forms the part of its next
-target beyond the batch term from the residual: once the batch is absorbed,
-v (Vp Kp^T - W KpKp^T) + az (V0 K0^T - W K0K0^T) is exactly
+so the loop runs exactly what a one-shot caller runs.  Baseline's solve is
+lyaplock's at v = a*Z = 1, anchored at the current weights and without the
+backlog, so it leaves the carry's residual and az as they were.  PL and BL
+read the products; EL reads ``W' K1``, and so does ``Carry.absorbed``,
+which the loop calls once per live path after the absorb: it adds the
+rank-n term ``(W' K1) K1^T`` to ``W KpKp^T``.  Lyaplock forms the part of
+its next target beyond the batch term from the residual: once the batch
+is absorbed, v (Vp Kp^T - W KpKp^T) + az (V0 K0^T - W K0K0^T) is exactly
 (az - az') (V0 K0^T - W K0K0^T) minus that residual, and it is exactly 0 at
 step 1.  Whenever a step's edit is rank n (n = the batch size) the solve
 moves the products by rank-n updates instead of two dense d1 x d0^2
@@ -62,12 +64,14 @@ passes: on every baseline and edit-only step, and on a lyaplock step whose
 target part beyond the batch term is round-off, as it is whenever az did
 not change.  A Freivalds check after each rank-n update recomputes the
 products densely if they drift (see ``lyapedit.editors``).  The carry also
-keeps lyaplock's last unridged factor: while a*Z and v hold, a rank-n step
-solves by a Woodbury correction over the batches absorbed since, with no
-factorization, and its condition estimate is an upper estimate from the
-kept one.  The first such factor is the preserved Gram's, which serves
-every path's step 1 at a*Z = 1, every baseline step and the probe: their
-systems are K0K0^T with the step's batch pending.  A fork's carry copies
+keeps its last solve's unridged factor: while a*Z and v hold, a lyaplock
+rank-n step solves by a Woodbury correction over the batches absorbed
+since, with no factorization, and its condition estimate is an upper
+estimate from the kept one.  Every solve at a*Z = 1 without a backlog
+seeds the carry's with the preserved Gram's factor: every path's step 1
+at a*Z = 1, every baseline step and the probe, whose systems are K0K0^T
+with the step's batch pending.  A baseline step reseeds it each time, so
+its batches never join its next system.  A fork's carry copies
 the pending batches and shares the factors, so a path forked in such a
 stretch solves as it would alone.  The probe reads its PL from the
 ``W' K0K0^T`` that its own solve left.
@@ -174,7 +178,8 @@ class RunResult:
     # step solved by a kept factor, the kept estimate times
     # 1 + v sum ||K_j||_F^2 / (tr(C(s))/d0), an upper estimate for C(t).
     # Every baseline step reads pocon(K0K0^T) (1 + ||K1||_F^2 / (tr(K0K0^T)/d0))
-    # when the memory carries the preserved Gram's factor.
+    # when the memory carries the preserved Gram's factor: each reseeds its
+    # path's kept factor from it.
     cond_history: np.ndarray
     residual_history: np.ndarray  # the solve's relative residual
     w_initial: np.ndarray

@@ -191,14 +191,32 @@ class TestSolveBaseline:
         # delta = (2 - 0) * 1 / (1 + 1)
         assert report.delta == pytest.approx(np.array([[1.0]]))
 
-    def test_matches_lyaplock_special_case(self, make_instance):
-        for i in range(8):
-            inst = make_instance(d0=5, d1=3, n=2, m0=20, seed=400 + i)
-            via_baseline = solve_baseline(inst.mem, inst.batch)
-            via_lyaplock = solve_lyaplock(inst.mem, empty_backlog(inst.mem),
-                                          inst.batch, v_weight=1.0, az=1.0)
-            assert via_baseline.delta == pytest.approx(via_lyaplock.delta,
-                                                       rel=1e-10, abs=1e-12)
+    def test_matches_lyaplock_special_case(self):
+        """At W = W0, an empty backlog and v = a*Z = 1, baseline's corner is
+        lyaplock's system: the same bits, one-shot and from a fresh carry,
+        on the preserved Gram's factor and on the ridge ladder without it,
+        for d0 in {5, 16, 64} on both value modes."""
+        for d0 in (5, 16, 64):
+            for value_mode in ("planted-teacher", "random-target"):
+                spec = StreamSpec(dims=Dims(d0=d0, d1=3 * d0 // 4), n_per_batch=4,
+                                  total_batches=3, key_scale=1.0,
+                                  value_mode=value_mode, teacher_drift=0.1,
+                                  seed=188, m0=4 * d0)
+                self.same_bits_as_lyaplock(spec)
+
+    @staticmethod
+    def same_bits_as_lyaplock(spec):
+        stream = EditStream(spec)
+        with_factor = stream.preserved_memory()
+        plain = new_memory(*EditStream(spec).generate_preserved())
+        assert with_factor.k0_factor is not None and plain.k0_factor is None
+        for mem in (with_factor, plain):
+            backlog = empty_backlog(mem)
+            for t in range(1, spec.total_batches + 1):
+                batch = stream.batch(t)
+                for start in (lambda: None, lambda: editors.Carry.start(mem, backlog)):
+                    same_report(solve_baseline(mem, batch, start()),
+                                solve_lyaplock(mem, backlog, batch, 1.0, 1.0, start()))
 
     @pytest.mark.parametrize("exponent", [507, 508])
     def test_overflowing_trace_gets_a_finite_ridge(self, exponent):
@@ -214,6 +232,56 @@ class TestSolveBaseline:
         w, k1, v1 = inst.mem.w, inst.batch.k1, inst.batch.v1
         explicit = (v1 - w @ k1) @ k1.T @ np.linalg.inv(inst.k0 @ inst.k0.T + k1 @ k1.T)
         assert report.delta == pytest.approx(explicit, rel=1e-8)
+
+
+def rotated_and_permuted(seed, d0=16, d1=12, n=4, m0=64, absorbed=3):
+    """One instance at weights W != W0 with a non-empty backlog, the same
+    instance with every key rotated, K -> Q K and W -> W Q^T, and the same
+    instance with the batch columns permuted: (original, rotated, permuted, Q)."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((d0, d0)))
+    w0 = rng.standard_normal((d1, d0))
+    w = w0 + 0.1 * rng.standard_normal((d1, d0))
+    k0 = rng.standard_normal((d0, m0))
+    past = [(rng.standard_normal((d0, 2)), rng.standard_normal((d1, 2)))
+            for _ in range(absorbed)]
+    k1, v1 = rng.standard_normal((d0, n)), rng.standard_normal((d1, n))
+    order = rng.permutation(n)
+
+    def instance(rotation, columns):
+        mem = new_memory(w0 @ rotation.T, rotation @ k0).with_weights(w @ rotation.T)
+        bk = empty_backlog(mem)
+        for k, v in past:
+            absorb(bk, EditBatch(k1=rotation @ k, v1=v))
+        batch = EditBatch(k1=(rotation @ k1)[:, columns], v1=v1[:, columns])
+        return mem, bk, batch
+
+    same = np.arange(n)
+    return instance(np.eye(d0), same), instance(q, same), instance(np.eye(d0), order), q
+
+
+# Each solver at a non-empty backlog and, for lyaplock, a*Z != 1.
+METAMORPHIC_SOLVERS = {
+    "lyaplock": lambda mem, bk, batch: solve_lyaplock(mem, bk, batch, 1.0, 0.7),
+    "baseline": lambda mem, bk, batch: solve_baseline(mem, batch),
+    "edit-only": lambda mem, bk, batch: solve_edit_only(mem, batch),
+}
+
+
+@pytest.mark.parametrize("editor", list(METAMORPHIC_SOLVERS))
+def test_key_rotation_and_batch_permutation(editor):
+    """Rotating the key space, K -> Q K and W -> W Q^T, rotates the edit to
+    delta Q^T, and permuting the batch columns leaves it unchanged, each
+    within 1e-12 relative.  Neither holds bit for bit: the rotated and
+    permuted products round differently."""
+    solve = METAMORPHIC_SOLVERS[editor]
+    for seed in range(5):
+        original, rotated, permuted, q = rotated_and_permuted(seed)
+        delta = solve(*original).delta
+        scale = np.linalg.norm(delta)
+        assert scale > 0.0
+        assert np.linalg.norm(solve(*rotated).delta - delta @ q.T) <= 1e-12 * scale
+        assert np.linalg.norm(solve(*permuted).delta - delta) <= 1e-12 * scale
 
 
 class TestSolveEditOnly:
@@ -344,10 +412,11 @@ class TestDirectLapack:
     """The bound routines give the scipy wrappers' results bit for bit."""
 
     def solve_both(self, scipy_wrappers, w, c, *args):
-        # _normal_solve factors the system matrix in place.
-        bound = editors._normal_solve(w, c.copy, *args)
+        # _normal_solve factors the system matrix in place, and seeds the
+        # kept factor it is given.
+        bound = editors._normal_solve(w, c.copy, *args, editors._Kept())
         scipy_wrappers()
-        wrapped = editors._normal_solve(w, c.copy, *args)
+        wrapped = editors._normal_solve(w, c.copy, *args, editors._Kept())
         same_report(bound[0], wrapped[0])
         assert bound[1].tobytes() == wrapped[1].tobytes()
         return bound[0]
@@ -404,10 +473,10 @@ class TestDirectLapack:
         target = rng.standard_normal((3, dim))
         args = (target, np.eye(dim), None, w @ c + target, lambda w_new, x: w_new @ c)
         with pytest.raises(SingularSystemError) as bound:
-            editors._normal_solve(w, c.copy, *args)
+            editors._normal_solve(w, c.copy, *args, editors._Kept())
         scipy_wrappers()
         with pytest.raises(SingularSystemError) as wrapped:
-            editors._normal_solve(w, c.copy, *args)
+            editors._normal_solve(w, c.copy, *args, editors._Kept())
         assert str(bound.value) == str(wrapped.value)
         assert bound.value.condition_estimate == wrapped.value.condition_estimate
 
@@ -472,7 +541,7 @@ class TestRankNForm:
             return w_new @ c + (0.0 if x is None else 1.0)
 
         report, _, _ = editors._normal_solve(w, c.copy, u, k1, None,
-                                             w @ c + target, times_c)
+                                             w @ c + target, times_c, editors._Kept())
         assert dense == [False, True]
         assert report.residual <= editors.RESIDUAL_TARGET
         assert report.delta == pytest.approx(np.linalg.solve(c, target.T).T, rel=1e-12)
@@ -532,7 +601,7 @@ class TestNativeLayout:
         def solve(matrix):
             report, _, _ = editors._normal_solve(
                 w, lambda: matrix, u, k1, None if rest is None else rest.copy(), rhs_full,
-                lambda w_new, x: w_new @ c)
+                lambda w_new, x: w_new @ c, editors._Kept())
             return report
 
         def bumped(rows_below):
