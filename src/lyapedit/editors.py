@@ -19,24 +19,36 @@ transpose by an ulp in the triangle that is not read.  The residual check
 below, assembled from the full carried products, judges every step either
 way.  The routines are those of :mod:`lyapedit.lapack`, called directly.
 
+Deviation coordinates.  The preserving solves work in D = W - W0.  With
+V0 = W0 K0 and the backlog anchored at W0 (``memory.BacklogAccumulator``),
+lyaplock's normal equations W' C = RHS read D' C = RHS_D, where
+C = az K0K0^T + v (KpKp^T + K1K1^T) and RHS_D = v (B + U0 K1^T), for
+U0 = V1 - W0 K1 and the backlog's B = sum U0 K1^T: the preserved term
+anchors at D = 0 and drops out.  So the right-hand side, ``SNAP_THRESHOLD``
+and ``RESIDUAL_TARGET`` are judged at the problem's own scale, not at the
+scale of W0, and the loss and residual of a step whose edit is tiny next
+to W0 keep their digits.  Edit-only, whose problem has no W0 in it, solves
+at the absolute weights and carries D' only for the losses.
+
 Each solver takes an optional :class:`Carry`, which holds what a step loop
-keeps from step to step: the products M0 = W K0K0^T and Mp = W KpKp^T
-instead of recomputing them, W' K1 for the losses and the absorb,
-lyaplock's last residual, the last kept factor, and W' itself.  A solve
-leaves it at the post-edit weights W'.  Without a carry, the solver seeds
-one from ``mem`` and the backlog and forms the products densely, as a
-one-shot caller needs; with one, it is the step of a loop.
+keeps from step to step: the products E0 = D K0K0^T and Ep = D KpKp^T
+instead of recomputing them, D' K1 for the absorb, W' K1 - V1 for the
+editing loss, lyaplock's last residual, the last kept factor, and D'
+itself.  A solve
+leaves it at the post-edit deviation D'.  Without a carry, the solver seeds
+one from ``mem``, at D = W - W0, and the backlog and forms the products
+densely, as a one-shot caller needs; with one, it is the step of a loop.
 
 Carried residuals.  Lyaplock's target is U K1^T plus the remainder
-v (Vp Kp^T - Mp) + az (V0 K0^T - M0), and that remainder is never assembled
-from the products.  After a step solves with az' and its batch is absorbed,
-Kp Kp^T and Vp Kp^T have grown by that batch's K1 K1^T and V1 K1^T, so the
-next remainder is exactly
-(az - az') (V0 K0^T - M0) + (v - v') (Vp Kp^T - Mp) - R, where
-R = W' C - RHS is the residual matrix that step's check built with az' and
-v'.  The carry keeps R, az' and v'; each weight's term is formed only when
-that weight changed, so on a step at the queue floor the remainder is -R,
-round-off.  A fresh carry seeds R = 0 and az' = v' = 0, which gives the
+v (B - Ep) - az E0, with U = v (U0 - D K1), and that remainder is never
+assembled from the products.  After a step solves with az' and its batch is
+absorbed, KpKp^T and B have grown by that batch's K1 K1^T and U0 K1^T, so
+the next remainder is exactly
+-(az - az') E0 + (v - v') (B - Ep) - R, where
+R = D' C - RHS_D is the residual matrix that step's check built with az'
+and v'.  The carry keeps R, az' and v'; each weight's term is formed only
+when that weight changed, so on a step at the queue floor the remainder is
+-R, round-off.  A fresh carry seeds R = 0 and az' = v' = 0, which gives the
 remainder as it is written above: at the original weights against an
 empty backlog, exactly 0.  The residual check of every step judges the
 result, so an error in R cannot pass unseen: the step it enters misses
@@ -44,29 +56,30 @@ result, so an error in R cannot pass unseen: the step it enters misses
 
 Baseline's corner.  Baseline, the MEMIT-style batch update, solves
 lyaplock's system at v = az = 1, with the preservation term anchored at
-the current weights and no backlog: the carried M0 = W K0K0^T stands in for
-V0 K0^T, so the remainder is exactly 0, and the backlog is left out of C,
-of the RHS and of W' C.  Its target is U K1^T, C = K0K0^T + K1K1^T and
-RHS = M0 + V1 K1^T.  Both editors make one private solve; in the corner it
-leaves the carry's R, az' and v' as they were and moves M0, Mp, W' K1, W'
-and the kept factor as for lyaplock.
+the current weights and no backlog: its right-hand side holds the carried
+E0 = D K0K0^T where lyaplock's holds none, so the remainder is exactly 0,
+and the backlog is left out of C, of the RHS and of D' C.  Its target is
+U K1^T, C = K0K0^T + K1K1^T and RHS_D = E0 + U0 K1^T.  Both editors make
+one private solve; in the corner it leaves the carry's R, az' and v' as
+they were and moves E0, Ep, D' K1, D' and the kept factor as for lyaplock.
 
 Rank-n steps.  A step's perturbation has the form delta = U X^T whenever
 its target is U K1^T for the n keys K1 of the batch: then C X = K1 is a
 solve for n columns, not d1, and the products follow by rank-n updates,
-M0 += U (K0K0^T X)^T and Mp += U (KpKp^T X)^T, each one in-place BLAS
+E0 += U (K0K0^T X)^T and Ep += U (KpKp^T X)^T, each one in-place BLAS
 ``gemm``.  No dense d1 x d0^2 product is formed.  The target is exactly
 U K1^T for baseline and edit-only on every step, and for lyaplock when its
 remainder is 0 or -R.  The preserving solve tries the rank-n form on the
 unridged factor when the remainder is 0 or at most ``SNAP_THRESHOLD``
-||RHS||, round-off and not signal; the rule reads only the step's own
+||RHS_D||, round-off and not signal; the rule reads only the step's own
 inputs.  Edit-only always has this form, ridged or not.
 
-Either form ends with the same residual check, ||W' C - RHS|| / ||RHS||,
-with W' C assembled from the products.  A rank-n step that misses
+Either form ends with the same residual check,
+||D' C - RHS_D|| / ||RHS_D||, with D' C assembled from the products.  A
+rank-n step that misses
 ``RESIDUAL_TARGET`` falls back to the full target on the same factor, which
 recomputes the products densely.  After every rank-n update a Freivalds
-check compares M z with W' (G z) for one fixed vector z, O(d0^2 + d1 d0); a
+check compares E z with D' (G z) for one fixed vector z, O(d0^2 + d1 d0); a
 gap beyond ``CARRY_TOLERANCE`` recomputes the products densely, so rounding
 in the carried products cannot grow unseen.  z and K0K0^T z are formed once
 per carry, since K0K0^T never changes.
@@ -120,7 +133,7 @@ RESIDUAL_TARGET = 1e-8
 # Residual targets this far below the system scale are round-off, not signal;
 # the solver returns an exactly zero perturbation instead of amplifying them.
 SNAP_THRESHOLD = 1e-10
-# Largest relative gap ||M z - W' (G z)|| / (||W'|| ||G z||) a carried
+# Largest relative gap ||E z - D' (G z)|| / (||D'|| ||G z||) a carried
 # product may show before it is recomputed densely.  Over 2000-step runs of
 # every editor at d0=64 the gap stayed below 7e-16, and the carried products
 # within 6e-15 of the dense ones.
@@ -260,34 +273,37 @@ class _Kept:
 class Carry:
     """What a step loop keeps for one weight trajectory from step to step.
 
-    Every solve reads it at the current weights W and leaves it at the
-    post-edit weights W':
+    Every solve reads it at the current deviation D = W - W0 and leaves it
+    at the post-edit deviation D':
 
-    - ``m0`` and ``mp``: the products W K0K0^T and W KpKp^T, updated in place
-    - ``kp_gram``: the backlog Gram KpKp^T that ``mp`` is carried against,
+    - ``e0`` and ``ep``: the products D K0K0^T and D KpKp^T, updated in place
+    - ``kp_gram``: the backlog Gram KpKp^T that ``ep`` is carried against,
       held by reference; ``memory.absorb`` grows it in place, and
-      :meth:`absorbed` moves ``mp`` with it
-    - ``wk1``: W' K1 for the step's batch, which the editing loss and the
-      absorb of the batch read
-    - ``resid``, ``az`` and ``v``: the residual matrix W' C - RHS of the
+      :meth:`absorbed` moves ``ep`` with it
+    - ``d``: D itself, which the solve replaces by D'; the memory's weights
+      are W0 + D
+    - ``dk1``: D' K1 for the step's batch, which the absorb of the batch
+      reads, and ``fit``: W' K1 - V1, the post-edit residual on the batch,
+      which the editing loss reads
+    - ``resid``, ``az`` and ``v``: the residual matrix D' C - RHS_D of the
       last lyaplock solve and the az and v it solved with, from which the
       next lyaplock target is formed (see the module docstring); the next
       solve builds its target in ``resid``.  The other editors leave them.
-    - ``w``: W' itself, the array the solve's residual check used
     - ``kept``: the last solve's unridged factor, or the preserved Gram's,
       and the batches absorbed since (see the module docstring)
     - ``freivalds``: the fixed vector z of the Freivalds check and
       K0K0^T z, formed at its first rank-n step
     """
 
-    m0: np.ndarray
-    mp: np.ndarray
+    e0: np.ndarray
+    ep: np.ndarray
     kp_gram: np.ndarray
+    d: np.ndarray
     resid: np.ndarray | None = None
     az: float = 0.0
     v: float = 0.0
-    wk1: np.ndarray | None = None
-    w: np.ndarray | None = None
+    dk1: np.ndarray | None = None
+    fit: np.ndarray | None = None
     kept: _Kept = field(default_factory=_Kept)
     freivalds: tuple | None = None
 
@@ -295,31 +311,32 @@ class Carry:
     def start(cls, mem: AssociativeMemory, backlog: BacklogAccumulator) -> "Carry":
         """At the original weights ``mem.w0`` against the empty ``backlog``.
 
-        M0 = W0 K0K0^T is a copy of V0 K0^T, and Mp and R are zeros, so the
-        first lyaplock target's remainder is exactly 0 whatever its az and
-        v.  ``np.zeros`` pages in no memory until it is written, so R costs
-        nothing resident for an editor that never writes it.
+        D, E0, Ep and R are zeros, so the first lyaplock target's remainder
+        is exactly 0 whatever its az and v.  ``np.zeros`` pages in no memory
+        until it is written, so R costs nothing resident for an editor that
+        never writes it.
         """
-        return cls(m0=mem.v0k0t.copy(), mp=np.zeros(mem.w.shape),
-                   kp_gram=backlog.kp_gram, resid=np.zeros(mem.w.shape))
+        shape = mem.w0.shape
+        return cls(e0=np.zeros(shape), ep=np.zeros(shape), kp_gram=backlog.kp_gram,
+                   d=np.zeros(shape), resid=np.zeros(shape))
 
     def absorbed(self, batch: EditBatch) -> None:
-        """Carry W KpKp^T across the absorb of ``batch``: a rank-n update.
+        """Carry D KpKp^T across the absorb of ``batch``: a rank-n update.
 
         Called once ``memory.absorb`` has added K1 K1^T to ``kp_gram``; the
-        solve left W' K1 in ``wk1``, so Mp grows by (W' K1) K1^T.
+        solve left D' K1 in ``dk1``, so Ep grows by (D' K1) K1^T.
         """
-        add_outer(self.mp, self.wk1, batch.k1)
+        add_outer(self.ep, self.dk1, batch.k1)
 
     def copy(self) -> "Carry":
         """A carry at the same weights whose solves leave this one as it is.
 
-        A solve updates ``m0``, ``mp``, ``resid`` and ``kept``'s pending
-        lists in place, so those are copied.  It replaces ``wk1``, ``w`` and
-        every array ``kept`` holds without writing them, ``kp_gram`` is the
+        A solve updates ``e0``, ``ep``, ``resid`` and ``kept``'s pending
+        lists in place, so those are copied.  It replaces ``d``, ``dk1``,
+        ``fit`` and every array ``kept`` holds without writing them, ``kp_gram`` is the
         one backlog Gram and ``freivalds`` is fixed, so those are shared.
         """
-        return replace(self, m0=self.m0.copy(), mp=self.mp.copy(),
+        return replace(self, e0=self.e0.copy(), ep=self.ep.copy(),
                        resid=self.resid.copy(), kept=self.kept.copy())
 
 
@@ -426,46 +443,46 @@ def _cho_solve(factor, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _carry(carry: Carry, k0_gram: np.ndarray, w_new: np.ndarray, u: np.ndarray,
+def _carry(carry: Carry, k0_gram: np.ndarray, d_new: np.ndarray, u: np.ndarray,
            x) -> None:
-    """Move the products M = W G of ``carry`` to W' = W + U X^T, in place.
+    """Move the products E = D G of ``carry`` to D' = D + U X^T, in place.
 
-    G is ``k0_gram`` for M0 and ``carry.kp_gram`` for Mp.  With ``x`` None
-    every M is recomputed densely as W' G.  Otherwise M += U (G X)^T, and
-    every M is recomputed densely only if :func:`_drifted` finds a gap.
+    G is ``k0_gram`` for E0 and ``carry.kp_gram`` for Ep.  With ``x`` None
+    every E is recomputed densely as D' G.  Otherwise E += U (G X)^T, and
+    every E is recomputed densely only if :func:`_drifted` finds a gap.
     """
-    products = ((carry.m0, k0_gram), (carry.mp, carry.kp_gram))
+    products = ((carry.e0, k0_gram), (carry.ep, carry.kp_gram))
     if x is not None:
         for m, g in products:
             add_outer(m, u, g @ x)
         if carry.freivalds is None:
-            z = np.cos(np.arange(w_new.shape[1], dtype=np.float64))
+            z = np.cos(np.arange(d_new.shape[1], dtype=np.float64))
             carry.freivalds = z, k0_gram @ z
         z, g0z = carry.freivalds
-        if not _drifted(w_new, z, ((carry.m0, g0z), (carry.mp, carry.kp_gram @ z))):
+        if not _drifted(d_new, z, ((carry.e0, g0z), (carry.ep, carry.kp_gram @ z))):
             return
     for m, g in products:
-        np.matmul(w_new, g, out=m)
+        np.matmul(d_new, g, out=m)
 
 
-def _drifted(w_new: np.ndarray, z: np.ndarray, products) -> bool:
-    """Whether some M of ``products`` is not W' G, by a Freivalds check.
+def _drifted(d_new: np.ndarray, z: np.ndarray, products) -> bool:
+    """Whether some E of ``products`` is not D' G, by a Freivalds check.
 
-    ``products`` pairs each M with G z for the carry's fixed vector z, and
-    M z is compared with W' (G z) in O(d1 d0); a relative gap above
+    ``products`` pairs each E with G z for the carry's fixed vector z, and
+    E z is compared with D' (G z) in O(d1 d0); a relative gap above
     ``CARRY_TOLERANCE`` counts as drift.
     """
-    w_norm = _norm(w_new)
+    d_norm = _norm(d_new)
     for m, gz in products:
-        if not _norm(m @ z - w_new @ gz) <= CARRY_TOLERANCE * w_norm * _norm(gz):
+        if not _norm(m @ z - d_new @ gz) <= CARRY_TOLERANCE * d_norm * _norm(gz):
             return True
     return False
 
 
 def _weighted(az: float, a: np.ndarray, v: float, b: np.ndarray | None,
               u: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``az a + v (b + u @ y.T)`` as a new array; a ``b`` of None, which
-    only baseline's corner passes, at v = 1, leaves its term out.
+    """``az a + v (b + u @ y.T)`` as a new array; at v = 1, a ``b`` of None
+    leaves its term out.
 
     With v = 1, as in every run without a ``v_weight``, no other temporary
     is made: ``b`` is added in place and ``u @ y.T`` by one ``gemm``.
@@ -503,19 +520,19 @@ def _assembly_overflowed() -> SingularSystemError:
     )
 
 
-def _normal_solve(w: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
+def _normal_solve(d: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
                   rest, rhs_full: np.ndarray, times_c, kept: _Kept):
-    """Solve ``delta @ C = U K1^T + rest``.
+    """Solve ``delta @ C = U K1^T + rest`` at the deviation ``d``.
 
-    Returns the report, ``W + delta`` and the residual matrix
-    ``(W + delta) @ C - RHS``, whose norm over ||RHS|| is the reported
-    residual.  The target U K1^T + rest is RHS - W @ C, assembled from
+    Returns the report, ``D + delta`` and the residual matrix
+    ``(D + delta) @ C - RHS``, whose norm over ||RHS|| is the reported
+    residual.  The target U K1^T + rest is RHS - D @ C, assembled from
     residual products by the caller; ``rest`` is None when it is exactly 0.
     ``system()`` assembles C as a new array, which is then factored in
     place; it is called only when a factorization is needed.  ``rest`` is
     the caller's scratch, overwritten here.  ``rhs_full`` is only used to
-    measure the residual.  ``times_c(w_new, x)`` moves the caller's
-    products to ``w_new`` and returns ``w_new @ C`` as a new array assembled
+    measure the residual.  ``times_c(d_new, x)`` moves the caller's
+    products to ``d_new`` and returns ``d_new @ C`` as a new array assembled
     from them: by the rank-n update for delta = U X^T, or densely when ``x``
     is None.  That array becomes the residual matrix.
 
@@ -541,8 +558,8 @@ def _normal_solve(w: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
     if _overflowed(target, target_norm) or _overflowed(rhs_full, rhs_norm):
         raise _assembly_overflowed()
 
-    def checked(w_new, x):
-        resid = times_c(w_new, x)
+    def checked(d_new, x):
+        resid = times_c(d_new, x)
         resid -= rhs_full
         return _norm(resid) / ref, resid
 
@@ -555,21 +572,21 @@ def _normal_solve(w: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
         if solved is not None:
             x, cond = solved
             delta = u @ x.T
-            w_new = w + delta
-            residual, resid = checked(w_new, x)
+            d_new = d + delta
+            residual, resid = checked(d_new, x)
             if residual <= RESIDUAL_TARGET:
                 return SolveReport(delta=delta, residual=residual, ridge_applied=0.0,
-                                   condition_estimate=cond), w_new, resid
+                                   condition_estimate=cond), d_new, resid
             moved = True
         kept.clear()
     c = system()
     if not np.isfinite(c).all():
         raise _assembly_overflowed()
     if snap:
-        residual, resid = checked(w, None)
-        return SolveReport(delta=np.zeros_like(w), residual=residual,
+        residual, resid = checked(d, None)
+        return SolveReport(delta=np.zeros_like(d), residual=residual,
                            ridge_applied=0.0,
-                           condition_estimate=float("nan")), w, resid
+                           condition_estimate=float("nan")), d, resid
     last_cond = float("inf")
     for lam, factor, cond in _ridge_attempts(c):
         last_cond = cond
@@ -579,15 +596,15 @@ def _normal_solve(w: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
         if rank_n and lam == 0.0:
             x = _cho_solve(factor, k1)
             delta = u @ x.T
-            w_new = w + delta
-            residual, resid = checked(w_new, None if moved else x)
+            d_new = d + delta
+            residual, resid = checked(d_new, None if moved else x)
             if residual <= RESIDUAL_TARGET:
                 report = SolveReport(delta=delta, residual=residual,
                                      ridge_applied=lam, condition_estimate=cond)
         if report is None:
             delta = _cho_solve(factor, target.T).T
-            w_new = w + delta
-            residual, resid = checked(w_new, None)
+            d_new = d + delta
+            residual, resid = checked(d_new, None)
             if not np.isfinite(residual) or (lam == 0.0 and residual > RESIDUAL_TARGET):
                 continue
             report = SolveReport(delta=delta, residual=residual, ridge_applied=lam,
@@ -595,7 +612,7 @@ def _normal_solve(w: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
         if lam == 0.0:
             # _ridge_attempts scaled c by 2^-shift in place.
             kept.seed(factor, cond, float(c.trace()) / c.shape[0])
-        return report, w_new, resid
+        return report, d_new, resid
     raise SingularSystemError(
         f"normal-equation matrix is numerically singular "
         f"(condition estimate {last_cond:.3e}) after maximum ridge escalation",
@@ -628,6 +645,9 @@ def _check_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
             f"backlog Gram is {bk.kp_gram.shape[0]} x {bk.kp_gram.shape[1]} but "
             f"the memory input dimension is {mem.dims.d0}"
         )
+    if bk.w0 is not mem.w0 and not np.array_equal(bk.w0, mem.w0):
+        raise InputError("the backlog is anchored at other original weights "
+                         "than the memory's w0")
 
 
 def _preserving_solve(mem: AssociativeMemory, bk: BacklogAccumulator | None,
@@ -635,17 +655,19 @@ def _preserving_solve(mem: AssociativeMemory, bk: BacklogAccumulator | None,
                       carry: Carry | None) -> SolveReport:
     """Lyaplock's solve, or with ``bk`` None baseline's corner of it (see
     the module docstring), on inputs the caller has checked."""
-    w, k1, v1 = mem.w, batch.k1, batch.v1
+    k1 = batch.k1
+    u0 = batch._u0(mem.w0)
     if carry is None:
+        d = mem.w - mem.w0
         kp_gram = np.zeros_like(mem.k0_gram) if bk is None else bk.kp_gram
-        mp = np.zeros_like(w) if bk is None else w @ kp_gram
-        carry = Carry(m0=w @ mem.k0_gram, mp=mp, kp_gram=kp_gram,
-                      resid=np.zeros(w.shape))
-    m0, kept = carry.m0, carry.kept
+        ep = np.zeros_like(d) if bk is None else d @ kp_gram
+        carry = Carry(e0=d @ mem.k0_gram, ep=ep, kp_gram=kp_gram, d=d,
+                      resid=np.zeros(d.shape))
+    d, e0, kept = carry.d, carry.e0, carry.kept
     if bk is None:
-        anchor, vpkpt, kp_gram, mp = m0, None, None, None
+        cross, kp_gram, ep = None, None, None
     else:
-        anchor, vpkpt, kp_gram, mp = mem.v0k0t, bk.vpkpt, bk.kp_gram, carry.mp
+        cross, kp_gram, ep = bk.u0kpt, bk.kp_gram, carry.ep
     kept.at(v_weight, az)
     if az == 1.0 and (bk is None or bk.absorbed == 0):
         if mem.k0_factor is None:
@@ -653,32 +675,32 @@ def _preserving_solve(mem: AssociativeMemory, bk: BacklogAccumulator | None,
         else:
             kept.seed(*mem.k0_factor)
     with np.errstate(over="ignore"):
-        rhs_full = _weighted(az, anchor, v_weight, vpkpt, v1, k1)
-        # Residual assembly: exact zeros survive, unlike rhs_full - w @ c.
-        u = v_weight * (v1 - w @ k1)
+        # Baseline's RHS_D = E0 + U0 K1^T, lyaplock's v B + (v U0) K1^T.
+        rhs_full = (_weighted(1.0, e0, 1.0, None, u0, k1) if bk is None
+                    else _weighted(v_weight, cross, 1.0, None, v_weight * u0, k1))
+        # Residual assembly: exact zeros survive, unlike rhs_full - d @ c.
+        u = v_weight * (u0 - d @ k1)
         rest = None
         if bk is not None:
             # The remainder from the carried residual, in its buffer, plus a
             # term for each weight that changed since R was built.
             rest = np.negative(carry.resid, out=carry.resid)
-            if az != carry.az or v_weight != carry.v:  # not on a step at the floor
-                for weight, was, cross, m in ((az, carry.az, mem.v0k0t, m0),
-                                              (v_weight, carry.v, vpkpt, mp)):
-                    if weight != was:
-                        moved = np.subtract(cross, m)
-                        moved *= weight - was
-                        rest += moved
+            if az != carry.az:  # not on a step at the floor
+                rest -= (az - carry.az) * e0
+            if v_weight != carry.v:
+                rest += (v_weight - carry.v) * (cross - ep)
 
-        def times_c(w_new, x):
-            _carry(carry, mem.k0_gram, w_new, u, x)
-            carry.wk1 = w_new @ k1
-            return _weighted(az, m0, v_weight, mp, carry.wk1, k1)
+        def times_c(d_new, x):
+            _carry(carry, mem.k0_gram, d_new, u, x)
+            carry.dk1 = d_new @ k1
+            return _weighted(az, e0, v_weight, ep, carry.dk1, k1)
 
         def system():
             return _weighted(az, mem.k0_gram, v_weight, kp_gram, k1, k1)
 
-        report, carry.w, resid = _normal_solve(w, system, u, k1, rest, rhs_full,
+        report, carry.d, resid = _normal_solve(d, system, u, k1, rest, rhs_full,
                                                times_c, kept)
+    carry.fit = carry.dk1 - u0
     if bk is not None:
         carry.resid, carry.az, carry.v = resid, az, v_weight
     return report
@@ -696,8 +718,9 @@ def solve_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
     - batch: this step's keys and target values
     - v_weight: weight on editing plus backlog loss, must be positive
     - az: preservation weight, the queue value scaled by the queue gain a
-    - carry: a step loop's :class:`Carry` at ``mem.w``, carried against
-      ``bk.kp_gram``; the solve leaves it at W' = W + delta, with this
+    - carry: a step loop's :class:`Carry` at D = ``mem.w`` - ``mem.w0``,
+      carried against ``bk.kp_gram``, whose D the solve reads in place of
+      ``mem.w``; the solve leaves it at D' = D + delta, with this
       solve's residual, ``az``, ``v_weight`` and kept factor.  Without one,
       the solve seeds a carry with R = 0, az' = v' = 0 and no kept factor,
       so the remainder is formed as it is written out.
@@ -723,10 +746,10 @@ def solve_baseline(mem: AssociativeMemory, batch: EditBatch,
     system at v = az = 1, anchored at the current weights and without the
     backlog (see the module docstring).
 
-    ``carry`` is a step loop's :class:`Carry` at ``mem.w``, which the solve
-    leaves at W' = W + delta.  The backlog enters only through ``carry.mp``,
-    which the loop's backlog loss reads.  Without one, the solve seeds a
-    carry with M0 = W K0K0^T against an empty backlog.
+    ``carry`` is a step loop's :class:`Carry` at D = ``mem.w`` - ``mem.w0``,
+    which the solve leaves at D' = D + delta.  The backlog enters only
+    through ``carry.ep``, which the loop's backlog loss reads.  Without one,
+    the solve seeds a carry with E0 = D K0K0^T against an empty backlog.
     """
     _check_batch(mem, batch)
     return _preserving_solve(mem, None, batch, 1.0, 1.0, carry)
@@ -740,9 +763,13 @@ def solve_edit_only(mem: AssociativeMemory, batch: EditBatch,
     editing loss is zero up to round-off; rank-deficient keys are ridged, and
     keys that stay numerically singular beyond the ladder raise.
 
-    ``carry`` is a step loop's :class:`Carry` at ``mem.w``, which the solve
-    leaves at W' = W + delta, moving the products by the rank-n update.
-    Without one, nothing is carried.
+    Edit-only fits V1 and ignores preservation, so W0 has no part in its
+    problem: it solves at the absolute weights ``mem.w``, as a one-shot
+    caller does, and its fit residual ||W' K1 - V1|| is judged against
+    ||V1||.  ``carry`` is a step loop's :class:`Carry` at D = ``mem.w`` -
+    ``mem.w0``, which the solve leaves at D' = D + delta, moving the
+    products, which only PL and BL read, by the rank-n update.  Without
+    one, nothing is carried.
     """
     _check_batch(mem, batch)
     w, k1, v1 = mem.w, batch.k1, batch.v1
@@ -758,13 +785,14 @@ def solve_edit_only(mem: AssociativeMemory, batch: EditBatch,
         xt = _cho_solve(factor, k1.T)
         delta = resid @ xt
         w_new = w + delta
-        wk1 = w_new @ k1
-        residual = _norm(wk1 - v1) / ref
+        fit = w_new @ k1 - v1
+        residual = _norm(fit) / ref
         if lam == 0.0 and residual > RESIDUAL_TARGET:
             continue
         if carry is not None:
-            carry.w, carry.wk1 = w_new, wk1
-            _carry(carry, mem.k0_gram, w_new, resid, xt.T)
+            carry.d = carry.d + delta
+            carry.dk1, carry.fit = carry.d @ k1, fit
+            _carry(carry, mem.k0_gram, carry.d, resid, xt.T)
         return SolveReport(delta=delta, residual=residual, ridge_applied=lam,
                            condition_estimate=cond)
     raise SingularSystemError(

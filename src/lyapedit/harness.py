@@ -16,10 +16,12 @@ Runs over one stream share one step loop.  ``run`` is its one-member case;
 ``compare`` and ``sweep_alpha`` step all their members together.  Set-up
 happens once: one stream, one preserved Gram (formed and checked by the
 stream, then kept by the memory with the check's unridged factor; the raw
-keys are dropped), one memory and one probe.  The one dense set-up product
-W0 K0K0^T is the memory's V0 K0^T, since V0 = W0 K0; the probe and the first
-path start from a copy of it.  Each batch is generated once per step and
-absorbed once into the one backlog, which depends only on the batches.  The
+keys are dropped), one memory and one probe.  Set-up forms no d1 x d0^2
+product: the losses and solves work in deviation coordinates D = W - W0,
+where the preserved values V0 = W0 K0 drop out, and the probe and the first
+path start from D = 0.  Each batch is generated once per step, its residual
+at W0, U0 = V1 - W0 K1, is formed once, and the batch is absorbed once into
+the one backlog, which depends only on the batches.  The
 step loop runs inside ``EditStream.ahead``, so on a long run a forked child
 may have made the batch, with the same code and the same bits, while the
 loop solved the steps before it; set-up and the probe never fork.  Each member keeps its queue in weight units, the
@@ -43,38 +45,42 @@ is solved lazily, by its lowest-index member, which also raises its error;
 each member still runs its own overflow check, queue update and table.  With
 one member no split is made.
 
-A carry holds the products ``W K0K0^T`` and ``W KpKp^T`` of its path's
-weights, the backlog Gram the latter is carried against, ``W' K1`` of the
-step's batch, lyaplock's last residual matrix ``W' C - RHS`` with the az it
-solved with, and W' itself.  Each step calls the editor's public solver,
+A carry holds the products ``D K0K0^T`` and ``D KpKp^T`` of its path's
+deviation D = W - W0, the backlog Gram the latter is carried against, D
+itself, ``D' K1`` and the post-edit residual ``W' K1 - V1`` on the step's
+batch, and lyaplock's last residual matrix ``D' C - RHS_D`` with the az it
+solved with.  Each step calls the editor's public solver,
 ``solve_lyaplock``, ``solve_baseline`` or ``solve_edit_only``, with the
-path's carry, and the solve leaves the carry at the post-edit weights W';
-so the loop runs exactly what a one-shot caller runs.  Baseline's solve is
-lyaplock's at v = a*Z = 1, anchored at the current weights and without the
-backlog, so it leaves the carry's residual and az as they were.  PL and BL
-read the products; EL reads ``W' K1``, and so does ``Carry.absorbed``,
-which the loop calls once per live path after the absorb: it adds the
-rank-n term ``(W' K1) K1^T`` to ``W KpKp^T``.  Lyaplock forms the part of
-its next target beyond the batch term from the residual: once the batch
-is absorbed, v (Vp Kp^T - W KpKp^T) + az (V0 K0^T - W K0K0^T) is exactly
-(az - az') (V0 K0^T - W K0K0^T) minus that residual, and it is exactly 0 at
-step 1.  Whenever a step's edit is rank n (n = the batch size) the solve
-moves the products by rank-n updates instead of two dense d1 x d0^2
-passes: on every baseline and edit-only step, and on a lyaplock step whose
-target part beyond the batch term is round-off, as it is whenever az did
-not change.  A Freivalds check after each rank-n update recomputes the
-products densely if they drift (see ``lyapedit.editors``).  The carry also
-keeps its last solve's unridged factor: while a*Z and v hold, a lyaplock
-rank-n step solves by a Woodbury correction over the batches absorbed
-since, with no factorization, and its condition estimate is an upper
-estimate from the kept one.  Every solve at a*Z = 1 without a backlog
-seeds the carry's with the preserved Gram's factor: every path's step 1
-at a*Z = 1, every baseline step and the probe, whose systems are K0K0^T
-with the step's batch pending.  A baseline step reseeds it each time, so
-its batches never join its next system.  A fork's carry copies
+path's carry, and the solve leaves the carry at the post-edit deviation D';
+so the loop runs exactly what a one-shot caller runs.  The path's memory
+then takes the weights W0 + D', or, for edit-only, which solves at the
+absolute weights, W + delta.  Baseline's solve is lyaplock's at
+v = a*Z = 1, anchored at the current weights and without the backlog, so
+it leaves the carry's residual and az as they were.  PL is the form
+<D K0K0^T, D>, BL reads ``D KpKp^T`` against the backlog's sums anchored
+at W0, EL reads the post-edit residual, and ``Carry.absorbed``, which the
+loop calls once per live path after the absorb, adds the rank-n term
+``(D' K1) K1^T`` to ``D KpKp^T``.  Lyaplock forms the part of its next
+target beyond the batch term from the residual: once the batch is
+absorbed, v (B - D KpKp^T) - az D K0K0^T, with B the backlog's sum of
+U0 K1^T, is exactly -(az - az') D K0K0^T minus that residual, and it is
+exactly 0 at step 1.  Whenever a step's edit is rank n (n = the batch size)
+the solve moves the products by rank-n updates instead of two dense
+d1 x d0^2 passes: on every baseline and edit-only step, and on a lyaplock
+step whose target part beyond the batch term is round-off, as it is
+whenever az did not change.  A Freivalds check after each rank-n update
+recomputes the products densely if they drift (see ``lyapedit.editors``).
+The carry also keeps its last solve's unridged factor: while a*Z and v
+hold, a lyaplock rank-n step solves by a Woodbury correction over the
+batches absorbed since, with no factorization, and its condition estimate
+is an upper estimate from the kept one.  Every solve at a*Z = 1 without a
+backlog seeds the carry's with the preserved Gram's factor: every path's
+step 1 at a*Z = 1, every baseline step and the probe, whose systems are
+K0K0^T with the step's batch pending.  A baseline step reseeds it each
+time, so its batches never join its next system.  A fork's carry copies
 the pending batches and shares the factors, so a path forked in such a
 stretch solves as it would alone.  The probe reads its PL from the
-``W' K0K0^T`` that its own solve left.
+``D' K0K0^T`` that its own solve left.
 """
 from __future__ import annotations
 
@@ -105,6 +111,7 @@ from .errors import (
 from .memory import (  # noqa: F401
     AssociativeMemory,
     BacklogAccumulator,
+    _psd_loss,
     absorb,
     backlog_loss,
     editing_loss,
@@ -120,7 +127,6 @@ EDITOR_NAMES = ("lyaplock", "baseline", "edit-only")
 # Floor for the probed base loss of an exactly representable stream, which
 # probes to a preservation loss of 0 that the schedule cannot accept.
 _D_BASE_FLOOR = float(np.finfo(np.float64).tiny)
-_EPS = float(np.finfo(np.float64).eps)
 
 
 @dataclass(frozen=True)
@@ -188,31 +194,31 @@ class RunResult:
 
 def running_average(history: np.ndarray) -> np.ndarray:
     """The mean of steps 1..t at every t, summed in step order by ``cumsum``
-    (``np.sum`` is pairwise and ``math.fsum`` exact: either changes bits)."""
-    return np.cumsum(history) / np.arange(1, history.size + 1)
+    (``np.sum`` is pairwise and ``math.fsum`` exact: either changes bits).
+    A sum beyond the range of double precision reads inf, as in the CSV of
+    a run that aborted on a loss near that range."""
+    with np.errstate(over="ignore"):
+        return np.cumsum(history) / np.arange(1, history.size + 1)
 
 
 def estimate_d_base(stream: EditStream, mem: AssociativeMemory) -> float:
     """Preservation loss after one probe bi-objective edit of the first batch.
 
     The probe edits the original weights ``mem.w0``, whatever ``mem.w`` is,
-    starting from W0 K0K0^T = ``mem.v0k0t``, and is then thrown away; only
-    the measured loss survives.  An exactly representable stream (planted
+    starting from a carry at D = 0, and is then thrown away; only the
+    measured loss survives.  An exactly representable stream (planted
     teacher, no drift) probes to a loss of 0, floored at the smallest
     positive normal so it still yields a usable threshold.  On any other
     stream a loss of 0 or a non-finite one means the losses are not
     representable at its key scale, and NumericalInstabilityError is raised.
     So does a subnormal loss there: it carries fewer than 52 bits, and so
-    would every loss measured against it.  A loss of 0 beside a normal
-    tr(V0 V0^T) has another cause: the Gram form cancels against that trace
-    and resolves no loss below eps * tr(V0 V0^T), which a small
-    ``teacher_drift`` reaches; the error then says so.
+    would every loss measured against it.
     """
     spec = stream.spec
-    carry = Carry.start(mem, BacklogAccumulator.empty(mem.dims))
+    carry = Carry.start(mem, BacklogAccumulator.empty(mem.w0))
     solve_baseline(replace(mem, w=mem.w0), stream.batch(1), carry)
-    # The solve left W' and carry.m0 = W' K0K0^T, the product PL needs.
-    pl = gram_loss(carry.w, carry.m0, mem.v0k0t, mem.tr_v0v0)
+    # The solve left D' and carry.e0 = D' K0K0^T, the product PL needs.
+    pl = _psd_loss(carry.e0, carry.d)
     exact = spec.value_mode == "planted-teacher" and spec.teacher_drift == 0.0
     if math.isfinite(pl) and exact:
         return max(pl, _D_BASE_FLOOR)
@@ -224,15 +230,6 @@ def estimate_d_base(stream: EditStream, mem: AssociativeMemory) -> float:
             f"smallest normal double {_D_BASE_FLOOR!r}; the losses at this key "
             f"scale carry fewer than 52 bits"
         )
-    trace = mem.tr_v0v0
-    if pl == 0.0 and _D_BASE_FLOOR <= trace < math.inf:
-        raise NumericalInstabilityError(
-            f"the d_base probe's preservation loss reads 0.0 at "
-            f"teacher_drift={spec.teacher_drift!r}: its Gram form cancels "
-            f"against tr(V0 V0^T) = {trace!r} and resolves no loss below "
-            f"eps * tr(V0 V0^T) = {_EPS * trace!r}, so this drift is too "
-            f"small to measure; the key scale is not the cause"
-        )
     raise NumericalInstabilityError(
         f"the d_base probe's preservation loss is {pl!r} at "
         f"key_scale={spec.key_scale!r}; the losses at this key scale are not "
@@ -243,20 +240,23 @@ def estimate_d_base(stream: EditStream, mem: AssociativeMemory) -> float:
 def _solve_step(config: RunConfig, mem: AssociativeMemory,
                 backlog: BacklogAccumulator, batch, params: QueueParams,
                 weight: float, carry: Carry):
-    """One path's solve: the report and W' = W + delta.
+    """One path's solve: the report and the post-edit weights W', which
+    are W0 + D' for the editors that solve in deviation coordinates.
 
     ``config``, ``params`` and the preservation weight ``weight`` = a*Z are
     those of the path's first member; every other member of the path would
-    pass the same solve inputs.  ``carry`` is at W on entry and at W' on
-    return, whichever editor ran.
+    pass the same solve inputs.  ``carry`` is at D = W - W0 on entry and at
+    D' on return, whichever editor ran.
     """
     if config.editor == "lyaplock":
         report = solve_lyaplock(mem, backlog, batch, params.v_weight, weight, carry)
     elif config.editor == "baseline":
         report = solve_baseline(mem, batch, carry)
     else:
+        # Edit-only solves at the absolute weights (see solve_edit_only).
         report = solve_edit_only(mem, batch, carry)
-    return report, carry.w
+        return report, mem.w + report.delta
+    return report, mem.w0 + carry.d
 
 
 # The per-step columns one solve on a path yields, in the order of _Path.row.
@@ -355,9 +355,9 @@ class _Member:
             delta_fro = float(np.linalg.norm(report.delta))
             try:
                 path.mem = mem = path.mem.with_weights(w_new)
-                el = fit_loss(carry.wk1, batch.v1)
-                pl = gram_loss(w_new, carry.m0, mem.v0k0t, mem.tr_v0v0)
-                bl = gram_loss(w_new, carry.mp, backlog.vpkpt, backlog.tr_vpvp)
+                el = fit_loss(carry.fit)
+                pl = _psd_loss(carry.e0, carry.d)
+                bl = gram_loss(carry.d, carry.ep, backlog.u0kpt, backlog.tr_u0u0)
             except (NonFiniteError, NumericalInstabilityError) as exc:
                 raise self.aborted(t, (
                     f"loss measurement failed at step {t}: {exc}; z={self.z!r} "
@@ -422,7 +422,7 @@ def _run_lockstep(configs: list[RunConfig]) -> list[RunResult]:
     # member whose D = alpha * d_base is not representable fails as at step 1.
     d_base = estimate_d_base(stream, mem)
     # Every carry holds the backlog Gram, which absorb grows in place.
-    backlog = BacklogAccumulator.empty(mem.dims)
+    backlog = BacklogAccumulator.empty(mem.w0)
     # Every member starts on one path: W0 and one carry.
     start = _Path(mem, Carry.start(mem, backlog))
     members, failure = [], None

@@ -1,16 +1,17 @@
 """Associative-memory state kept in Gram form, plus the three quadratic losses.
 
-The preserved key/value set is never stored raw.  Everything downstream needs
-only K0*K0^T, V0*K0^T and tr(V0*V0^T), which keeps memory O(d0^2) no matter how
-many preserved keys were collected.  The same bookkeeping is used for the
-running backlog of already-applied edits.
+The preserved key/value set is never stored raw.  Preserved values follow
+one convention, V0 = W(0)*K0, so the preservation loss of weights W is
+||(W - W0)*K0||_F^2 = <(W - W0)*K0K0^T, W - W0>: everything downstream needs
+only K0*K0^T and W0, which keeps memory O(d0^2) no matter how many preserved
+keys were collected.  Losses and solves work in deviation coordinates,
+D = W - W0, so each keeps its accuracy however close W stays to W0.
 
-Preserved values follow one convention, V0 = W(0)*K0, so V0*K0^T is the
-product W(0)*K0K0^T: formed once per memory, and copied, not formed again,
-by a caller that needs W*K0K0^T at the original weights.
-
-Losses evaluated through Gram identities can dip slightly below zero through
-floating cancellation; they are clamped at zero inside a guard band and raise
+The running backlog of already-applied edits is anchored at W0 too: it keeps
+Kp*Kp^T and the sums of U0*K1^T and ||U0||_F^2 over its batches, where
+U0 = V1 - W0*K1 is a batch's residual at the original weights.  Its loss is
+evaluated through that Gram identity and can dip slightly below zero through
+floating cancellation; it is clamped at zero inside a guard band and raises
 once the deficit is large enough to indicate corrupted state.
 """
 from __future__ import annotations
@@ -27,10 +28,10 @@ from .errors import (
 )
 from .lapack import add_outer, in_two
 
-# Relative budget for harmless cancellation in Gram-form losses.
+# Relative budget for harmless cancellation in the Gram-form backlog loss.
 CANCELLATION_GUARD = 1e-6
-# Products of at least this many multiply-adds (about 10 ms on one core) run
-# in two halves at once.
+# A preserved Gram of at least this many multiply-adds (about 10 ms on one
+# core) is formed in two halves at once.
 _SPLIT_MACS = 1 << 28
 
 
@@ -47,6 +48,7 @@ def gram_loss(w: np.ndarray, w_gram: np.ndarray, cross: np.ndarray,
               trace_term: float) -> float:
     """Evaluate ||W*K - V||_F^2 from the product W*(K*K^T), V*K^T and tr(V*V^T).
 
+    The backlog loss takes it in deviation coordinates: W = D, V = U0.
     Taking the product rather than the Gram lets a caller that already holds
     W*(K*K^T) skip the one dense d1 x d0^2 pass.  Clamps tiny negative
     round-off to zero; a deficit beyond the guard band means the accumulated
@@ -99,23 +101,36 @@ class EditBatch:
         object.__setattr__(self, "k1", k1)
         object.__setattr__(self, "v1", v1)
 
+    def _u0(self, w0: np.ndarray) -> np.ndarray:
+        """U0 = V1 - W0*K1, this batch's residual at the original weights.
+
+        Formed once per batch and ``w0`` array, and kept read-only: in a
+        step, every path's preserving solve and the absorb read the same
+        one.  The caller checks the shapes.
+        """
+        held = self.__dict__.get("_held_u0")
+        if held is None or held[0] is not w0:
+            u0 = self.v1 - w0 @ self.k1
+            u0.flags.writeable = False
+            held = (w0, u0)
+            object.__setattr__(self, "_held_u0", held)
+        return held[1]
+
 
 @dataclass(frozen=True)
 class AssociativeMemory:
     """Editable weights plus Gram-form statistics of the preserved knowledge.
 
     ``w`` is the current weight matrix; ``w0`` stays frozen at the original
-    weights.  ``k0_gram``, ``v0k0t`` and ``tr_v0v0`` are K0*K0^T, V0*K0^T and
-    tr(V0*V0^T); raw K0/V0 are not retained.  ``k0_factor`` is None or the
-    unridged Cholesky factor of K0*K0^T that the stream's check made, in the
-    form ``editors._factor_gram`` returns: the solvers start from it.
+    weights.  ``k0_gram`` is K0*K0^T; raw K0/V0 are not retained, since
+    V0 = W0*K0.  ``k0_factor`` is None or the unridged Cholesky factor of
+    K0*K0^T that the stream's check made, in the form
+    ``editors._factor_gram`` returns: the solvers start from it.
     """
 
     w: np.ndarray
     w0: np.ndarray
     k0_gram: np.ndarray
-    v0k0t: np.ndarray
-    tr_v0v0: float
     dims: Dims
     k0_factor: tuple | None = None
 
@@ -131,26 +146,28 @@ class AssociativeMemory:
 
 @dataclass
 class BacklogAccumulator:
-    """Running Grams of every batch edited so far.
+    """Running Grams of every batch edited so far, anchored at ``w0``.
 
-    Mutated in place by :func:`absorb`.  The backlog depends only on the
-    batches, so every run over one stream may share a single accumulator, as
-    long as it is absorbed once per step.
+    ``kp_gram`` is Kp*Kp^T, and ``u0kpt`` and ``tr_u0u0`` sum U0*K1^T and
+    ||U0||_F^2 over the absorbed batches, U0 = V1 - W0*K1.  Mutated in
+    place by :func:`absorb`.  The backlog depends only on the batches, so
+    every run over one stream may share a single accumulator, as long as it
+    is absorbed once per step.
     """
 
+    w0: np.ndarray
     kp_gram: np.ndarray
-    vpkpt: np.ndarray
-    tr_vpvp: float
+    u0kpt: np.ndarray
+    tr_u0u0: float
     absorbed: int
 
     @classmethod
-    def empty(cls, dims: Dims) -> "BacklogAccumulator":
-        return cls(
-            kp_gram=np.zeros((dims.d0, dims.d0)),
-            vpkpt=np.zeros((dims.d1, dims.d0)),
-            tr_vpvp=0.0,
-            absorbed=0,
-        )
+    def empty(cls, w0) -> "BacklogAccumulator":
+        """An empty backlog anchored at the original weights ``w0``."""
+        w0 = _as_matrix("w0", w0)
+        d1, d0 = w0.shape
+        return cls(w0=w0, kp_gram=np.zeros((d0, d0)), u0kpt=np.zeros((d1, d0)),
+                   tr_u0u0=0.0, absorbed=0)
 
 
 def new_memory(w0, k0) -> AssociativeMemory:
@@ -168,7 +185,8 @@ def new_memory(w0, k0) -> AssociativeMemory:
         )
     if k0.shape[1] < 1:
         raise InputError("k0 must contain at least one column")
-    return _memory_from_gram(w0, _preserved_gram(k0))
+    return AssociativeMemory(w=w0, w0=w0, k0_gram=_preserved_gram(k0),
+                             dims=Dims(d0=w0.shape[1], d1=w0.shape[0]))
 
 
 def _split_row(rows: int) -> int:
@@ -213,32 +231,22 @@ def _preserved_gram(k0: np.ndarray) -> np.ndarray:
     return gram
 
 
-def _memory_from_gram(w0: np.ndarray, k0_gram: np.ndarray,
-                      k0_factor: tuple | None = None) -> AssociativeMemory:
-    """The V0 = W(0)*K0 memory of checked ``w0`` and K0*K0^T (see new_memory),
-    carrying ``k0_factor``.
+def _psd_loss(product: np.ndarray, d: np.ndarray) -> float:
+    """<D*G, D> = ||D*K||_F^2 from the product D*G, G = K*K^T.
 
-    A product W0*K0K0^T of ``_SPLIT_MACS`` multiply-adds or more is formed
-    in two blocks of rows at once.
+    A positive semidefinite form: it needs no cancellation guard.  Only
+    round-off could take a finite value below 0, where it is clamped; an
+    overflow stays non-finite.
     """
-    d1, d0 = w0.shape
-    h = _split_row(d1)
-    if h == 0 or d1 * d0 * d0 < _SPLIT_MACS:
-        v0k0t = w0 @ k0_gram
-    else:
-        v0k0t = np.empty((d1, d0))
-        in_two(lambda: np.matmul(w0[:h], k0_gram, out=v0k0t[:h]),
-               lambda: np.matmul(w0[h:], k0_gram, out=v0k0t[h:]))
-    tr_v0v0 = float(np.einsum("ij,ij->", v0k0t, w0))
-    return AssociativeMemory(w=w0, w0=w0, k0_gram=k0_gram, v0k0t=v0k0t,
-                             tr_v0v0=tr_v0v0, dims=Dims(d0=d0, d1=d1),
-                             k0_factor=k0_factor)
+    raw = float(np.einsum("ij,ij->", product, d))
+    return 0.0 if -np.inf < raw < 0.0 else raw
 
 
 def preservation_loss(mem: AssociativeMemory, w) -> float:
-    """Squared Frobenius residual of ``w`` on the preserved key/value set."""
-    w = mem.with_weights(w).w  # checked as the memory's own weights are
-    return gram_loss(w, w @ mem.k0_gram, mem.v0k0t, mem.tr_v0v0)
+    """Squared Frobenius residual of ``w`` on the preserved key/value set,
+    ||(W - W0)*K0||_F^2."""
+    d = mem.with_weights(w).w - mem.w0  # checked as the memory's own weights are
+    return _psd_loss(d @ mem.k0_gram, d)
 
 
 def editing_loss(w, batch: EditBatch) -> float:
@@ -256,16 +264,15 @@ def editing_loss(w, batch: EditBatch) -> float:
         raise DimensionMismatchError(
             f"w has {w.shape[0]} rows but v1 has {batch.v1.shape[0]}"
         )
-    return fit_loss(w @ batch.k1, batch.v1)
+    return fit_loss(w @ batch.k1 - batch.v1)
 
 
-def fit_loss(wk: np.ndarray, v: np.ndarray) -> float:
-    """||W K - V||_F^2 from the product W K, unchecked.
+def fit_loss(resid: np.ndarray) -> float:
+    """||R||_F^2 of a residual matrix R = W K - V, unchecked.
 
-    A step loop that holds W K1 at checked weights takes its editing loss
-    from it without forming W K1 or checking W again.
+    A step loop's solve leaves the post-edit residual on its batch in its
+    carry, and the editing loss reads it without forming W K again.
     """
-    resid = wk - v
     return float(np.einsum("ij,ij->", resid, resid))
 
 
@@ -274,18 +281,19 @@ def backlog_loss(w, bk: BacklogAccumulator) -> float:
     if bk.absorbed == 0:
         return 0.0
     w = _as_matrix("w", w)
-    if w.shape[1] != bk.kp_gram.shape[0]:
+    if w.shape != bk.w0.shape:
         raise DimensionMismatchError(
-            f"w has {w.shape[1]} columns but the backlog Gram is "
-            f"{bk.kp_gram.shape[0]} x {bk.kp_gram.shape[1]}"
+            f"w has shape {w.shape} but the backlog is anchored at weights of "
+            f"shape {bk.w0.shape}"
         )
-    return gram_loss(w, w @ bk.kp_gram, bk.vpkpt, bk.tr_vpvp)
+    d = w - bk.w0
+    return gram_loss(d, d @ bk.kp_gram, bk.u0kpt, bk.tr_u0u0)
 
 
 def absorb(bk: BacklogAccumulator, batch: EditBatch) -> BacklogAccumulator:
     """Fold one batch into the backlog Grams, in place.
 
-    Both ``k1 @ k1.T`` and the cross term ``v1 @ k1.T`` are added in place
+    Both ``k1 @ k1.T`` and the cross term ``u0 @ k1.T`` are added in place
     by one ``gemm`` each.  numpy would form ``k1 @ k1.T`` with ``syrk`` and
     mirror its triangle in a scalar loop: 8.96 ms against 0.88 ms at
     d0=1024 and n=8 (one BLAS thread).  The ``gemm`` sum may differ from
@@ -298,13 +306,14 @@ def absorb(bk: BacklogAccumulator, batch: EditBatch) -> BacklogAccumulator:
             f"k1 has {batch.k1.shape[0]} rows but the backlog Gram is "
             f"{bk.kp_gram.shape[0]} x {bk.kp_gram.shape[1]}"
         )
-    if batch.v1.shape[0] != bk.vpkpt.shape[0]:
+    if batch.v1.shape[0] != bk.w0.shape[0]:
         raise DimensionMismatchError(
-            f"v1 has {batch.v1.shape[0]} rows but the backlog cross term has "
-            f"{bk.vpkpt.shape[0]}"
+            f"v1 has {batch.v1.shape[0]} rows but the backlog's weights have "
+            f"{bk.w0.shape[0]}"
         )
+    u0 = batch._u0(bk.w0)
     add_outer(bk.kp_gram, batch.k1, batch.k1)
-    add_outer(bk.vpkpt, batch.v1, batch.k1)
-    bk.tr_vpvp += float(np.einsum("ij,ij->", batch.v1, batch.v1))
+    add_outer(bk.u0kpt, u0, batch.k1)
+    bk.tr_u0u0 += float(np.einsum("ij,ij->", u0, u0))
     bk.absorbed += 1
     return bk

@@ -28,13 +28,25 @@ from .stream import (SplitMix64, StreamSpec, derive_seed, load_matrix_file,
 _TINY = float(np.finfo(np.float64).tiny)
 
 
+def _deviation(mem: AssociativeMemory, batch: EditBatch, delta: np.ndarray):
+    """D = W + delta - W0 and the batch's residual at W0, U0 = V1 - W0 K1,
+    both formed afresh."""
+    return (mem.w - mem.w0) + delta, batch.v1 - mem.w0 @ batch.k1
+
+
 def verify_normal_equations(mem: AssociativeMemory, bk: BacklogAccumulator,
                             batch: EditBatch, v_weight: float, az: float,
                             delta: np.ndarray) -> float:
-    """Relative residual ||(W + delta) @ C - RHS|| / max(||RHS||, tiny)."""
+    """Relative residual ||D' @ C - RHS_D|| / max(||RHS_D||, tiny).
+
+    D' = W + delta - W0, and RHS_D = v_weight (U0 K1^T + sum U0 K1^T over the
+    backlog) is the right-hand side of the normal equations in deviation
+    coordinates, where the preservation term, anchored at W0, drops out.
+    """
+    d, u0 = _deviation(mem, batch, delta)
     c = v_weight * (batch.k1 @ batch.k1.T) + v_weight * bk.kp_gram + az * mem.k0_gram
-    rhs = v_weight * (batch.v1 @ batch.k1.T) + v_weight * bk.vpkpt + az * mem.v0k0t
-    num = float(np.linalg.norm((mem.w + delta) @ c - rhs))
+    rhs = v_weight * (u0 @ batch.k1.T) + v_weight * bk.u0kpt
+    num = float(np.linalg.norm(d @ c - rhs))
     return num / max(float(np.linalg.norm(rhs)), _TINY)
 
 
@@ -43,18 +55,17 @@ def quadratic_objective(mem: AssociativeMemory, bk: BacklogAccumulator,
                         delta: np.ndarray) -> float:
     """v_weight*(EL + BL) + az*PL at W + delta, without clamping.
 
-    The backlog and preservation terms come from the stored Grams; the editing
-    term uses the explicit batch matrices.
+    Every term is taken in D = W + delta - W0: PL as <D K0K0^T, D>, BL from
+    the backlog's Grams anchored at W0, and EL from the explicit batch as
+    ||D K1 - U0||^2 with U0 = V1 - W0 K1.
     """
-    wd = mem.w + delta
-    edit_resid = wd @ batch.k1 - batch.v1
+    d, u0 = _deviation(mem, batch, delta)
+    edit_resid = d @ batch.k1 - u0
     el = float(np.einsum("ij,ij->", edit_resid, edit_resid))
-    bl = (float(np.einsum("ij,ij->", wd @ bk.kp_gram, wd))
-          - 2.0 * float(np.einsum("ij,ij->", wd, bk.vpkpt))
-          + bk.tr_vpvp)
-    pl = (float(np.einsum("ij,ij->", wd @ mem.k0_gram, wd))
-          - 2.0 * float(np.einsum("ij,ij->", wd, mem.v0k0t))
-          + mem.tr_v0v0)
+    bl = (float(np.einsum("ij,ij->", d @ bk.kp_gram, d))
+          - 2.0 * float(np.einsum("ij,ij->", d, bk.u0kpt))
+          + bk.tr_u0u0)
+    pl = float(np.einsum("ij,ij->", d @ mem.k0_gram, d))
     return v_weight * (el + bl) + az * pl
 
 
@@ -62,11 +73,11 @@ def objective_gradient(mem: AssociativeMemory, bk: BacklogAccumulator,
                        batch: EditBatch, v_weight: float, az: float,
                        delta: np.ndarray) -> np.ndarray:
     """Gradient of :func:`quadratic_objective` with respect to delta."""
-    wd = mem.w + delta
+    d, u0 = _deviation(mem, batch, delta)
     return 2.0 * (
-        v_weight * ((wd @ batch.k1 - batch.v1) @ batch.k1.T)
-        + v_weight * (wd @ bk.kp_gram - bk.vpkpt)
-        + az * (wd @ mem.k0_gram - mem.v0k0t)
+        v_weight * ((d @ batch.k1 - u0) @ batch.k1.T)
+        + v_weight * (d @ bk.kp_gram - bk.u0kpt)
+        + az * (d @ mem.k0_gram)
     )
 
 
@@ -299,7 +310,7 @@ def suite(seed: int):
 
     def instance(d0, d1, n, m0, absorbed):
         mem = new_memory(rng.standard_normal((d1, d0)), rng.standard_normal((d0, m0)))
-        bk = BacklogAccumulator.empty(mem.dims)
+        bk = BacklogAccumulator.empty(mem.w0)
         for _ in range(absorbed):
             absorb(bk, EditBatch(k1=rng.standard_normal((d0, 2)),
                                  v1=rng.standard_normal((d1, 2))))

@@ -53,13 +53,7 @@ from .errors import (
 from . import lapack
 from .editors import _factor_gram
 from .lapack import in_two
-from .memory import (
-    AssociativeMemory,
-    Dims,
-    EditBatch,
-    _memory_from_gram,
-    _preserved_gram,
-)
+from .memory import AssociativeMemory, Dims, EditBatch, _preserved_gram
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -344,7 +338,8 @@ class EditStream:
                 self.generate_preserved()
             finally:
                 self._keep_factor = False
-        return _memory_from_gram(self._w0, self._k0_gram, self._k0_factor)
+        return AssociativeMemory(w=self._w0, w0=self._w0, k0_gram=self._k0_gram,
+                                 dims=self.spec.dims, k0_factor=self._k0_factor)
 
     def batch(self, t: int) -> EditBatch:
         """Batch for timestamp t (1-based)."""

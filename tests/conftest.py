@@ -38,7 +38,7 @@ def build_instance(rng: np.random.Generator, d0: int, d1: int, n: int, m0: int,
     w0 = rng.standard_normal((d1, d0))
     k0 = rng.standard_normal((d0, m0))
     mem = new_memory(w0, k0)
-    bk = BacklogAccumulator.empty(mem.dims)
+    bk = BacklogAccumulator.empty(mem.w0)
     kp_parts, vp_parts = [], []
     for _ in range(absorbed):
         cols = int(rng.integers(1, 4))

@@ -378,7 +378,6 @@ class TestKeyScaleOverflow:
 
     @pytest.mark.parametrize("command", ["simulate", "dbase"])
     @pytest.mark.parametrize("key_scale, pl", [
-        ("8.379879956214684e152", "nan"),  # 2^508: the probe's loss overflows
         ("1.1e-161", "0.0"),               # the probe's edit underflows to 0
     ])
     def test_unrepresentable_probe_loss_exits_2(self, tmp_path, capsys, command,
@@ -392,24 +391,41 @@ class TestKeyScaleOverflow:
             f"error: the d_base probe's preservation loss is {pl} at "
             f"key_scale={float(key_scale)!r};")
 
-    @pytest.mark.parametrize("command", ["simulate", "dbase"])
-    def test_probe_loss_below_gram_resolution_names_drift(self, tmp_path, capsys,
-                                                           command):
-        """At drift 1e-7 the probe's PL cancels to 0 at a representable scale."""
-        cfg = write_config(tmp_path, with_value("stream.teacher_drift", "1e-7",
-                                                text=ACCEPTANCE))
-        assert main([command, "--config", str(cfg), "--out",
-                     str(tmp_path / "o.csv")]) == 2
+    def test_probe_loss_at_the_largest_gram_scale_is_representable(self, tmp_path,
+                                                                  capsys):
+        """At key scale 2^508 the preserved Gram is still finite, and so is
+        the probe's loss, formed in deviation coordinates: d_base is unit
+        scale's times 2^1016.  A run then stops when the backlog's summed
+        ||U0||^2 overflows, and names the non-finite loss."""
+        d_bases = []
+        for key_scale in (1.0, 2.0 ** 508):
+            cfg = write_config(tmp_path, with_value("stream.key_scale", repr(key_scale),
+                                                    text=QUICK))
+            assert main(["dbase", "--config", str(cfg)]) == 0
+            d_bases.append(float(capsys.readouterr().out.partition("=")[2]))
+        assert d_bases[1] == pytest.approx(d_bases[0] * 2.0 ** 1016, rel=1e-12)
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert out.read_text().splitlines()[-1].startswith("# status=aborted step=36 ")
         err = capsys.readouterr().err
-        match = re.match(r"error: the d_base probe's preservation loss reads 0\.0 "
-                         r"at teacher_drift=1e-07: its Gram form cancels against "
-                         r"tr\(V0 V0\^T\) = (\S+) and resolves no loss below "
-                         r"eps \* tr\(V0 V0\^T\) = (\S+), ", err)
-        assert match, err
-        trace, resolution = float(match.group(1)), float(match.group(2))
-        assert np.finfo(np.float64).tiny <= trace < np.inf
-        assert resolution == np.finfo(np.float64).eps * trace
-        assert "key_scale=" not in err
+        assert err.startswith("error: non-finite loss at step 36: ")
+        assert "bl=inf" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "dbase"])
+    def test_probe_loss_at_drift_1e7_keeps_its_digits(self, tmp_path, capsys,
+                                                      command):
+        """The probe's PL is formed in deviation coordinates, so a drift of
+        1e-7 is measured: d_base / drift^2 matches drift 0.1's within 1e-8,
+        and the command exits 0."""
+        ratios = []
+        for drift, argv in ((0.1, ["dbase"]), (1e-7, [command])):
+            cfg = write_config(tmp_path, with_value("stream.teacher_drift", repr(drift),
+                                                    text=ACCEPTANCE))
+            assert main(argv + ["--config", str(cfg), "--out",
+                                str(tmp_path / "o.csv")]) == 0
+            d_base = float(re.search(r"d_base=(\S+)", capsys.readouterr().out).group(1))
+            ratios.append(d_base / drift ** 2)
+        assert ratios[1] == pytest.approx(ratios[0], rel=1e-8)
 
     @pytest.mark.parametrize("command", ["simulate", "dbase"])
     @pytest.mark.parametrize("exponent", [-515, -520])
@@ -453,13 +469,14 @@ class TestKeyScaleOverflow:
                      str(tmp_path / "o.csv")]) == 0
 
     def test_overflowed_loss_terms_are_not_called_cancellation(self, tmp_path, capsys):
+        # At 2^507 the backlog's summed ||U0||^2 overflows at step 136.
         cfg = write_config(tmp_path, with_value("stream.key_scale",
-                                                repr(2.0 ** 506), text=QUICK))
+                                                repr(2.0 ** 507), text=QUICK))
         out = tmp_path / "o.csv"
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
-        assert out.read_text().splitlines()[-1].startswith("# status=aborted step=48 ")
+        assert out.read_text().splitlines()[-1].startswith("# status=aborted step=136 ")
         err = capsys.readouterr().err
-        assert "overflowed" in err and "cancellation" not in err
+        assert "bl=inf" in err and "cancellation" not in err
 
 
 class TestQueueThreshold:

@@ -40,7 +40,7 @@ def scalar_batch():
 
 
 def empty_backlog(mem):
-    return BacklogAccumulator.empty(mem.dims)
+    return BacklogAccumulator.empty(mem.w0)
 
 
 class TestSolveLyaplock:
@@ -82,6 +82,15 @@ class TestSolveLyaplock:
         with pytest.raises(InputError):
             solve_lyaplock(inst.mem, inst.bk, inst.batch, v_weight=1.0, az=-0.1)
 
+    def test_rejects_a_backlog_anchored_elsewhere(self, make_instance):
+        # The backlog's sums of U0 K1^T are taken at its own W0.
+        inst = make_instance(absorbed=1)
+        other = BacklogAccumulator.empty(inst.mem.w0 + 1.0)
+        with pytest.raises(InputError, match="anchored"):
+            solve_lyaplock(inst.mem, other, inst.batch, v_weight=1.0, az=1.0)
+        copied = BacklogAccumulator.empty(inst.mem.w0.copy())
+        solve_lyaplock(inst.mem, copied, inst.batch, v_weight=1.0, az=1.0)
+
     def test_overflowing_system_raises(self):
         # A preservation weight large enough to overflow C is unsolvable:
         # az K0K0^T = 4e308 on the diagonal.
@@ -93,14 +102,17 @@ class TestSolveLyaplock:
 
     @pytest.mark.parametrize("az", [8e307, 1e308, 1.7e308])
     def test_finite_system_near_overflow_is_solved(self, az):
-        # C is about az I, finite for every az here, and the target U K1^T is
-        # round-off against ||RHS||, so the edit snaps to zero.
+        # C = az I + K1 K1^T is finite for every az here.  In deviation
+        # coordinates the right-hand side is the batch term U K1^T alone, so
+        # the edit is the minimizer U K1^T C^-1, about 1/az, and no snap.
         mem = new_memory(np.ones((2, 2)), np.eye(2))
         batch = EditBatch(k1=np.ones((2, 1)), v1=np.array([[3.0], [1.0]]))
         report = solve_lyaplock(mem, empty_backlog(mem), batch, v_weight=1.0,
                                 az=az)
-        assert np.array_equal(report.delta, np.zeros((2, 2)))
-        assert report.residual == 0.0
+        explicit = np.outer([1.0, -1.0], [1.0, 1.0]) / (az + 2.0)
+        assert report.delta == pytest.approx(explicit, rel=1e-12, abs=0.0)
+        assert report.ridge_applied == 0.0
+        assert report.residual <= 1e-8
 
     def test_degenerate_zero_system_returns_zero(self):
         # With zero keys everywhere and az = 0 the objective does not depend
@@ -150,9 +162,9 @@ class TestSolveLyaplock:
         mem = new_memory(rng.standard_normal((3, 5)), rng.standard_normal((5, 20)))
         b1 = EditBatch(k1=rng.standard_normal((5, 2)), v1=rng.standard_normal((3, 2)))
         b2 = EditBatch(k1=rng.standard_normal((5, 3)), v1=rng.standard_normal((3, 3)))
-        split = BacklogAccumulator.empty(Dims(d0=5, d1=3))
+        split = BacklogAccumulator.empty(mem.w0)
         absorb(absorb(split, b1), b2)
-        merged = BacklogAccumulator.empty(Dims(d0=5, d1=3))
+        merged = BacklogAccumulator.empty(mem.w0)
         absorb(merged, EditBatch(k1=np.hstack([b1.k1, b2.k1]),
                                  v1=np.hstack([b1.v1, b2.v1])))
         batch = EditBatch(k1=rng.standard_normal((5, 2)),
@@ -499,7 +511,7 @@ class TestSwappedKernels:
         """
         rng = np.random.default_rng(seed)
         k = rng.standard_normal((d0, d0 + 3))
-        bk = BacklogAccumulator.empty(Dims(d0=d0, d1=1))
+        bk = BacklogAccumulator.empty(np.zeros((1, d0)))
         bk.kp_gram = k @ k.T
         g = bk.kp_gram.copy()
         k1 = rng.standard_normal((d0, n))
@@ -638,7 +650,7 @@ class TestKeptFactor:
         def __init__(self, spec):
             self.stream = EditStream(spec)
             self.mem = self.stream.preserved_memory()
-            self.backlog = BacklogAccumulator.empty(self.mem.dims)
+            self.backlog = BacklogAccumulator.empty(self.mem.w0)
             self.carry = editors.Carry.start(self.mem, self.backlog)
             self.t, self.batch = 0, None
 
@@ -651,7 +663,7 @@ class TestKeptFactor:
             self.batch = self.stream.batch(self.t)
             report = solve_lyaplock(self.mem, self.backlog, self.batch, v, az,
                                     self.carry)
-            self.mem = self.mem.with_weights(self.carry.w)
+            self.mem = self.mem.with_weights(self.mem.w0 + self.carry.d)
             return report
 
     @pytest.fixture
@@ -718,7 +730,7 @@ class TestKeptFactor:
         preserved Gram's factor, which a carry copy shares."""
         mem = EditStream(self.SPEC).preserved_memory()
         batch = EditStream(self.SPEC).batch(1)
-        backlog = BacklogAccumulator.empty(mem.dims)
+        backlog = BacklogAccumulator.empty(mem.w0)
         for solve in (lambda: solve_baseline(mem, batch),
                       lambda: solve_lyaplock(mem, backlog, batch, 1.0, 1.0),
                       lambda: solve_lyaplock(mem, backlog, batch, 2.0, 1.0)):
@@ -744,7 +756,7 @@ class TestKeptFactor:
         batch = stream.batch(1)
 
         def deltas(mem):
-            backlog = BacklogAccumulator.empty(mem.dims)
+            backlog = BacklogAccumulator.empty(mem.w0)
             counted = [refactors(lambda: solve_baseline(mem, batch)),
                        refactors(lambda: solve_lyaplock(mem, backlog, batch, 1.0, 1.0))]
             assert [n for n, _ in counted] == [1, 1]
@@ -789,7 +801,7 @@ class TestKeptFactor:
             assert n == 1
             assert report.ridge_applied == 0.0
             assert report.residual <= editors.RESIDUAL_TARGET
-            carry, w = loop.carry, loop.carry.w
-            assert np.array_equal(carry.m0, w @ loop.mem.k0_gram)
-            assert np.array_equal(carry.mp, w @ loop.backlog.kp_gram)
+            carry, d = loop.carry, loop.carry.d
+            assert np.array_equal(carry.e0, d @ loop.mem.k0_gram)
+            assert np.array_equal(carry.ep, d @ loop.backlog.kp_gram)
         assert drifts and not any(drifts)

@@ -270,7 +270,7 @@ class TestPublicStepReplay:
         mem = new_memory(*stream.generate_preserved())
         params = derive_params(config.alpha, estimate_d_base(stream, mem))
         z = params.z_init
-        backlog = BacklogAccumulator.empty(mem.dims)
+        backlog = BacklogAccumulator.empty(mem.w0)
         histories = {"pl": [], "el": [], "bl": [], "z": [z]}
         for t in range(1, config.stream.total_batches + 1):
             batch = stream.batch(t)
@@ -588,7 +588,6 @@ class TestRankNSteps:
 
         import lyapedit.editors as editors
         import lyapedit.harness as harness
-        from lyapedit.memory import BacklogAccumulator
         from lyapedit.oracle import verify_normal_equations
 
         # At alpha 2 the queue leaves its floor on about 60% of the steps.
@@ -608,6 +607,7 @@ class TestRankNSteps:
             return drift_checks[-1]
 
         def step(config, mem, backlog, batch, params, weight, carry):
+            d = carry.d  # the solve replaces it, and writes no array in place
             report, w_new = original_step(config, mem, backlog, batch, params, weight,
                                           carry)
             az = weight
@@ -618,18 +618,20 @@ class TestRankNSteps:
                         mem, backlog, batch, params.v_weight, az, report.delta)
                 elif config.editor == "baseline":
                     # The lyaplock system with v = az = 1, no backlog, and
-                    # preservation anchored at the current weights.
-                    anchored = replace(mem, v0k0t=mem.w @ mem.k0_gram)
-                    residual = verify_normal_equations(
-                        anchored, BacklogAccumulator.empty(mem.dims), batch, 1.0,
-                        1.0, report.delta)
+                    # preservation anchored at the current weights: the
+                    # right-hand side holds E0 = D K0K0^T, formed densely.
+                    c = mem.k0_gram + batch.k1 @ batch.k1.T
+                    rhs = (d @ mem.k0_gram
+                           + (batch.v1 - mem.w0 @ batch.k1) @ batch.k1.T)
+                    residual = (np.linalg.norm((d + report.delta) @ c - rhs)
+                                / np.linalg.norm(rhs))
                 else:
                     residual = (np.linalg.norm(w_new @ batch.k1 - batch.v1)
                                 / np.linalg.norm(batch.v1))
                 residuals.append(residual)
-            for carried, gram in ((carry.m0, mem.k0_gram),
-                                  (carry.mp, backlog.kp_gram)):
-                dense = w_new @ gram
+            for carried, gram in ((carry.e0, mem.k0_gram),
+                                  (carry.ep, backlog.kp_gram)):
+                dense = carry.d @ gram
                 scale = np.linalg.norm(dense)
                 product_gaps.append(np.linalg.norm(carried - dense) / scale
                                     if scale > 0.0 else np.linalg.norm(carried))
@@ -656,12 +658,14 @@ class TestRankNSteps:
 
     @staticmethod
     def rhs(mem, backlog, batch, params, weight):
-        """The lyaplock right-hand side of one step, written out."""
-        return (params.v_weight * (batch.v1 @ batch.k1.T + backlog.vpkpt)
-                + weight * mem.v0k0t)
+        """The lyaplock right-hand side of one step in deviation coordinates,
+        written out: the preservation term, anchored at W0, drops out."""
+        u0 = batch.v1 - mem.w0 @ batch.k1
+        return params.v_weight * (u0 @ batch.k1.T + backlog.u0kpt)
 
     def test_carried_remainder_equals_the_explicit_one(self, monkeypatch):
-        """(az - az') (V0 K0^T - M0) - R is v (Vp Kp^T - Mp) + az (V0 K0^T - M0).
+        """-(az - az') E0 - R is v (B - Ep) - az E0, with B the backlog's
+        sum of U0 K1^T.
 
         Checked on the carry each step starts from, and on the remainder the
         solve then receives, both where a kept factor makes the first attempt
@@ -681,17 +685,17 @@ class TestRankNSteps:
             az_values.append(az)
             scale = np.linalg.norm(self.rhs(mem, backlog, batch, params, weight))
             # Read before the solve, which builds its target in carry.resid.
-            carried = (az - carry.az) * (mem.v0k0t - carry.m0) - carry.resid
-            written = v * (backlog.vpkpt - carry.mp) + az * (mem.v0k0t - carry.m0)
+            carried = -(az - carry.az) * carry.e0 - carry.resid
+            written = v * (backlog.u0kpt - carry.ep) - az * carry.e0
             gaps.append(np.linalg.norm(carried - written) / scale)
             explicit.append((written, scale))
             return original_step(config, mem, backlog, batch, params, weight, carry)
 
-        def normal_solve(w, system, u, k1, rest, rhs_full, times_c, held=None):
+        def normal_solve(d, system, u, k1, rest, rhs_full, times_c, held=None):
             if rest is not None:  # a lyaplock remainder; the probe passes None
                 received.append(rest.copy())
                 kept.append(held.factor is not None)
-            return original_solve(w, system, u, k1, rest, rhs_full, times_c, held)
+            return original_solve(d, system, u, k1, rest, rhs_full, times_c, held)
 
         monkeypatch.setattr(harness, "_solve_step", step)
         monkeypatch.setattr(editors, "_normal_solve", normal_solve)
@@ -747,14 +751,15 @@ class TestRankNSteps:
         import lyapedit.editors as editors
 
         inst = make_instance(d0=6, d1=4, n=2, m0=24, absorbed=2, seed=31)
-        mem, bk = inst.mem, inst.bk
-        carry = editors.Carry(m0=mem.w @ mem.k0_gram, mp=mem.w @ bk.kp_gram,
-                              kp_gram=bk.kp_gram)
-        carry.m0 += 1e-9 * np.abs(carry.m0).max()  # drift far above CARRY_TOLERANCE
+        mem, bk = inst.mem.with_weights(2.0 * inst.mem.w0), inst.bk  # D = W0
+        d = mem.w - mem.w0
+        carry = editors.Carry(e0=d @ mem.k0_gram, ep=d @ bk.kp_gram,
+                              kp_gram=bk.kp_gram, d=d)
+        carry.e0 += 1e-9 * np.abs(carry.e0).max()  # drift far above CARRY_TOLERANCE
         editors.solve_edit_only(mem, inst.batch, carry)
-        w_new = carry.w
-        assert np.array_equal(carry.m0, w_new @ mem.k0_gram)
-        assert np.array_equal(carry.mp, w_new @ bk.kp_gram)
+        d_new = carry.d
+        assert np.array_equal(carry.e0, d_new @ mem.k0_gram)
+        assert np.array_equal(carry.ep, d_new @ bk.kp_gram)
 
 
 class TestScaleCovariance:
@@ -848,6 +853,72 @@ class TestScaleCovariance:
         steps_kept = unit_kept - 1  # the probe's
         assert (steps_kept > 0) == (editor != "edit-only")
         assert editor != "baseline" or steps_kept == 200
+
+
+class TestDriftCovariance:
+    """Scaling the planted teacher's drift by s scales every loss and D by
+    s^2 and leaves a*Z and the PL/D trajectory unchanged.  The losses and
+    solves work in D = W - W0, so the code keeps that symmetry at every
+    drift; the stream's own rounding of W0 + drift N, about
+    eps / (drift sqrt(d0)), sets the 1e-9 limit."""
+
+    SPEC = StreamSpec(dims=Dims(d0=64, d1=48), n_per_batch=8, total_batches=200,
+                      key_scale=1.0, value_mode="planted-teacher", teacher_drift=0.1,
+                      seed=188, m0=2048)
+
+    @classmethod
+    def run_at(cls, drift, monkeypatch=None):
+        """The run at ``drift`` and, with ``monkeypatch``, each step's D'."""
+        from dataclasses import replace
+
+        import lyapedit.harness as harness
+
+        deviations = []
+        if monkeypatch is not None:
+            original = harness._solve_step
+
+            def step(*args):
+                report, w_new = original(*args)
+                deviations.append(args[-1].d)
+                return report, w_new
+
+            monkeypatch.setattr(harness, "_solve_step", step)
+        config = RunConfig(stream=replace(cls.SPEC, teacher_drift=drift),
+                           editor="lyaplock", alpha=60.0)
+        return run(config), deviations
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return self.run_at(0.1)[0]
+
+    @pytest.mark.parametrize("drift", [1e-6, 1e-3, 0.3, 3.0])
+    def test_matches_drift_one_tenth(self, reference, drift):
+        result, _ = self.run_at(drift)
+        for got, want in (
+                (running_average(result.pl_history) / result.params.d_threshold,
+                 running_average(reference.pl_history) / reference.params.d_threshold),
+                (result.params.a * result.z_history,
+                 reference.params.a * reference.z_history),
+                (result.d_base / drift ** 2, reference.d_base / 0.1 ** 2)):
+            np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+        # The queue moves: the covariance covers the steps that refactor.
+        assert (np.diff(reference.z_history) != 0.0).sum() > 100
+
+    @pytest.mark.parametrize("drift", [1e-6, 0.1])
+    def test_loop_pl_is_the_explicit_k0_loss(self, monkeypatch, drift):
+        """Every step's PL is ||D' K0||^2 with the raw K0 of
+        ``generate_preserved()`` within 1e-11 relative, and the final one is
+        that of the returned weights, ||(W_T - W0) K0||^2."""
+        from dataclasses import replace
+
+        from lyapedit.stream import EditStream
+
+        result, deviations = self.run_at(drift, monkeypatch)
+        w0, k0 = EditStream(replace(self.SPEC, teacher_drift=drift)).generate_preserved()
+        explicit = np.array([np.sum((d @ k0) ** 2) for d in deviations])
+        np.testing.assert_allclose(result.pl_history, explicit, rtol=1e-11, atol=0.0)
+        final = np.sum(((result.w_final - w0) @ k0) ** 2)
+        assert result.pl_history[-1] == pytest.approx(final, rel=1e-11, abs=0.0)
 
 
 class TestKeptFactor:
@@ -952,12 +1023,15 @@ class TestKeptFactor:
 
 
     @pytest.mark.long_horizon
+    @pytest.mark.parametrize("seed", [188, 101])
     @pytest.mark.parametrize("value_mode", ["planted-teacher", "random-target"])
-    def test_long_horizon_compare_matches_without_the_preserved_factor(self, value_mode):
+    def test_long_horizon_compare_matches_without_the_preserved_factor(self, value_mode,
+                                                                       seed):
         """``compare``'s lockstep of lyaplock and baseline at T = 10,000 on
         the acceptance stream, with and without the preserved Gram's factor:
-        the final avg PL, avg EL and Z agree within 1e-11 relative, and the
-        telescoped certificate holds for every run.
+        the final avg PL, avg EL and Z agree within 1e-11 relative, the
+        telescoped certificate holds for every run, and every run's final PL
+        is ||(W_T - W0) K0||^2 with the raw K0 within 1e-11 relative.
 
         Baseline's running avg PL/D, the abstract's "progressive decline",
         is non-decreasing over the checkpoints and above 1 at each of them
@@ -975,7 +1049,7 @@ class TestKeptFactor:
         config = load_config(Path(__file__).resolve().parent.parent
                              / "configs" / "acceptance.cfg")["run"]
         config = replace(config, stream=replace(config.stream, total_batches=10_000,
-                                                value_mode=value_mode))
+                                                value_mode=value_mode, seed=seed))
         configs = [replace(config, editor=e) for e in ("lyaplock", "baseline")]
         kept = harness._run_lockstep(configs)
         original = EditStream.preserved_memory
@@ -992,6 +1066,10 @@ class TestKeptFactor:
             for result in (a, b):
                 assert check_sufficiency_empirical(
                     result.pl_history, result.z_history, result.params).passed
+        w0, k0 = EditStream(config.stream).generate_preserved()
+        for result in kept + factored:
+            explicit = np.sum(((result.w_final - w0) @ k0) ** 2)
+            assert abs(result.pl_history[-1] - explicit) <= 1e-11 * explicit
         for result in (kept[1], factored[1]):
             avg = running_average(result.pl_history) / result.params.d_threshold
             checkpoints = avg[[999, 1999, 4999, 9999]]

@@ -31,30 +31,32 @@ def test_dims_must_be_positive():
 
 class TestNewMemory:
     def test_zero_weights(self):
+        # V0 = 0, so PL(W) = ||W K0||^2; at W = I that is ||K0||^2 = 15.
         mem = new_memory(np.zeros((2, 2)), np.array([[1.0, 3.0], [2.0, -1.0]]))
-        assert np.array_equal(mem.v0k0t, np.zeros((2, 2)))
-        assert mem.tr_v0v0 == 0.0
         assert preservation_loss(mem, mem.w0) == 0.0
+        assert preservation_loss(mem, np.eye(2)) == 15.0
 
     def test_identity_case(self):
         mem = new_memory(np.eye(2), np.eye(2))
         assert np.array_equal(mem.k0_gram, np.eye(2))
-        assert np.array_equal(mem.v0k0t, np.eye(2))
-        assert mem.tr_v0v0 == 2.0
+        # PL(0) = ||V0||^2 = ||I||^2.
+        assert preservation_loss(mem, np.zeros((2, 2))) == 2.0
 
     def test_trace_matches_explicit_frobenius(self, rng):
+        # PL(0) is tr(V0 V0^T) = ||W0 K0||^2, with V0 = W0 K0.
         w0 = rng.standard_normal((4, 3))
         k0 = rng.standard_normal((3, 64))
         mem = new_memory(w0, k0)
         explicit = float(np.sum((w0 @ k0) ** 2))
-        assert mem.tr_v0v0 == pytest.approx(explicit, rel=1e-10)
+        assert preservation_loss(mem, np.zeros((4, 3))) == pytest.approx(explicit,
+                                                                       rel=1e-10)
 
     def test_raw_keys_not_retained(self, rng):
         mem = new_memory(rng.standard_normal((2, 3)), rng.standard_normal((3, 50)))
         assert mem.k0_gram.shape == (3, 3)
         assert not any(
             getattr(mem, field).shape[-1] == 50
-            for field in ("k0_gram", "v0k0t", "w", "w0")
+            for field in ("k0_gram", "w", "w0")
         )
 
     def test_dimension_mismatch_names_axis(self):
@@ -77,7 +79,7 @@ class TestNewMemory:
 class TestPreservationLoss:
     def test_original_weights_are_lossless(self, rng):
         mem = new_memory(rng.standard_normal((6, 8)), rng.standard_normal((8, 30)))
-        assert preservation_loss(mem, mem.w0) <= 1e-9 * mem.tr_v0v0
+        assert preservation_loss(mem, mem.w0) == 0.0
 
     def test_scalar_arithmetic(self):
         mem = new_memory(np.array([[0.0]]), np.array([[1.0]]))
@@ -111,12 +113,16 @@ class TestPreservationLoss:
         assert loss >= eig_min * float(np.sum(perturbation ** 2)) * (1 - 1e-9)
         assert loss > 0
 
-    def test_cancellation_guard_raises(self):
-        mem = new_memory(np.eye(2), np.eye(2))
-        # Corrupt the trace term far beyond round-off territory.
-        object.__setattr__(mem, "tr_v0v0", mem.tr_v0v0 - 1.0)
-        with pytest.raises(NumericalInstabilityError):
-            preservation_loss(mem, mem.w0)
+    def test_deviation_form_keeps_its_digits_at_small_drift(self, rng):
+        # The loss is formed in D = W - W0: a deviation 1e-9 of W0's scale
+        # keeps its digits, where a form against tr(V0 V0^T) would keep few.
+        w0 = rng.standard_normal((6, 8))
+        k0 = rng.standard_normal((8, 64))
+        mem = new_memory(w0, k0)
+        d = np.ldexp(rng.standard_normal((6, 8)), -30)
+        w = w0 + d
+        explicit = float(np.sum(((w - w0) @ k0) ** 2))
+        assert preservation_loss(mem, w) == pytest.approx(explicit, rel=1e-12)
 
 
 class TestEditingLoss:
@@ -148,13 +154,13 @@ class TestEditingLoss:
 
 class TestBacklog:
     def test_empty_backlog_is_zero(self, rng):
-        bk = BacklogAccumulator.empty(Dims(d0=3, d1=2))
+        bk = BacklogAccumulator.empty(np.zeros((2, 3)))
         assert backlog_loss(rng.standard_normal((2, 3)), bk) == 0.0
         assert np.array_equal(bk.kp_gram, np.zeros((3, 3)))
-        assert bk.tr_vpvp == 0.0
+        assert bk.tr_u0u0 == 0.0
 
     def test_single_batch_equals_editing_loss(self, rng):
-        bk = BacklogAccumulator.empty(Dims(d0=4, d1=3))
+        bk = BacklogAccumulator.empty(rng.standard_normal((3, 4)))
         batch = EditBatch(k1=rng.standard_normal((4, 3)),
                           v1=rng.standard_normal((3, 3)))
         absorb(bk, batch)
@@ -165,12 +171,12 @@ class TestBacklog:
     def test_satisfied_backlog(self, rng):
         w = rng.standard_normal((3, 4))
         k1 = rng.standard_normal((4, 2))
-        bk = BacklogAccumulator.empty(Dims(d0=4, d1=3))
+        bk = BacklogAccumulator.empty(np.zeros((3, 4)))
         absorb(bk, EditBatch(k1=k1, v1=w @ k1))
-        assert backlog_loss(w, bk) <= 1e-9 * bk.tr_vpvp
+        assert backlog_loss(w, bk) <= 1e-9 * bk.tr_u0u0
 
     def test_two_batches_match_concatenation(self, rng):
-        bk = BacklogAccumulator.empty(Dims(d0=5, d1=4))
+        bk = BacklogAccumulator.empty(rng.standard_normal((4, 5)))
         b1 = EditBatch(k1=rng.standard_normal((5, 2)), v1=rng.standard_normal((4, 2)))
         b2 = EditBatch(k1=rng.standard_normal((5, 3)), v1=rng.standard_normal((4, 3)))
         absorb(bk, b1)
@@ -182,7 +188,7 @@ class TestBacklog:
         assert backlog_loss(w, bk) == pytest.approx(explicit, rel=1e-8)
 
     def test_gram_matches_explicit_product(self, rng):
-        bk = BacklogAccumulator.empty(Dims(d0=4, d1=2))
+        bk = BacklogAccumulator.empty(np.zeros((2, 4)))
         parts = []
         for _ in range(3):
             b = EditBatch(k1=rng.standard_normal((4, 2)),
@@ -196,25 +202,33 @@ class TestBacklog:
         assert bk.absorbed == 3
 
     def test_absorb_zero_batch(self):
-        bk = BacklogAccumulator.empty(Dims(d0=2, d1=2))
+        bk = BacklogAccumulator.empty(np.zeros((2, 2)))
         absorb(bk, EditBatch(k1=np.zeros((2, 1)), v1=np.zeros((2, 1))))
         assert bk.absorbed == 1
         assert np.array_equal(bk.kp_gram, np.zeros((2, 2)))
-        assert bk.tr_vpvp == 0.0
+        assert bk.tr_u0u0 == 0.0
 
     def test_absorb_order_independent(self, rng):
         b1 = EditBatch(k1=rng.standard_normal((3, 2)), v1=rng.standard_normal((2, 2)))
         b2 = EditBatch(k1=rng.standard_normal((3, 1)), v1=rng.standard_normal((2, 1)))
-        fwd = BacklogAccumulator.empty(Dims(d0=3, d1=2))
-        rev = BacklogAccumulator.empty(Dims(d0=3, d1=2))
+        fwd = BacklogAccumulator.empty(np.zeros((2, 3)))
+        rev = BacklogAccumulator.empty(np.zeros((2, 3)))
         absorb(absorb(fwd, b1), b2)
         absorb(absorb(rev, b2), b1)
         assert fwd.kp_gram == pytest.approx(rev.kp_gram, rel=1e-12)
-        assert fwd.vpkpt == pytest.approx(rev.vpkpt, rel=1e-12)
-        assert fwd.tr_vpvp == pytest.approx(rev.tr_vpvp, rel=1e-12)
+        assert fwd.u0kpt == pytest.approx(rev.u0kpt, rel=1e-12)
+        assert fwd.tr_u0u0 == pytest.approx(rev.tr_u0u0, rel=1e-12)
+
+    def test_cancellation_guard_raises(self):
+        bk = BacklogAccumulator.empty(np.eye(2))
+        absorb(bk, EditBatch(k1=np.eye(2), v1=np.eye(2)))
+        # Corrupt the trace term far beyond round-off territory.
+        bk.tr_u0u0 -= 1.0
+        with pytest.raises(NumericalInstabilityError):
+            backlog_loss(bk.w0, bk)
 
     def test_absorb_dimension_mismatch(self):
-        bk = BacklogAccumulator.empty(Dims(d0=3, d1=2))
+        bk = BacklogAccumulator.empty(np.zeros((2, 3)))
         with pytest.raises(DimensionMismatchError):
             absorb(bk, EditBatch(k1=np.zeros((4, 1)), v1=np.zeros((2, 1))))
 

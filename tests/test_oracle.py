@@ -59,7 +59,7 @@ class TestVerifyNormalEquations:
     def test_zero_fixed_point_residual_is_zero(self):
         from lyapedit import BacklogAccumulator, EditBatch, new_memory
         mem = new_memory(np.zeros((2, 2)), np.eye(2))
-        bk = BacklogAccumulator.empty(mem.dims)
+        bk = BacklogAccumulator.empty(mem.w0)
         batch = EditBatch(k1=np.eye(2), v1=np.zeros((2, 2)))
         residual = verify_normal_equations(mem, bk, batch, 1.0, 1.0,
                                            np.zeros((2, 2)))
@@ -84,7 +84,7 @@ class TestMinimizeIteratively:
     def test_converges_to_scalar_hand_solution(self):
         from lyapedit import BacklogAccumulator, EditBatch, new_memory
         mem = new_memory(np.array([[0.0]]), np.array([[1.0]]))
-        bk = BacklogAccumulator.empty(mem.dims)
+        bk = BacklogAccumulator.empty(mem.w0)
         batch = EditBatch(k1=np.array([[1.0]]), v1=np.array([[2.0]]))
         delta, _ = minimize_iteratively(mem, bk, batch, 1.0, 1.0, steps=5000)
         assert delta == pytest.approx(np.array([[1.0]]), abs=1e-6)

@@ -1,8 +1,8 @@
 """Kernels split across two threads: the same bytes as on one, and the gate.
 
-``stream._normal_rows``, ``memory._preserved_gram`` and
-``memory._memory_from_gram`` run a call of ``_SPLIT_PAIRS`` normal pairs or
-``_SPLIT_MACS`` multiply-adds in two halves at once.  The tests lower those
+``stream._normal_rows`` and ``memory._preserved_gram`` run a call of
+``_SPLIT_PAIRS`` normal pairs or ``_SPLIT_MACS`` multiply-adds in two halves
+at once.  The tests lower those
 gates to split small calls, and fix the CPU count that ``lapack.in_two``
 reads, so they mean the same on a host with one CPU.
 """
@@ -91,23 +91,6 @@ class TestSameBytes:
         if (d0, m0) in ((256, 1024), (1024, 4096)):
             assert split.tobytes() == serial.tobytes()
 
-    @pytest.mark.parametrize("d1, d0", [(128, 64), (129, 65), (200, 130),
-                                        (192, 256), (768, 1024)])
-    def test_memory_from_gram(self, monkeypatch, d1, d0):
-        """The same bytes on one CPU as on two; at d1 x d0 = 768 x 1024 (the
-        wide benchmark's) and 192 x 256, also as one ``gemm``."""
-        w0 = _matrix(d1, d1, d0)
-        k0 = _matrix(d0, d0, d0 + 7)
-        gram = k0 @ k0.T
-        serial, split, one_cpu = _three_ways(
-            monkeypatch, lambda: memory._memory_from_gram(w0, gram))
-        assert one_cpu.v0k0t.tobytes() == split.v0k0t.tobytes()
-        assert one_cpu.tr_v0v0 == split.tr_v0v0
-        np.testing.assert_allclose(split.v0k0t, serial.v0k0t, rtol=1e-12,
-                                   atol=1e-13 * np.abs(serial.v0k0t).max())
-        if d0 in (256, 1024):
-            assert split.v0k0t.tobytes() == serial.v0k0t.tobytes()
-
 
 class TestGate:
     @pytest.mark.parametrize("pairs, splits", [(-1, 0), (0, 1)])
@@ -128,18 +111,6 @@ class TestGate:
         assert len(starts) == splits
         monkeypatch.setattr(lapack, "_cpu_count", lambda: 1)
         assert got.tobytes() == memory._preserved_gram(k0).tobytes()
-
-    @pytest.mark.parametrize("rows, splits", [(-1, 0), (0, 1)])
-    def test_memory_from_gram_splits_from_the_gate(self, starts, monkeypatch,
-                                                   rows, splits):
-        d0 = 1024
-        w0 = _matrix(1, memory._SPLIT_MACS // (d0 * d0) + rows, d0)
-        gram = _matrix(2, d0, d0)
-        starts.clear()
-        got = memory._memory_from_gram(w0, gram).v0k0t
-        assert len(starts) == splits
-        monkeypatch.setattr(lapack, "_cpu_count", lambda: 1)
-        assert got.tobytes() == memory._memory_from_gram(w0, gram).v0k0t.tobytes()
 
     def test_quick_run_starts_no_thread(self, starts, tmp_path):
         assert main(["simulate", "--config", str(QUICK), "--quiet",
