@@ -10,9 +10,11 @@ in the report.  C is first scaled by the even power of two that brings
 tr(C)/dim near 1, which is exact, so every solve scales exactly with the
 keys.  No explicit inverse is ever formed.
 
-C is factored through its Fortran-ordered view ``c.T``, which for a
-symmetric C is the same matrix, so ``potrf`` gets it without a transposing
-copy.  ``potrf`` reads one triangle only, and C is not symmetrized first:
+C is factored in place through its Fortran-ordered view ``c.T``, which
+for a symmetric C is the same matrix, so ``potrf`` gets it without a
+transposing copy, once its 1-norm and tr(C)/dim are read; a ridged attempt
+factors a fresh C.  ``potrf`` reads one triangle only, and C is not
+symmetrized first:
 the batch Gram K1 K1^T is added by ``gemm``, and so is each batch absorbed
 into the backlog Gram, and on some shapes a ``gemm`` sum differs from its
 transpose by an ulp in the triangle that is not read.  The residual check
@@ -34,10 +36,21 @@ Each solver takes an optional :class:`Carry`, which holds what a step loop
 keeps from step to step: the products E0 = D K0K0^T and Ep = D KpKp^T
 instead of recomputing them, D' K1 for the absorb, W' K1 - V1 for the
 editing loss, lyaplock's last residual, the last kept factor, and D'
-itself.  A solve
-leaves it at the post-edit deviation D'.  Without a carry, the solver seeds
-one from ``mem``, at D = W - W0, and the backlog and forms the products
-densely, as a one-shot caller needs; with one, it is the step of a loop.
+itself.  A solve leaves it at the post-edit deviation D'; with a carry,
+the preserving solves read D from it and not ``mem.w``.  Without a carry,
+the solver seeds one from ``mem``, at D = W - W0, and the backlog and
+forms the products densely, as a one-shot caller needs; with one, it is
+the step of a loop.  While the backlog Gram is empty, as on the probe and
+every path's step 1, Ep = 0 whatever D is: it is left untouched, and
+neither updated nor checked.
+
+The residual buffer.  A solve forms RHS_D once, in a buffer of its own,
+and takes ||RHS_D|| from it.  The residual D' C - RHS_D of an attempt is
+then assembled in that buffer: it is negated, az E0 and v Ep are added by
+``axpy`` and the batch term v (D' K1) K1^T by one ``gemm``.  An attempt
+after the first rebuilds RHS_D there; baseline's, whose E0 at D the first
+attempt moved, forms it densely as D K0K0^T.  A step thus holds RHS_D,
+the edit and D' beside the carry, and no copy of C.
 
 Carried residuals.  Lyaplock's target is U K1^T plus the remainder
 v (B - Ep) - az E0, with U = v (U0 - D K1), and that remainder is never
@@ -72,7 +85,17 @@ U K1^T for baseline and edit-only on every step, and for lyaplock when its
 remainder is 0 or -R.  The preserving solve tries the rank-n form on the
 unridged factor when the remainder is 0 or at most ``SNAP_THRESHOLD``
 ||RHS_D||, round-off and not signal; the rule reads only the step's own
-inputs.  Edit-only always has this form, ridged or not.
+inputs.  Edit-only always has this form, ridged or not.  Where the
+remainder is exactly 0, as in baseline's corner, the target U K1^T is
+formed only if the full target is solved for: the snap rule reads
+||U K1^T|| from the n x n Grams U^T U and K1^T K1, in a frame scaled by
+powers of two, and forms the target only where round-off in them could
+decide the rule.
+
+Norms are taken in one frame: ``nrm2`` of a RHS_D whose entries are
+finite can still overflow, and then every norm the solve compares with
+||RHS_D|| is taken on a copy scaled by one power of two, so the edit is
+neither snapped to zero nor judged by a residual of NaN.
 
 Either form ends with the same residual check,
 ||D' C - RHS_D|| / ||RHS_D||, with D' C assembled from the products.  A
@@ -124,7 +147,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatchError, InputError, SingularSystemError
-from .lapack import _lange, _norm, _pocon, _potrf, _potrs, add_outer
+from .lapack import _lange, _norm, _pocon, _potrf, _potrs, add_outer, add_scaled
 from .memory import AssociativeMemory, BacklogAccumulator, EditBatch
 
 RIDGE_LADDER = (1e-10, 1e-8, 1e-6)
@@ -139,6 +162,7 @@ SNAP_THRESHOLD = 1e-10
 # within 6e-15 of the dense ones.
 CARRY_TOLERANCE = 1e-12
 _TINY = float(np.finfo(np.float64).tiny)
+_EPS = float(np.finfo(np.float64).eps)
 _NO_CORE = np.zeros((0, 0))
 
 
@@ -280,15 +304,16 @@ class Carry:
     - ``kp_gram``: the backlog Gram KpKp^T that ``ep`` is carried against,
       held by reference; ``memory.absorb`` grows it in place, and
       :meth:`absorbed` moves ``ep`` with it
-    - ``d``: D itself, which the solve replaces by D'; the memory's weights
-      are W0 + D
+    - ``d``: D itself, which the solve replaces by D'; the weights are
+      W0 + D, which a step loop forms only once, at its end
     - ``dk1``: D' K1 for the step's batch, which the absorb of the batch
       reads, and ``fit``: W' K1 - V1, the post-edit residual on the batch,
       which the editing loss reads
     - ``resid``, ``az`` and ``v``: the residual matrix D' C - RHS_D of the
-      last lyaplock solve and the az and v it solved with, from which the
-      next lyaplock target is formed (see the module docstring); the next
-      solve builds its target in ``resid``.  The other editors leave them.
+      last lyaplock solve, the buffer its RHS_D was formed in, and the az
+      and v it solved with, from which the next lyaplock target is formed
+      (see the module docstring); the next solve builds its target in
+      ``resid``.  The other editors leave them.
     - ``kept``: the last solve's unridged factor, or the preserved Gram's,
       and the batches absorbed since (see the module docstring)
     - ``freivalds``: the fixed vector z of the Freivalds check and
@@ -314,7 +339,7 @@ class Carry:
         D, E0, Ep and R are zeros, so the first lyaplock target's remainder
         is exactly 0 whatever its az and v.  ``np.zeros`` pages in no memory
         until it is written, so R costs nothing resident for an editor that
-        never writes it.
+        never writes it, and Ep nothing until the first absorb.
         """
         shape = mem.w0.shape
         return cls(e0=np.zeros(shape), ep=np.zeros(shape), kp_gram=backlog.kp_gram,
@@ -346,6 +371,15 @@ def _mean_diagonal(matrix: np.ndarray) -> float:
         return float(np.trace(matrix)) / matrix.shape[0]
 
 
+def _diagonal_scale(matrix: np.ndarray) -> float:
+    """tr(C)/dim, summed as diag/dim where the trace overflows; a finite
+    diagonal's mean cannot."""
+    scale = _mean_diagonal(matrix)
+    if not np.isfinite(scale):
+        scale = float(np.sum(np.diagonal(matrix) / matrix.shape[0]))
+    return scale
+
+
 def _even_shift(scale: float) -> int:
     """The even power of two that brings ``scale`` into [1/2, 2)."""
     return 2 * (math.frexp(scale)[1] // 2)
@@ -358,7 +392,7 @@ def _condition(factor: np.ndarray, anorm: float) -> float:
     return 1.0 / float(rcond) if info == 0 and rcond > 0.0 else float("inf")
 
 
-def _ridge_attempts(matrix: np.ndarray):
+def _ridge_attempts(matrix: np.ndarray, rebuild):
     """Yield (lam, factor, condition_estimate) over the ladder.
 
     Attempts that fail to factor or whose condition estimate exceeds the
@@ -370,18 +404,19 @@ def _ridge_attempts(matrix: np.ndarray):
     the condition estimate scale exactly with the keys: at key scale 2^-500
     a ridge of 1e-10 tr(C)/dim, and the pivots it sets, would be subnormal.
 
-    ``potrf`` gets the Fortran-ordered view ``ridged.T``, the same matrix
-    when it is symmetric, and reads its lower triangle: the upper triangle
-    of a C-ordered ``matrix``.
+    Each attempt is factored in place, through the Fortran-ordered view
+    ``ridged.T``, the same matrix when it is symmetric, whose lower triangle
+    ``potrf`` reads: the upper triangle of a C-ordered matrix.  Its 1-norm
+    is taken first.  The unridged attempt factors ``matrix`` itself; each
+    ridged one factors a fresh C from ``rebuild()``, so no copy is held
+    while a factor is in use.
 
-    ``matrix`` is scaled in place.  A matrix whose mean diagonal is positive
-    but subnormal has already lost precision, and no ridge scaled by it can
-    repair that: it raises SingularSystemError naming the underflow.
+    A matrix whose mean diagonal is positive but subnormal has already lost
+    precision, and no ridge scaled by it can repair that: it raises
+    SingularSystemError naming the underflow.
     """
     dim = matrix.shape[0]
-    scale = _mean_diagonal(matrix)
-    if not np.isfinite(scale):  # the trace overflowed; a finite diagonal's mean cannot
-        scale = float(np.sum(np.diagonal(matrix) / dim))
+    scale = _diagonal_scale(matrix)
     if 0.0 < scale < _TINY:
         raise SingularSystemError(
             f"system matrix C underflowed: its mean diagonal tr(C)/dim = {scale!r} is "
@@ -389,20 +424,20 @@ def _ridge_attempts(matrix: np.ndarray):
             f"representable in double precision")
     shift = _even_shift(scale)
     unit = math.ldexp(1.0, -shift)
-    matrix *= unit
     for rung in (0.0,) + RIDGE_LADDER:
-        ridged = matrix
+        ridged = matrix if rung == 0.0 else rebuild()
+        ridged *= unit
         if rung > 0.0:
-            ridged = matrix.copy()
             ridged.flat[:: dim + 1] += rung * (scale * unit)
-        factor, info = _potrf(ridged.T, lower=True, clean=False)
+        anorm = float(_lange("I", ridged.T))  # the 1-norm
+        factor, info = _potrf(ridged.T, lower=True, clean=False, overwrite_a=1)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of potrf")
         lam = rung * scale
         if info > 0:  # a leading minor is not positive definite
             yield lam, None, float("inf")
             continue
-        cond = _condition(factor, float(_lange("I", ridged.T)))  # the 1-norm
+        cond = _condition(factor, anorm)
         yield lam, ((factor, shift) if cond <= CONDITION_LIMIT else None), cond
 
 
@@ -443,15 +478,25 @@ def _cho_solve(factor, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _empty(gram: np.ndarray) -> bool:
+    """Whether a Gram K K^T is zero: a positive semidefinite matrix with a
+    zero diagonal is."""
+    return not np.diagonal(gram).any()
+
+
 def _carry(carry: Carry, k0_gram: np.ndarray, d_new: np.ndarray, u: np.ndarray,
-           x) -> None:
+           x, backlog: bool) -> None:
     """Move the products E = D G of ``carry`` to D' = D + U X^T, in place.
 
-    G is ``k0_gram`` for E0 and ``carry.kp_gram`` for Ep.  With ``x`` None
-    every E is recomputed densely as D' G.  Otherwise E += U (G X)^T, and
-    every E is recomputed densely only if :func:`_drifted` finds a gap.
+    G is ``k0_gram`` for E0 and ``carry.kp_gram`` for Ep; without a
+    ``backlog``, that is while the backlog Gram is empty, Ep = 0 whatever D
+    is, and it is left untouched.  With ``x`` None every E is recomputed
+    densely as D' G.  Otherwise E += U (G X)^T, and every E is recomputed
+    densely only if :func:`_drifted` finds a gap.
     """
-    products = ((carry.e0, k0_gram), (carry.ep, carry.kp_gram))
+    products = [(carry.e0, k0_gram)]
+    if backlog:
+        products.append((carry.ep, carry.kp_gram))
     if x is not None:
         for m, g in products:
             add_outer(m, u, g @ x)
@@ -459,7 +504,8 @@ def _carry(carry: Carry, k0_gram: np.ndarray, d_new: np.ndarray, u: np.ndarray,
             z = np.cos(np.arange(d_new.shape[1], dtype=np.float64))
             carry.freivalds = z, k0_gram @ z
         z, g0z = carry.freivalds
-        if not _drifted(d_new, z, ((carry.e0, g0z), (carry.ep, carry.kp_gram @ z))):
+        checks = [(carry.e0, g0z)] + [(m, g @ z) for m, g in products[1:]]
+        if not _drifted(d_new, z, checks):
             return
     for m, g in products:
         np.matmul(d_new, g, out=m)
@@ -479,30 +525,6 @@ def _drifted(d_new: np.ndarray, z: np.ndarray, products) -> bool:
     return False
 
 
-def _weighted(az: float, a: np.ndarray, v: float, b: np.ndarray | None,
-              u: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``az a + v (b + u @ y.T)`` as a new array; at v = 1, a ``b`` of None
-    leaves its term out.
-
-    With v = 1, as in every run without a ``v_weight``, no other temporary
-    is made: ``b`` is added in place and ``u @ y.T`` by one ``gemm``.
-    Otherwise ``b + u @ y.T`` is one ``gemm`` on a copy of ``b``.  numpy
-    forms ``k1 @ k1.T`` with ``syrk`` and then mirrors its triangle in a
-    scalar loop: ``k1 @ k1.T + g`` took 10.4 ms at d0=1024 and n=8, against
-    2.4 ms for the copy and the ``gemm`` (one BLAS thread).
-    """
-    out = np.multiply(a, az)
-    if v == 1.0:
-        if b is not None:
-            out += b
-        add_outer(out, u, y)
-    else:
-        part = b.copy()
-        add_outer(part, u, y)
-        out += v * part
-    return out
-
-
 def _overflowed(x: np.ndarray, norm: float) -> bool:
     """Whether ``x``, whose ``nrm2`` is ``norm``, has a non-finite entry.
 
@@ -520,21 +542,86 @@ def _assembly_overflowed() -> SingularSystemError:
     )
 
 
+def _frame(rhs: np.ndarray) -> tuple[float, int]:
+    """(||RHS|| 2^-shift, shift): the frame the solve measures norms in.
+
+    ``shift`` is 0 unless ``nrm2`` overflows on a finite RHS; then it is the
+    power of two that brings RHS's largest entry into [1/2, 1), and the norm
+    is taken on a scaled copy.  A RHS with a non-finite entry raises.
+    """
+    norm = _norm(rhs)
+    if math.isfinite(norm):
+        return norm, 0
+    if not np.isfinite(rhs).all():
+        raise _assembly_overflowed()
+    shift = math.frexp(float(np.max(np.abs(rhs))))[1]
+    return _norm(rhs * math.ldexp(1.0, -shift)), shift
+
+
+def _norm_in(x: np.ndarray, shift: int) -> float:
+    """||x|| 2^-shift in the frame of :func:`_frame`; on a scaled copy when
+    ``nrm2`` of ``x`` itself overflows."""
+    norm = _norm(x)
+    if shift == 0:
+        return norm
+    if norm == math.inf:
+        return _norm(x * math.ldexp(1.0, -shift))
+    return math.ldexp(norm, -shift)
+
+
+def _target_norm(target: np.ndarray, shift: int) -> float:
+    """||target|| in the frame of :func:`_frame`; a target with a non-finite
+    entry raises."""
+    norm = _norm_in(target, shift)
+    if _overflowed(target, norm):
+        raise _assembly_overflowed()
+    return norm
+
+
+def _outer_exceeds(u: np.ndarray, k1: np.ndarray, bound: float, shift: int) -> bool:
+    """Whether ||U K1^T||_F > bound 2^shift, read from the n x n Grams.
+
+    ||U K1^T||^2 = sum (U^T U) o (K1^T K1), with U and K1 first scaled by
+    the powers of two that bring their Frobenius norms into [1/2, 1), so
+    neither Gram overflows or underflows at any key scale.  The sum is then
+    within err = (d1 + d0 + n^2) eps of the exact one: the rounding of
+    each Gram entry and of the sum, times (sum_i ||u_i|| ||k_i||)^2 < 1.
+    False unless it exceeds bound^2 by 2 err, so a target the Grams cannot
+    place is formed and measured instead; so is one whose U or K1 has a
+    norm that is 0, subnormal or overflows.  U is finite.
+    """
+    norm_u, norm_k = _norm(u), _norm(k1)
+    if not (_TINY <= norm_u < math.inf and _TINY <= norm_k < math.inf):
+        return False
+    eu, ek = math.frexp(norm_u)[1], math.frexp(norm_k)[1]
+    us, ks = u * math.ldexp(1.0, -eu), k1 * math.ldexp(1.0, -ek)
+    a, b = us.T @ us, ks.T @ ks
+    square = float(np.vdot(a, b))
+    err = (u.shape[0] + k1.shape[0] + a.size) * _EPS
+    try:
+        limit = math.ldexp(bound, shift - eu - ek)
+    except OverflowError:
+        return False
+    return square - 2.0 * err > limit * limit
+
+
 def _normal_solve(d: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
-                  rest, rhs_full: np.ndarray, times_c, kept: _Kept):
+                  rest, rhs: np.ndarray, residual_at, kept: _Kept):
     """Solve ``delta @ C = U K1^T + rest`` at the deviation ``d``.
 
     Returns the report, ``D + delta`` and the residual matrix
     ``(D + delta) @ C - RHS``, whose norm over ||RHS|| is the reported
     residual.  The target U K1^T + rest is RHS - D @ C, assembled from
-    residual products by the caller; ``rest`` is None when it is exactly 0.
+    residual products by the caller; ``rest`` is None when it is exactly 0,
+    and the target is then formed only if the full target is solved for.
     ``system()`` assembles C as a new array, which is then factored in
-    place; it is called only when a factorization is needed.  ``rest`` is
-    the caller's scratch, overwritten here.  ``rhs_full`` is only used to
-    measure the residual.  ``times_c(d_new, x)`` moves the caller's
-    products to ``d_new`` and returns ``d_new @ C`` as a new array assembled
-    from them: by the rank-n update for delta = U X^T, or densely when ``x``
-    is None.  That array becomes the residual matrix.
+    place; it is called only when a factorization is needed, and again for
+    each ridged attempt.  ``rest`` is the caller's scratch, overwritten
+    here.  ``rhs`` is read for its norm, the reference, before the first
+    ``residual_at(d_new, x)``, which moves the caller's products to
+    ``d_new`` and returns ``d_new @ C - RHS``, assembled from them, in an
+    array the caller may reuse on its next call: by the rank-n update for
+    delta = U X^T, or densely when ``x`` is None.
 
     C is factored as it is, through its Fortran-ordered view, and only
     one of its triangles is read: it need not be exactly symmetric, and it
@@ -546,24 +633,31 @@ def _normal_solve(d: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
     Every other attempt solves for the full target.  ``kept`` holds the
     caller's last unridged factor for this (v, az), or none; the solve
     leaves it holding the factor it solved with, extended or new, or none.
+
+    Norms are measured in the frame of :func:`_frame`, so a RHS whose
+    ``nrm2`` overflows on finite entries neither snaps every target to a
+    zero edit nor reads every residual as NaN.
     """
-    rhs_norm = _norm(rhs_full)
+    rhs_norm, shift = _frame(rhs)
     ref = max(rhs_norm, _TINY)
+    target = None
     if rest is None:
-        rank_n, target = True, u @ k1.T
+        rank_n = True
+        if not np.isfinite(u).all():
+            raise _assembly_overflowed()
     else:
-        rank_n, target = _norm(rest) <= SNAP_THRESHOLD * ref, rest
+        rank_n, target = _norm_in(rest, shift) <= SNAP_THRESHOLD * ref, rest
         add_outer(target, u, k1)
-    target_norm = _norm(target)
-    if _overflowed(target, target_norm) or _overflowed(rhs_full, rhs_norm):
-        raise _assembly_overflowed()
+    snap = False
+    if target is not None or not _outer_exceeds(u, k1, SNAP_THRESHOLD * ref, shift):
+        if target is None:
+            target = u @ k1.T
+        snap = _target_norm(target, shift) <= SNAP_THRESHOLD * ref
 
     def checked(d_new, x):
-        resid = times_c(d_new, x)
-        resid -= rhs_full
-        return _norm(resid) / ref, resid
+        resid = residual_at(d_new, x)
+        return _norm_in(resid, shift) / ref, resid
 
-    snap = target_norm <= SNAP_THRESHOLD * ref
     # Whether a kept attempt moved the products, so that only a dense
     # recompute puts them at the next candidate's weights.
     moved = False
@@ -587,8 +681,10 @@ def _normal_solve(d: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
         return SolveReport(delta=np.zeros_like(d), residual=residual,
                            ridge_applied=0.0,
                            condition_estimate=float("nan")), d, resid
+    # tr(C)/d0 for the kept factor, read before C is factored in place.
+    scale = _diagonal_scale(c)
     last_cond = float("inf")
-    for lam, factor, cond in _ridge_attempts(c):
+    for lam, factor, cond in _ridge_attempts(c, system):
         last_cond = cond
         if factor is None:
             continue
@@ -602,6 +698,9 @@ def _normal_solve(d: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
                 report = SolveReport(delta=delta, residual=residual,
                                      ridge_applied=lam, condition_estimate=cond)
         if report is None:
+            if target is None:  # the rank-n form missed: formed only now
+                target = u @ k1.T
+                _target_norm(target, shift)
             delta = _cho_solve(factor, target.T).T
             d_new = d + delta
             residual, resid = checked(d_new, None)
@@ -610,8 +709,7 @@ def _normal_solve(d: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
             report = SolveReport(delta=delta, residual=residual, ridge_applied=lam,
                                  condition_estimate=cond)
         if lam == 0.0:
-            # _ridge_attempts scaled c by 2^-shift in place.
-            kept.seed(factor, cond, float(c.trace()) / c.shape[0])
+            kept.seed(factor, cond, math.ldexp(scale, -factor[1]))
         return report, d_new, resid
     raise SingularSystemError(
         f"normal-equation matrix is numerically singular "
@@ -660,14 +758,17 @@ def _preserving_solve(mem: AssociativeMemory, bk: BacklogAccumulator | None,
     if carry is None:
         d = mem.w - mem.w0
         kp_gram = np.zeros_like(mem.k0_gram) if bk is None else bk.kp_gram
-        ep = np.zeros_like(d) if bk is None else d @ kp_gram
+        ep = np.zeros_like(d) if _empty(kp_gram) else d @ kp_gram
         carry = Carry(e0=d @ mem.k0_gram, ep=ep, kp_gram=kp_gram, d=d,
                       resid=np.zeros(d.shape))
     d, e0, kept = carry.d, carry.e0, carry.kept
+    # Ep, exactly 0 while the backlog Gram is empty, is then not read.
+    backlog = not _empty(carry.kp_gram)
     if bk is None:
         cross, kp_gram, ep = None, None, None
     else:
-        cross, kp_gram, ep = bk.u0kpt, bk.kp_gram, carry.ep
+        cross, kp_gram = bk.u0kpt, bk.kp_gram
+        ep = carry.ep if backlog else None
     kept.at(v_weight, az)
     if az == 1.0 and (bk is None or bk.absorbed == 0):
         if mem.k0_factor is None:
@@ -675,10 +776,23 @@ def _preserving_solve(mem: AssociativeMemory, bk: BacklogAccumulator | None,
         else:
             kept.seed(*mem.k0_factor)
     with np.errstate(over="ignore"):
-        # Baseline's RHS_D = E0 + U0 K1^T, lyaplock's v B + (v U0) K1^T.
-        rhs_full = (_weighted(1.0, e0, 1.0, None, u0, k1) if bk is None
-                    else _weighted(v_weight, cross, 1.0, None, v_weight * u0, k1))
-        # Residual assembly: exact zeros survive, unlike rhs_full - d @ c.
+        vu0 = u0 if bk is None else v_weight * u0
+
+        def fill(out, moved):
+            """RHS_D into ``out``: lyaplock's v B + (v U0) K1^T, or
+            baseline's E0 + U0 K1^T, with E0 at D the carried product until
+            the solve ``moved`` it and D K0K0^T after."""
+            if bk is not None:
+                np.multiply(cross, v_weight, out=out)
+            elif moved:
+                np.matmul(d, mem.k0_gram, out=out)
+            else:
+                np.copyto(out, e0)
+            add_outer(out, vu0, k1)
+            return out
+
+        rhs = fill(np.empty(d.shape), False)
+        # Residual assembly: exact zeros survive, unlike rhs - d @ c.
         u = v_weight * (u0 - d @ k1)
         rest = None
         if bk is not None:
@@ -686,20 +800,39 @@ def _preserving_solve(mem: AssociativeMemory, bk: BacklogAccumulator | None,
             # term for each weight that changed since R was built.
             rest = np.negative(carry.resid, out=carry.resid)
             if az != carry.az:  # not on a step at the floor
-                rest -= (az - carry.az) * e0
+                add_scaled(rest, carry.az - az, e0)
             if v_weight != carry.v:
-                rest += (v_weight - carry.v) * (cross - ep)
+                add_scaled(rest, v_weight - carry.v, cross)
+                if ep is not None:
+                    add_scaled(rest, carry.v - v_weight, ep)
+        holds_rhs = True
 
-        def times_c(d_new, x):
-            _carry(carry, mem.k0_gram, d_new, u, x)
+        def residual_at(d_new, x):
+            """D' C - RHS_D, assembled in the RHS buffer as
+            -RHS_D + az E0 + v Ep + v (D' K1) K1^T; RHS_D is rebuilt there
+            for every call after the first."""
+            nonlocal holds_rhs
+            _carry(carry, mem.k0_gram, d_new, u, x, backlog)
             carry.dk1 = d_new @ k1
-            return _weighted(az, e0, v_weight, ep, carry.dk1, k1)
+            if not holds_rhs:
+                fill(rhs, True)
+            holds_rhs = False
+            np.negative(rhs, out=rhs)
+            add_scaled(rhs, az, e0)
+            if ep is not None:
+                add_scaled(rhs, v_weight, ep)
+            add_outer(rhs, carry.dk1, k1, v_weight)
+            return rhs
 
         def system():
-            return _weighted(az, mem.k0_gram, v_weight, kp_gram, k1, k1)
+            c = np.multiply(mem.k0_gram, az)
+            if kp_gram is not None:
+                add_scaled(c, v_weight, kp_gram)
+            add_outer(c, k1, k1, v_weight)
+            return c
 
-        report, carry.d, resid = _normal_solve(d, system, u, k1, rest, rhs_full,
-                                               times_c, kept)
+        report, carry.d, resid = _normal_solve(d, system, u, k1, rest, rhs,
+                                               residual_at, kept)
     carry.fit = carry.dk1 - u0
     if bk is not None:
         carry.resid, carry.az, carry.v = resid, az, v_weight
@@ -718,9 +851,10 @@ def solve_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
     - batch: this step's keys and target values
     - v_weight: weight on editing plus backlog loss, must be positive
     - az: preservation weight, the queue value scaled by the queue gain a
-    - carry: a step loop's :class:`Carry` at D = ``mem.w`` - ``mem.w0``,
-      carried against ``bk.kp_gram``, whose D the solve reads in place of
-      ``mem.w``; the solve leaves it at D' = D + delta, with this
+    - carry: a step loop's :class:`Carry` at the deviation D, carried
+      against ``bk.kp_gram``, whose D the solve reads in place of
+      ``mem.w`` - ``mem.w0``, so ``mem.w`` is not read; the solve leaves
+      it at D' = D + delta, with this
       solve's residual, ``az``, ``v_weight`` and kept factor.  Without one,
       the solve seeds a carry with R = 0, az' = v' = 0 and no kept factor,
       so the remainder is formed as it is written out.
@@ -746,10 +880,11 @@ def solve_baseline(mem: AssociativeMemory, batch: EditBatch,
     system at v = az = 1, anchored at the current weights and without the
     backlog (see the module docstring).
 
-    ``carry`` is a step loop's :class:`Carry` at D = ``mem.w`` - ``mem.w0``,
-    which the solve leaves at D' = D + delta.  The backlog enters only
-    through ``carry.ep``, which the loop's backlog loss reads.  Without one,
-    the solve seeds a carry with E0 = D K0K0^T against an empty backlog.
+    ``carry`` is a step loop's :class:`Carry` at the deviation D, read in
+    place of ``mem.w`` - ``mem.w0``, which the solve leaves at
+    D' = D + delta.  The backlog enters only through ``carry.ep``, which the
+    loop's backlog loss reads.  Without one, the solve seeds a carry with
+    E0 = D K0K0^T against an empty backlog.
     """
     _check_batch(mem, batch)
     return _preserving_solve(mem, None, batch, 1.0, 1.0, carry)
@@ -774,10 +909,9 @@ def solve_edit_only(mem: AssociativeMemory, batch: EditBatch,
     _check_batch(mem, batch)
     w, k1, v1 = mem.w, batch.k1, batch.v1
     resid = v1 - w @ k1
-    small_gram = k1.T @ k1
     ref = max(_norm(v1), _TINY)
     last_cond = float("inf")
-    for lam, factor, cond in _ridge_attempts(small_gram):
+    for lam, factor, cond in _ridge_attempts(k1.T @ k1, lambda: k1.T @ k1):
         last_cond = cond
         if factor is None:
             continue
@@ -792,7 +926,8 @@ def solve_edit_only(mem: AssociativeMemory, batch: EditBatch,
         if carry is not None:
             carry.d = carry.d + delta
             carry.dk1, carry.fit = carry.d @ k1, fit
-            _carry(carry, mem.k0_gram, carry.d, resid, xt.T)
+            _carry(carry, mem.k0_gram, carry.d, resid, xt.T,
+                   not _empty(carry.kp_gram))
         return SolveReport(delta=delta, residual=residual, ridge_applied=lam,
                            condition_estimate=cond)
     raise SingularSystemError(

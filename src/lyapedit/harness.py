@@ -52,9 +52,13 @@ batch, and lyaplock's last residual matrix ``D' C - RHS_D`` with the az it
 solved with.  Each step calls the editor's public solver,
 ``solve_lyaplock``, ``solve_baseline`` or ``solve_edit_only``, with the
 path's carry, and the solve leaves the carry at the post-edit deviation D';
-so the loop runs exactly what a one-shot caller runs.  The path's memory
-then takes the weights W0 + D', or, for edit-only, which solves at the
-absolute weights, W + delta.  Baseline's solve is lyaplock's at
+so the loop runs exactly what a one-shot caller runs.  A preserving path
+carries D' alone: its memory stays at W0, whose ``w`` the solves do not
+read, and its weights W0 + D are formed once, as the result's
+``w_final``.  A non-finite D' still aborts the step it appears in, since
+its PL <D K0K0^T, D> is then not finite.  Edit-only, which solves at the
+absolute weights, moves its path's memory to W + delta, with the memory's
+finiteness check, every step.  Baseline's solve is lyaplock's at
 v = a*Z = 1, anchored at the current weights and without the backlog, so
 it leaves the carry's residual and az as they were.  PL is the form
 <D K0K0^T, D>, BL reads ``D KpKp^T`` against the backlog's sums anchored
@@ -81,6 +85,14 @@ time, so its batches never join its next system.  A fork's carry copies
 the pending batches and shares the factors, so a path forked in such a
 stretch solves as it would alone.  The probe reads its PL from the
 ``D' K0K0^T`` that its own solve left.
+
+A solve's working set is bounded (see ``lyapedit.editors``): it factors C
+in place and keeps no copy, forms baseline's target U K1^T only if the
+full target is solved for, leaves ``D KpKp^T`` untouched at 0 while the
+backlog is empty, and assembles its residual ``D' C - RHS_D`` in the
+buffer that held RHS_D.  So a kept step holds three d1 x d0 arrays beside
+the carry (RHS_D, the edit and D'), and the probe on a memory without the
+preserved Gram's factor also C.
 """
 from __future__ import annotations
 
@@ -206,20 +218,25 @@ def estimate_d_base(stream: EditStream, mem: AssociativeMemory) -> float:
 
     The probe edits the original weights ``mem.w0``, whatever ``mem.w`` is,
     starting from a carry at D = 0, and is then thrown away; only the
-    measured loss survives.  An exactly representable stream (planted
-    teacher, no drift) probes to a loss of 0, floored at the smallest
-    positive normal so it still yields a usable threshold.  On any other
-    stream a loss of 0 or a non-finite one means the losses are not
-    representable at its key scale, and NumericalInstabilityError is raised.
+    measured loss survives.  An exactly representable stream, one whose
+    first batch has the residual U0 = V1 - W0 K1 exactly 0 (planted
+    teacher, at no drift or one that W0 + drift N rounds away), probes to a
+    loss of 0, floored at the smallest positive normal so it still yields a
+    usable threshold.  On any other stream a loss of 0 or a non-finite one
+    means the losses are not representable at its key scale, and
+    NumericalInstabilityError is raised.
     So does a subnormal loss there: it carries fewer than 52 bits, and so
     would every loss measured against it.
     """
     spec = stream.spec
+    batch = stream.batch(1)
     carry = Carry.start(mem, BacklogAccumulator.empty(mem.w0))
-    solve_baseline(replace(mem, w=mem.w0), stream.batch(1), carry)
+    solve_baseline(replace(mem, w=mem.w0), batch, carry)
     # The solve left D' and carry.e0 = D' K0K0^T, the product PL needs.
     pl = _psd_loss(carry.e0, carry.d)
-    exact = spec.value_mode == "planted-teacher" and spec.teacher_drift == 0.0
+    # The batch's residual at W0 is exactly 0: the stream is represented
+    # exactly, at drift 0 or at a drift that W0 + drift N rounds away.
+    exact = not batch._u0(mem.w0).any()
     if math.isfinite(pl) and exact:
         return max(pl, _D_BASE_FLOOR)
     if math.isfinite(pl) and pl >= _D_BASE_FLOOR:
@@ -230,18 +247,20 @@ def estimate_d_base(stream: EditStream, mem: AssociativeMemory) -> float:
             f"smallest normal double {_D_BASE_FLOOR!r}; the losses at this key "
             f"scale carry fewer than 52 bits"
         )
+    cause = "it overflowed: " if pl == math.inf else ""
     raise NumericalInstabilityError(
         f"the d_base probe's preservation loss is {pl!r} at "
-        f"key_scale={spec.key_scale!r}; the losses at this key scale are not "
-        f"representable in double precision"
+        f"key_scale={spec.key_scale!r}; {cause}the losses at this key scale are "
+        f"not representable in double precision"
     )
 
 
 def _solve_step(config: RunConfig, mem: AssociativeMemory,
                 backlog: BacklogAccumulator, batch, params: QueueParams,
                 weight: float, carry: Carry):
-    """One path's solve: the report and the post-edit weights W', which
-    are W0 + D' for the editors that solve in deviation coordinates.
+    """One path's solve: the report and, for edit-only, the post-edit
+    weights W'; None for the editors that solve in deviation coordinates,
+    whose path carries D' alone and whose ``mem.w`` is not read.
 
     ``config``, ``params`` and the preservation weight ``weight`` = a*Z are
     those of the path's first member; every other member of the path would
@@ -256,7 +275,7 @@ def _solve_step(config: RunConfig, mem: AssociativeMemory,
         # Edit-only solves at the absolute weights (see solve_edit_only).
         report = solve_edit_only(mem, batch, carry)
         return report, mem.w + report.delta
-    return report, mem.w0 + carry.d
+    return report, None
 
 
 # The per-step columns one solve on a path yields, in the order of _Path.row.
@@ -354,7 +373,9 @@ class _Member:
                 raise self.aborted(t, f"solver aborted at step {t}: {exc}") from exc
             delta_fro = float(np.linalg.norm(report.delta))
             try:
-                path.mem = mem = path.mem.with_weights(w_new)
+                if w_new is not None:
+                    path.mem = path.mem.with_weights(w_new)
+                # A non-finite D' makes PL = <E0, D'> non-finite.
                 el = fit_loss(carry.fit)
                 pl = _psd_loss(carry.e0, carry.d)
                 bl = gram_loss(carry.d, carry.ep, backlog.u0kpt, backlog.tr_u0u0)
@@ -398,9 +419,11 @@ class _Member:
             stability=stability_ratio(table["z_history"][:total]),
         )
         mem = self.path.mem
+        # A preserving path's weights are W0 + D, formed here once.
+        w_final = mem.w if config.editor == "edit-only" else mem.w0 + self.path.carry.d
         return RunResult(
             config=config, params=params, d_base=params.d_base, summary=summary,
-            w_initial=mem.w0, w_final=mem.w, **table,
+            w_initial=mem.w0, w_final=w_final, **table,
         )
 
 

@@ -1,10 +1,11 @@
 """The compiled LAPACK and BLAS routines lyapedit calls directly.
 
-LAPACK ``potrf``, ``potrs``, ``pocon`` and ``lange`` and BLAS ``nrm2`` and
-``gemm`` are bound once, at import, and called directly: the same routines
-with the same arguments that scipy's ``cho_factor``, ``cho_solve`` and
-``norm`` would call, without their per-call validation and lookup.  A step
-at d0=64 costs about a megaflop, so that fixed cost mattered.
+LAPACK ``potrf``, ``potrs``, ``pocon`` and ``lange`` and BLAS ``nrm2``,
+``gemm`` and ``axpy`` are bound once, at import, and called directly: the
+same routines with the same arguments that scipy's ``cho_factor``,
+``cho_solve`` and ``norm`` would call, without their per-call validation
+and lookup.  A step at d0=64 costs about a megaflop, so that fixed cost
+mattered.
 
 They are bound from scipy's compiled modules ``scipy.linalg._flapack`` and
 ``_fblas``, loaded directly, without the ``scipy.linalg`` package.  That
@@ -24,7 +25,11 @@ transpose, so callers hand ``potrf`` the Fortran-ordered view ``c.T``, and
 
 ``in_two`` runs the two halves of one large dense kernel at once, one on a
 worker thread: numpy releases the interpreter lock inside its ufunc loops
-and BLAS calls, so the halves overlap on two cores.
+and BLAS calls, so the halves overlap on two cores.  The worker, like the
+stream's forked child, first moves off its caller's CPU (``move_off``):
+where the kernel balances little or no load across CPUs, as in a cpuset
+with load balancing off, a new thread or child can stay on its parent's
+CPU.
 """
 from __future__ import annotations
 
@@ -57,7 +62,7 @@ _flapack = _load_compiled("_flapack")
 _potrf, _potrs, _pocon = _flapack.dpotrf, _flapack.dpotrs, _flapack.dpocon
 _lange = _flapack.dlange
 _fblas = _load_compiled("_fblas")
-_nrm2, _gemm = _fblas.dnrm2, _fblas.dgemm
+_nrm2, _gemm, _axpy = _fblas.dnrm2, _fblas.dgemm, _fblas.daxpy
 
 
 def _norm(x: np.ndarray) -> float:
@@ -69,16 +74,32 @@ def _norm(x: np.ndarray) -> float:
     return float(_nrm2(x.ravel()))
 
 
-def add_outer(m: np.ndarray, u: np.ndarray, y: np.ndarray) -> None:
-    """``m += u @ y.T`` in place, without a d1 x d0 temporary.
+def _in_place(m: np.ndarray) -> bool:
+    return m.flags.c_contiguous and m.flags.writeable
+
+
+def add_outer(m: np.ndarray, u: np.ndarray, y: np.ndarray, alpha: float = 1.0) -> None:
+    """``m += alpha * u @ y.T`` in place, without a d1 x d0 temporary.
 
     One ``gemm`` with beta = 1 on ``m.T``, which is Fortran-ordered when
     ``m`` is C-ordered; any other ``m`` takes the plain numpy form.
     """
-    if m.flags.c_contiguous and m.flags.writeable:
-        _gemm(1.0, y.T, u.T, 1.0, m.T, trans_a=1, overwrite_c=1)
+    if _in_place(m):
+        _gemm(alpha, y.T, u.T, 1.0, m.T, trans_a=1, overwrite_c=1)
     else:
-        m += u @ y.T
+        m += alpha * (u @ y.T)
+
+
+def add_scaled(m: np.ndarray, alpha: float, x: np.ndarray) -> None:
+    """``m += alpha * x`` in place by one ``axpy``, without a temporary.
+
+    ``x`` has the shape of ``m``; a C-ordered ``m`` is updated through its
+    flat view, any other takes the plain numpy form.
+    """
+    if _in_place(m):
+        _axpy(x.ravel(), m.ravel(), a=alpha)
+    else:
+        m += alpha * x
 
 
 def _cpu_count() -> int:
@@ -89,25 +110,62 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def current_cpu() -> int | None:
+    """The CPU the calling thread runs on, or None where it cannot be read.
+
+    Field 39 of ``/proc/thread-self/stat`` (Python 3.11 has no
+    ``os.sched_getcpu``), counted after the parenthesised command name,
+    which may itself hold spaces.
+    """
+    try:
+        with open("/proc/thread-self/stat", "rb") as stat:
+            fields = stat.read().rpartition(b")")[2].split()
+        return int(fields[36])  # fields[0] is field 3, the state
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def move_off(cpu: int | None) -> None:
+    """Take the calling thread off ``cpu``, onto the rest of its affinity mask.
+
+    A forked child or a new thread starts on its parent's CPU, and where the
+    kernel balances no load across CPUs (no scheduler domains) it can stay
+    there, so the concurrency buys nothing.  Called first thing by a worker
+    thread or a child with its caller's ``current_cpu()``, it pins the
+    worker elsewhere, but only when the mask holds at least 2 CPUs and
+    ``cpu`` among them; any ``OSError`` leaves placement to the scheduler.
+    """
+    if cpu is None:
+        return
+    try:
+        mask = os.sched_getaffinity(0)
+        if len(mask) >= 2 and cpu in mask:
+            os.sched_setaffinity(0, mask - {cpu})
+    except (AttributeError, OSError):  # no affinity calls on this platform
+        pass
+
+
 def in_two(first, second) -> None:
     """Run ``first()`` on a new worker thread while ``second()`` runs here.
 
     The two must write disjoint parts of their output, so their result does
     not depend on which runs first; with one CPU they simply run in turn.
     The worker runs in a copy of the caller's context, so it keeps the
-    caller's numpy error state (``np.errstate`` is a context variable).  It
-    is joined before this returns, and an exception it raised is raised
-    here.  A thread start costs about 0.1 ms, so callers split only kernels
-    that take about 10 ms or more on one core.
+    caller's numpy error state (``np.errstate`` is a context variable), and
+    on another CPU than the caller's (see :func:`move_off`).  It is joined
+    before this returns, and an exception it raised is raised here.  A
+    thread start costs about 0.1 ms, so callers split only kernels that
+    take about 10 ms or more on one core.
     """
     if _cpu_count() < 2:
         first()
         second()
         return
-    context, raised = contextvars.copy_context(), []
+    context, raised, cpu = contextvars.copy_context(), [], current_cpu()
 
     def work():
         try:
+            move_off(cpu)
             context.run(first)
         except BaseException as exc:  # re-raised in the calling thread
             raised.append(exc)

@@ -406,8 +406,9 @@ class EditStream:
         it pays and is safe: on Linux, with at least 2 CPUs in this process's
         affinity mask, with no other live thread (forking a multi-threaded
         process can deadlock), and when the batches from the current block
-        on hold at least ``_AHEAD_VALUES`` generated values.  Leaving the
-        context, by any path, ends and reaps the child.
+        on hold at least ``_AHEAD_VALUES`` generated values.  The child
+        moves itself off the caller's CPU (``lapack.move_off``).  Leaving
+        the context, by any path, ends and reaps the child.
         """
         spec = self.spec
         first = self._block_first + self._block_size if self._block else 1
@@ -459,7 +460,7 @@ class _Ahead:
         self._ring = mmap.mmap(-1, 2 * 8 * self._slot)
         self._values = np.frombuffer(self._ring, dtype=np.float64)
         self._taken = 0
-        fds = []
+        fds, cpu = [], lapack.current_cpu()
         try:
             fds += os.pipe()
             fds += os.pipe()
@@ -471,6 +472,7 @@ class _Ahead:
         ready_r, ready_w, free_r, free_w = fds
         if pid == 0:  # the child; it never returns into the caller's stack
             try:
+                lapack.move_off(cpu)
                 os.close(ready_r)
                 os.close(free_w)
                 self._serve(ready_w, free_r)

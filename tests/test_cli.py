@@ -411,6 +411,44 @@ class TestKeyScaleOverflow:
         assert err.startswith("error: non-finite loss at step 36: ")
         assert "bl=inf" in err
 
+    def test_overflowing_rhs_norm_does_not_snap_the_probe(self, tmp_path, capsys):
+        """At key scale 2^508 and drift 3, ||RHS|| overflows in ``nrm2`` on
+        finite entries.  The probe's edit is taken in a scaled frame: it is
+        non-zero and meets the residual target, and its loss, which does
+        overflow, is named so rather than read as 0."""
+        from lyapedit import EditStream, solve_baseline
+        from lyapedit.cli import load_config
+
+        cfg = write_config(tmp_path, with_value(
+            "stream.teacher_drift", "3", text=with_value(
+                "stream.key_scale", repr(2.0 ** 508), text=QUICK)))
+        spec = load_config(cfg)["run"].stream
+        stream = EditStream(spec)
+        report = solve_baseline(stream.preserved_memory(), stream.batch(1))
+        assert np.linalg.norm(report.delta) > 0.0
+        assert report.residual <= 1e-8
+        assert main(["dbase", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the d_base probe's preservation loss is inf at "
+                              f"key_scale={spec.key_scale!r}; it overflowed: ")
+
+    @pytest.mark.parametrize("command", ["simulate", "dbase"])
+    def test_drift_that_rounds_away_floors_like_drift_0(self, tmp_path, capsys,
+                                                        command):
+        """W0 + 1e-160 N rounds to W0, so the probe's residual U0 is exactly 0:
+        the stream is exact, and d_base floors at the smallest normal."""
+        d_bases = []
+        for drift in ("0", "1e-160"):
+            cfg = write_config(tmp_path, with_value("stream.teacher_drift", drift,
+                                                    text=QUICK))
+            assert main([command, "--config", str(cfg), "--out",
+                         str(tmp_path / "o.csv"), "--quiet"]) == 0
+            out = capsys.readouterr().out
+            if command == "dbase":
+                d_bases.append(float(out.partition("=")[2]))
+        if command == "dbase":
+            assert d_bases == [np.finfo(np.float64).tiny] * 2
+
     @pytest.mark.parametrize("command", ["simulate", "dbase"])
     def test_probe_loss_at_drift_1e7_keeps_its_digits(self, tmp_path, capsys,
                                                       command):

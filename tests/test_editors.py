@@ -347,7 +347,7 @@ class TestSolveEditOnly:
 
 # The scipy-wrapper forms of the factor, solve and norm helpers that the
 # bound LAPACK/BLAS routines replaced, kept as the reference.
-def reference_ridge_attempts(matrix):
+def reference_ridge_attempts(matrix, rebuild):
     from scipy.linalg import cho_factor, get_lapack_funcs
     dim = matrix.shape[0]
     scale = float(np.trace(matrix)) / dim
@@ -469,13 +469,14 @@ class TestDirectLapack:
         target = rng.standard_normal((4, dim))
         rhs_full = w @ c + target
         report = self.solve_both(scipy_wrappers, w, c, target, np.eye(dim), None,
-                                 rhs_full, lambda w_new, x: w_new @ c)
+                                 rhs_full, lambda w_new, x: w_new @ c - rhs_full)
         scale = float(np.trace(c)) / dim
         assert report.ridge_applied == rung * scale
 
     def test_ridge_scale_survives_an_overflowing_trace(self):
         c = np.diag([1e308, 1e308, 1e308, 0.0])
-        lam = next(lam for lam, factor, _ in editors._ridge_attempts(c) if factor is not None)
+        attempts = editors._ridge_attempts(c.copy(), c.copy)
+        lam = next(lam for lam, factor, _ in attempts if factor is not None)
         assert lam == 1e-10 * 0.75e308
 
     def test_exhausted_ladder_raises_alike(self, rng, scipy_wrappers):
@@ -483,7 +484,8 @@ class TestDirectLapack:
         c = spd_with_spectrum(rng, [1.0, 2.0, 3.0, 4.0, -1e-3])
         w = rng.standard_normal((3, dim))
         target = rng.standard_normal((3, dim))
-        args = (target, np.eye(dim), None, w @ c + target, lambda w_new, x: w_new @ c)
+        rhs_full = w @ c + target
+        args = (target, np.eye(dim), None, rhs_full, lambda w_new, x: w_new @ c - rhs_full)
         with pytest.raises(SingularSystemError) as bound:
             editors._normal_solve(w, c.copy, *args, editors._Kept())
         scipy_wrappers()
@@ -538,6 +540,25 @@ class TestSwappedKernels:
 
 
 class TestRankNForm:
+    def test_cancelling_batch_term_is_measured_densely(self, rng):
+        """U K1^T = 0 with U != 0: the n x n Grams cannot place its norm
+        below the snap threshold, so the target is formed and measured, and
+        the edit snaps to zero (no condition estimate) as it always did."""
+        dim, d1 = 6, 4
+        c = spd_with_spectrum(rng, [1.0, 2.0, 3.0, 1.5, 2.5, 4.0])
+        k = rng.standard_normal((dim, 1))
+        k1 = np.hstack([k, k])
+        a = rng.standard_normal((d1, 1))
+        u = np.hstack([a, -a])
+        d = rng.standard_normal((d1, dim))
+        rhs = d @ c  # RHS - D C is the target, exactly 0
+        report, d_new, _ = editors._normal_solve(
+            d, c.copy, u, k1, None, rhs.copy(), lambda w_new, x: w_new @ c - rhs,
+            editors._Kept())
+        assert not report.delta.any()
+        assert np.isnan(report.condition_estimate)
+        assert d_new is d
+
     def test_rejected_rank_n_step_solves_the_full_target(self, rng):
         dim = 6
         c = spd_with_spectrum(rng, [1.0, 2.0, 3.0, 1.5, 2.5, 4.0])
@@ -545,15 +566,16 @@ class TestRankNForm:
         u = rng.standard_normal((4, 2))
         k1 = rng.standard_normal((dim, 2))
         target = u @ k1.T
+        rhs_full = w @ c + target
         dense = []
 
-        def times_c(w_new, x):
+        def residual_at(w_new, x):
             dense.append(x is None)
             # The rank-n attempt reports a residual far above the target.
-            return w_new @ c + (0.0 if x is None else 1.0)
+            return w_new @ c - rhs_full + (0.0 if x is None else 1.0)
 
         report, _, _ = editors._normal_solve(w, c.copy, u, k1, None,
-                                             w @ c + target, times_c, editors._Kept())
+                                             rhs_full, residual_at, editors._Kept())
         assert dense == [False, True]
         assert report.residual <= editors.RESIDUAL_TARGET
         assert report.delta == pytest.approx(np.linalg.solve(c, target.T).T, rel=1e-12)
@@ -613,7 +635,7 @@ class TestNativeLayout:
         def solve(matrix):
             report, _, _ = editors._normal_solve(
                 w, lambda: matrix, u, k1, None if rest is None else rest.copy(), rhs_full,
-                lambda w_new, x: w_new @ c, editors._Kept())
+                lambda w_new, x: w_new @ c - rhs_full, editors._Kept())
             return report
 
         def bumped(rows_below):

@@ -149,10 +149,16 @@ class TestAbortPaths:
         import lyapedit.harness as harness
         from lyapedit.editors import SolveReport
 
+        original = harness._solve_step
+
         def diverge(config, mem, backlog, batch, params, z, carry):
-            delta = np.full_like(mem.w, np.inf)
+            # A lyaplock path carries D' alone: the solve leaves a
+            # non-finite D' there, and the step reads its losses from it.
+            _, w_new = original(config, mem, backlog, batch, params, z, carry)
+            delta = np.full_like(carry.d, np.inf)
+            carry.d = carry.d + delta
             return SolveReport(delta=delta, residual=0.0, ridge_applied=0.0,
-                               condition_estimate=1.0), mem.w + delta
+                               condition_estimate=1.0), w_new
 
         monkeypatch.setattr(harness, "_solve_step", diverge)
         with pytest.raises(RunAborted) as err:
@@ -614,8 +620,11 @@ class TestRankNSteps:
             az_values.append(az)
             if report.ridge_applied == 0.0:
                 if config.editor == "lyaplock":
+                    # The path's memory is not moved off W0; its weights
+                    # are W0 + D.
                     residual = verify_normal_equations(
-                        mem, backlog, batch, params.v_weight, az, report.delta)
+                        mem.with_weights(mem.w0 + d), backlog, batch,
+                        params.v_weight, az, report.delta)
                 elif config.editor == "baseline":
                     # The lyaplock system with v = az = 1, no backlog, and
                     # preservation anchored at the current weights: the
@@ -919,6 +928,92 @@ class TestDriftCovariance:
         np.testing.assert_allclose(result.pl_history, explicit, rtol=1e-11, atol=0.0)
         final = np.sum(((result.w_final - w0) @ k0) ** 2)
         assert result.pl_history[-1] == pytest.approx(final, rel=1e-11, abs=0.0)
+
+
+class TestWorkingSet:
+    """What a solve holds at once, in units of one d1 x d0 array.
+
+    tracemalloc counts every array allocated inside the traced call at its
+    full size, ``np.zeros`` included.  At d0 = 256, d1 = 192 the system C is
+    4/3 of a unit.  A kept lyaplock step holds the RHS buffer, which then
+    holds the residual, the edit and D' (3 units); the probe on a
+    ``new_memory`` memory adds the fresh carry's four zero arrays, the
+    empty backlog's Gram and C (about 9.8 units).
+    """
+
+    SPEC = StreamSpec(dims=Dims(d0=256, d1=192), n_per_batch=8, total_batches=4,
+                      key_scale=1.0, value_mode="planted-teacher", teacher_drift=0.1,
+                      seed=188, m0=1024)
+    UNIT = 192 * 256 * 8
+
+    def traced(self, call):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            out = call()
+            return out, tracemalloc.get_traced_memory()[1] / self.UNIT
+        finally:
+            tracemalloc.stop()
+
+    def test_kept_lyaplock_step(self, monkeypatch):
+        import lyapedit.editors as editors
+        import lyapedit.harness as harness
+
+        original, potrf = harness._solve_step, editors._potrf
+        steps, factored = [], []
+
+        def step(*args):
+            before = len(factored)
+            out, peak = self.traced(lambda: original(*args))
+            steps.append((peak, sum(factored[before:])))
+            return out
+
+        def recording(a, *args, **kwargs):
+            factored.append(a.shape[0] == self.SPEC.dims.d0)
+            return potrf(a, *args, **kwargs)
+
+        monkeypatch.setattr(harness, "_solve_step", step)
+        monkeypatch.setattr(editors, "_potrf", recording)
+        run(RunConfig(stream=self.SPEC, editor="lyaplock", alpha=60.0))
+        # On the queue's floor every step is kept: from the preserved Gram's
+        # factor, with no d0 x d0 system factored.
+        assert [systems for _, systems in steps] == [0] * self.SPEC.total_batches
+        assert max(peak for peak, _ in steps) <= 3.5
+
+    @pytest.mark.parametrize("editor", ["baseline", "lyaplock"])
+    @pytest.mark.parametrize("factor", [True, False])
+    def test_empty_backlog_leaves_ep_untouched(self, editor, factor):
+        """The probe and every path's step 1 neither write D KpKp^T nor read
+        it: it is made read-only, and the solves succeed."""
+        from dataclasses import replace
+
+        from lyapedit import BacklogAccumulator, EditStream, solve_baseline, solve_lyaplock
+        from lyapedit.editors import Carry
+
+        stream = EditStream(self.SPEC)
+        mem = stream.preserved_memory()
+        if not factor:
+            mem = replace(mem, k0_factor=None)
+        backlog = BacklogAccumulator.empty(mem.w0)
+        carry = Carry.start(mem, backlog)
+        carry.ep.flags.writeable = False
+        if editor == "baseline":
+            report = solve_baseline(mem, stream.batch(1), carry)
+        else:
+            report = solve_lyaplock(mem, backlog, stream.batch(1), 1.0, 1.0, carry)
+        assert report.residual <= 1e-8
+        assert not carry.ep.any()
+
+    def test_probe_on_a_new_memory(self):
+        from lyapedit import EditStream, estimate_d_base, new_memory
+
+        stream = EditStream(self.SPEC)
+        mem = new_memory(*stream.generate_preserved())
+        stream.batch(1)  # the stream's block, made before the trace
+        d_base, peak = self.traced(lambda: estimate_d_base(stream, mem))
+        assert d_base > 0.0
+        assert peak <= 10.5
 
 
 class TestKeptFactor:
