@@ -87,10 +87,8 @@ unridged factor when the remainder is 0 or at most ``SNAP_THRESHOLD``
 ||RHS_D||, round-off and not signal; the rule reads only the step's own
 inputs.  Edit-only always has this form, ridged or not.  Where the
 remainder is exactly 0, as in baseline's corner, the target U K1^T is
-formed only if the full target is solved for: the snap rule reads
-||U K1^T|| from the n x n Grams U^T U and K1^T K1, in a frame scaled by
-powers of two, and forms the target only where round-off in them could
-decide the rule.
+formed for the snap rule's norm and dropped, and formed again only if the
+full target is solved for.
 
 Norms are taken in one frame: ``nrm2`` of a RHS_D whose entries are
 finite can still overflow, and then every norm the solve compares with
@@ -162,7 +160,6 @@ SNAP_THRESHOLD = 1e-10
 # within 6e-15 of the dense ones.
 CARRY_TOLERANCE = 1e-12
 _TINY = float(np.finfo(np.float64).tiny)
-_EPS = float(np.finfo(np.float64).eps)
 _NO_CORE = np.zeros((0, 0))
 
 
@@ -371,15 +368,6 @@ def _mean_diagonal(matrix: np.ndarray) -> float:
         return float(np.trace(matrix)) / matrix.shape[0]
 
 
-def _diagonal_scale(matrix: np.ndarray) -> float:
-    """tr(C)/dim, summed as diag/dim where the trace overflows; a finite
-    diagonal's mean cannot."""
-    scale = _mean_diagonal(matrix)
-    if not np.isfinite(scale):
-        scale = float(np.sum(np.diagonal(matrix) / matrix.shape[0]))
-    return scale
-
-
 def _even_shift(scale: float) -> int:
     """The even power of two that brings ``scale`` into [1/2, 2)."""
     return 2 * (math.frexp(scale)[1] // 2)
@@ -393,7 +381,7 @@ def _condition(factor: np.ndarray, anorm: float) -> float:
 
 
 def _ridge_attempts(matrix: np.ndarray, rebuild):
-    """Yield (lam, factor, condition_estimate) over the ladder.
+    """Yield (lam, factor, condition_estimate, unit) over the ladder.
 
     Attempts that fail to factor or whose condition estimate exceeds the
     limit yield a ``None`` factor so the caller can keep escalating (and
@@ -403,6 +391,8 @@ def _ridge_attempts(matrix: np.ndarray, rebuild):
     brings tr(C)/dim near 1 without rounding, so the factor, the ridge and
     the condition estimate scale exactly with the keys: at key scale 2^-500
     a ridge of 1e-10 tr(C)/dim, and the pivots it sets, would be subnormal.
+    ``unit`` is tr(C)/dim * 2^-shift, read before C is factored, which
+    :meth:`_Kept.seed` takes with the unridged factor.
 
     Each attempt is factored in place, through the Fortran-ordered view
     ``ridged.T``, the same matrix when it is symmetric, whose lower triangle
@@ -416,7 +406,9 @@ def _ridge_attempts(matrix: np.ndarray, rebuild):
     SingularSystemError naming the underflow.
     """
     dim = matrix.shape[0]
-    scale = _diagonal_scale(matrix)
+    scale = _mean_diagonal(matrix)
+    if not np.isfinite(scale):  # the trace overflowed; a finite diagonal's mean cannot
+        scale = float(np.sum(np.diagonal(matrix) / dim))
     if 0.0 < scale < _TINY:
         raise SingularSystemError(
             f"system matrix C underflowed: its mean diagonal tr(C)/dim = {scale!r} is "
@@ -435,10 +427,10 @@ def _ridge_attempts(matrix: np.ndarray, rebuild):
             raise ValueError(f"illegal value in argument {-info} of potrf")
         lam = rung * scale
         if info > 0:  # a leading minor is not positive definite
-            yield lam, None, float("inf")
+            yield lam, None, float("inf"), scale * unit
             continue
         cond = _condition(factor, anorm)
-        yield lam, ((factor, shift) if cond <= CONDITION_LIMIT else None), cond
+        yield lam, ((factor, shift) if cond <= CONDITION_LIMIT else None), cond, scale * unit
 
 
 def _factor_gram(gram: np.ndarray, keep: bool):
@@ -578,33 +570,6 @@ def _target_norm(target: np.ndarray, shift: int) -> float:
     return norm
 
 
-def _outer_exceeds(u: np.ndarray, k1: np.ndarray, bound: float, shift: int) -> bool:
-    """Whether ||U K1^T||_F > bound 2^shift, read from the n x n Grams.
-
-    ||U K1^T||^2 = sum (U^T U) o (K1^T K1), with U and K1 first scaled by
-    the powers of two that bring their Frobenius norms into [1/2, 1), so
-    neither Gram overflows or underflows at any key scale.  The sum is then
-    within err = (d1 + d0 + n^2) eps of the exact one: the rounding of
-    each Gram entry and of the sum, times (sum_i ||u_i|| ||k_i||)^2 < 1.
-    False unless it exceeds bound^2 by 2 err, so a target the Grams cannot
-    place is formed and measured instead; so is one whose U or K1 has a
-    norm that is 0, subnormal or overflows.  U is finite.
-    """
-    norm_u, norm_k = _norm(u), _norm(k1)
-    if not (_TINY <= norm_u < math.inf and _TINY <= norm_k < math.inf):
-        return False
-    eu, ek = math.frexp(norm_u)[1], math.frexp(norm_k)[1]
-    us, ks = u * math.ldexp(1.0, -eu), k1 * math.ldexp(1.0, -ek)
-    a, b = us.T @ us, ks.T @ ks
-    square = float(np.vdot(a, b))
-    err = (u.shape[0] + k1.shape[0] + a.size) * _EPS
-    try:
-        limit = math.ldexp(bound, shift - eu - ek)
-    except OverflowError:
-        return False
-    return square - 2.0 * err > limit * limit
-
-
 def _normal_solve(d: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
                   rest, rhs: np.ndarray, residual_at, kept: _Kept):
     """Solve ``delta @ C = U K1^T + rest`` at the deviation ``d``.
@@ -613,7 +578,8 @@ def _normal_solve(d: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
     ``(D + delta) @ C - RHS``, whose norm over ||RHS|| is the reported
     residual.  The target U K1^T + rest is RHS - D @ C, assembled from
     residual products by the caller; ``rest`` is None when it is exactly 0,
-    and the target is then formed only if the full target is solved for.
+    and the target is then formed for its norm, dropped, and formed again
+    only if the full target is solved for.
     ``system()`` assembles C as a new array, which is then factored in
     place; it is called only when a factorization is needed, and again for
     each ridged attempt.  ``rest`` is the caller's scratch, overwritten
@@ -640,18 +606,14 @@ def _normal_solve(d: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
     """
     rhs_norm, shift = _frame(rhs)
     ref = max(rhs_norm, _TINY)
-    target = None
     if rest is None:
-        rank_n = True
-        if not np.isfinite(u).all():
-            raise _assembly_overflowed()
+        rank_n, target = True, None
+        # The target is formed for its norm and dropped: it is needed again
+        # only if the full target is solved for.
+        snap = _target_norm(u @ k1.T, shift) <= SNAP_THRESHOLD * ref
     else:
         rank_n, target = _norm_in(rest, shift) <= SNAP_THRESHOLD * ref, rest
         add_outer(target, u, k1)
-    snap = False
-    if target is not None or not _outer_exceeds(u, k1, SNAP_THRESHOLD * ref, shift):
-        if target is None:
-            target = u @ k1.T
         snap = _target_norm(target, shift) <= SNAP_THRESHOLD * ref
 
     def checked(d_new, x):
@@ -681,10 +643,8 @@ def _normal_solve(d: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
         return SolveReport(delta=np.zeros_like(d), residual=residual,
                            ridge_applied=0.0,
                            condition_estimate=float("nan")), d, resid
-    # tr(C)/d0 for the kept factor, read before C is factored in place.
-    scale = _diagonal_scale(c)
     last_cond = float("inf")
-    for lam, factor, cond in _ridge_attempts(c, system):
+    for lam, factor, cond, unit in _ridge_attempts(c, system):
         last_cond = cond
         if factor is None:
             continue
@@ -698,9 +658,8 @@ def _normal_solve(d: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
                 report = SolveReport(delta=delta, residual=residual,
                                      ridge_applied=lam, condition_estimate=cond)
         if report is None:
-            if target is None:  # the rank-n form missed: formed only now
+            if target is None:  # the rank-n form missed: formed again
                 target = u @ k1.T
-                _target_norm(target, shift)
             delta = _cho_solve(factor, target.T).T
             d_new = d + delta
             residual, resid = checked(d_new, None)
@@ -709,7 +668,7 @@ def _normal_solve(d: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
             report = SolveReport(delta=delta, residual=residual, ridge_applied=lam,
                                  condition_estimate=cond)
         if lam == 0.0:
-            kept.seed(factor, cond, math.ldexp(scale, -factor[1]))
+            kept.seed(factor, cond, unit)
         return report, d_new, resid
     raise SingularSystemError(
         f"normal-equation matrix is numerically singular "
@@ -911,7 +870,7 @@ def solve_edit_only(mem: AssociativeMemory, batch: EditBatch,
     resid = v1 - w @ k1
     ref = max(_norm(v1), _TINY)
     last_cond = float("inf")
-    for lam, factor, cond in _ridge_attempts(k1.T @ k1, lambda: k1.T @ k1):
+    for lam, factor, cond, _ in _ridge_attempts(k1.T @ k1, lambda: k1.T @ k1):
         last_cond = cond
         if factor is None:
             continue

@@ -87,7 +87,8 @@ stretch solves as it would alone.  The probe reads its PL from the
 ``D' K0K0^T`` that its own solve left.
 
 A solve's working set is bounded (see ``lyapedit.editors``): it factors C
-in place and keeps no copy, forms baseline's target U K1^T only if the
+in place and keeps no copy, drops baseline's target U K1^T once the snap
+rule has its norm, before C is formed, and forms it again only if the
 full target is solved for, leaves ``D KpKp^T`` untouched at 0 while the
 backlog is empty, and assembles its residual ``D' C - RHS_D`` in the
 buffer that held RHS_D.  So a kept step holds three d1 x d0 arrays beside
@@ -219,8 +220,8 @@ def estimate_d_base(stream: EditStream, mem: AssociativeMemory) -> float:
     The probe edits the original weights ``mem.w0``, whatever ``mem.w`` is,
     starting from a carry at D = 0, and is then thrown away; only the
     measured loss survives.  An exactly representable stream, one whose
-    first batch has the residual U0 = V1 - W0 K1 exactly 0 (planted
-    teacher, at no drift or one that W0 + drift N rounds away), probes to a
+    values are exactly W0 K1 in every batch (a planted teacher at no drift,
+    or at one that W0 + drift N rounds away at every entry), probes to a
     loss of 0, floored at the smallest positive normal so it still yields a
     usable threshold.  On any other stream a loss of 0 or a non-finite one
     means the losses are not representable at its key scale, and
@@ -229,18 +230,14 @@ def estimate_d_base(stream: EditStream, mem: AssociativeMemory) -> float:
     would every loss measured against it.
     """
     spec = stream.spec
-    batch = stream.batch(1)
     carry = Carry.start(mem, BacklogAccumulator.empty(mem.w0))
-    solve_baseline(replace(mem, w=mem.w0), batch, carry)
+    solve_baseline(replace(mem, w=mem.w0), stream.batch(1), carry)
     # The solve left D' and carry.e0 = D' K0K0^T, the product PL needs.
     pl = _psd_loss(carry.e0, carry.d)
-    # The batch's residual at W0 is exactly 0: the stream is represented
-    # exactly, at drift 0 or at a drift that W0 + drift N rounds away.
-    exact = not batch._u0(mem.w0).any()
-    if math.isfinite(pl) and exact:
-        return max(pl, _D_BASE_FLOOR)
     if math.isfinite(pl) and pl >= _D_BASE_FLOOR:
         return pl
+    if math.isfinite(pl) and stream._exact():
+        return _D_BASE_FLOOR
     if 0.0 < pl < _D_BASE_FLOOR:
         raise NumericalInstabilityError(
             f"d_base = {pl!r} at key_scale={spec.key_scale!r} is below the "

@@ -25,11 +25,7 @@ transpose, so callers hand ``potrf`` the Fortran-ordered view ``c.T``, and
 
 ``in_two`` runs the two halves of one large dense kernel at once, one on a
 worker thread: numpy releases the interpreter lock inside its ufunc loops
-and BLAS calls, so the halves overlap on two cores.  The worker, like the
-stream's forked child, first moves off its caller's CPU (``move_off``):
-where the kernel balances little or no load across CPUs, as in a cpuset
-with load balancing off, a new thread or child can stay on its parent's
-CPU.
+and BLAS calls, so the halves overlap on two cores.
 """
 from __future__ import annotations
 
@@ -110,62 +106,25 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def current_cpu() -> int | None:
-    """The CPU the calling thread runs on, or None where it cannot be read.
-
-    Field 39 of ``/proc/thread-self/stat`` (Python 3.11 has no
-    ``os.sched_getcpu``), counted after the parenthesised command name,
-    which may itself hold spaces.
-    """
-    try:
-        with open("/proc/thread-self/stat", "rb") as stat:
-            fields = stat.read().rpartition(b")")[2].split()
-        return int(fields[36])  # fields[0] is field 3, the state
-    except (OSError, IndexError, ValueError):
-        return None
-
-
-def move_off(cpu: int | None) -> None:
-    """Take the calling thread off ``cpu``, onto the rest of its affinity mask.
-
-    A forked child or a new thread starts on its parent's CPU, and where the
-    kernel balances no load across CPUs (no scheduler domains) it can stay
-    there, so the concurrency buys nothing.  Called first thing by a worker
-    thread or a child with its caller's ``current_cpu()``, it pins the
-    worker elsewhere, but only when the mask holds at least 2 CPUs and
-    ``cpu`` among them; any ``OSError`` leaves placement to the scheduler.
-    """
-    if cpu is None:
-        return
-    try:
-        mask = os.sched_getaffinity(0)
-        if len(mask) >= 2 and cpu in mask:
-            os.sched_setaffinity(0, mask - {cpu})
-    except (AttributeError, OSError):  # no affinity calls on this platform
-        pass
-
-
 def in_two(first, second) -> None:
     """Run ``first()`` on a new worker thread while ``second()`` runs here.
 
     The two must write disjoint parts of their output, so their result does
     not depend on which runs first; with one CPU they simply run in turn.
     The worker runs in a copy of the caller's context, so it keeps the
-    caller's numpy error state (``np.errstate`` is a context variable), and
-    on another CPU than the caller's (see :func:`move_off`).  It is joined
-    before this returns, and an exception it raised is raised here.  A
-    thread start costs about 0.1 ms, so callers split only kernels that
-    take about 10 ms or more on one core.
+    caller's numpy error state (``np.errstate`` is a context variable).  It
+    is joined before this returns, and an exception it raised is raised
+    here.  A thread start costs about 0.1 ms, so callers split only kernels
+    that take about 10 ms or more on one core.
     """
     if _cpu_count() < 2:
         first()
         second()
         return
-    context, raised, cpu = contextvars.copy_context(), [], current_cpu()
+    context, raised = contextvars.copy_context(), []
 
     def work():
         try:
-            move_off(cpu)
             context.run(first)
         except BaseException as exc:  # re-raised in the calling thread
             raised.append(exc)

@@ -194,6 +194,8 @@ _TAG_W0 = 0
 _TAG_K0 = 1
 _TAG_KEYS = 2
 _TAG_TEACHER = 3
+# No Box-Muller normal here exceeds sqrt(-2 log 2^-53) < 8.58 in magnitude.
+_NORMAL_BOUND = 9.0
 
 # Normals generated per block of batches: 36 batches of the d0=64 acceptance
 # stream, one batch at d0=1024.
@@ -341,6 +343,24 @@ class EditStream:
         return AssociativeMemory(w=self._w0, w0=self._w0, k0_gram=self._k0_gram,
                                  dims=self.spec.dims, k0_factor=self._k0_factor)
 
+    def _exact(self) -> bool:
+        """Whether every batch's values are exactly W0 K1.
+
+        So they are for a planted teacher at drift 0, and at a drift whose
+        wobble drift N rounds away at every entry of W0: W0 + x rounds to
+        W0 wherever |x| is below a quarter of W0's spacing there (half the
+        gap below a power of two), and |N| < ``_NORMAL_BOUND``.  Decided
+        from W0 and the drift, so it holds for every batch, not only for
+        the ones drawn so far.
+        """
+        spec = self.spec
+        if spec.value_mode != "planted-teacher":
+            return False
+        if spec.teacher_drift == 0.0:
+            return True
+        smallest = float(np.spacing(np.min(np.abs(self._w0))))
+        return _NORMAL_BOUND * spec.teacher_drift < smallest / 4.0
+
     def batch(self, t: int) -> EditBatch:
         """Batch for timestamp t (1-based)."""
         spec = self.spec
@@ -406,9 +426,8 @@ class EditStream:
         it pays and is safe: on Linux, with at least 2 CPUs in this process's
         affinity mask, with no other live thread (forking a multi-threaded
         process can deadlock), and when the batches from the current block
-        on hold at least ``_AHEAD_VALUES`` generated values.  The child
-        moves itself off the caller's CPU (``lapack.move_off``).  Leaving
-        the context, by any path, ends and reaps the child.
+        on hold at least ``_AHEAD_VALUES`` generated values.  Leaving the
+        context, by any path, ends and reaps the child.
         """
         spec = self.spec
         first = self._block_first + self._block_size if self._block else 1
@@ -460,7 +479,7 @@ class _Ahead:
         self._ring = mmap.mmap(-1, 2 * 8 * self._slot)
         self._values = np.frombuffer(self._ring, dtype=np.float64)
         self._taken = 0
-        fds, cpu = [], lapack.current_cpu()
+        fds = []
         try:
             fds += os.pipe()
             fds += os.pipe()
@@ -472,7 +491,6 @@ class _Ahead:
         ready_r, ready_w, free_r, free_w = fds
         if pid == 0:  # the child; it never returns into the caller's stack
             try:
-                lapack.move_off(cpu)
                 os.close(ready_r)
                 os.close(free_w)
                 self._serve(ready_w, free_r)

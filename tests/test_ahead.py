@@ -244,22 +244,6 @@ class TestLifecycle:
         assert_no_child()
 
 
-class TestPlacement:
-    def test_child_runs_off_the_callers_cpu(self, forks, monkeypatch):
-        """The child takes the caller's mask less the caller's CPU; with one
-        CPU in the mask, as under ``taskset -c 0``, it keeps the mask."""
-        mask = os.sched_getaffinity(0)
-        cpu = max(mask)
-        monkeypatch.setattr(lapack, "current_cpu", lambda: cpu)
-        stream = EditStream(SPEC)
-        with stream.ahead():
-            stream.batch(1)  # the child's first block: it has placed itself
-            placed = os.sched_getaffinity(forks[0])
-        assert placed == (mask - {cpu} if len(mask) >= 2 else mask)
-        assert os.sched_getaffinity(0) == mask
-        assert_no_child()
-
-
 class TestChildFailure:
     def failing_blocks(self, monkeypatch):
         """Make block 3 (batches 73..108) raise; return the blocks this

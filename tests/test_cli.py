@@ -435,8 +435,9 @@ class TestKeyScaleOverflow:
     @pytest.mark.parametrize("command", ["simulate", "dbase"])
     def test_drift_that_rounds_away_floors_like_drift_0(self, tmp_path, capsys,
                                                         command):
-        """W0 + 1e-160 N rounds to W0, so the probe's residual U0 is exactly 0:
-        the stream is exact, and d_base floors at the smallest normal."""
+        """W0 + 1e-160 N rounds to W0 at every entry, so every batch's values
+        are W0 K1: the stream is exact, and d_base floors at the smallest
+        normal."""
         d_bases = []
         for drift in ("0", "1e-160"):
             cfg = write_config(tmp_path, with_value("stream.teacher_drift", drift,

@@ -52,6 +52,35 @@ class TestZeroEditStream:
         assert np.all(result.el_history == 0.0)
 
 
+class TestExactStream:
+    """The probe floors d_base only on a stream whose values are W0 K1 in
+    every batch, decided from W0 and the drift."""
+
+    @pytest.mark.parametrize("mode, drift, exact", [
+        ("planted-teacher", 0.0, True),
+        ("planted-teacher", 1e-160, True),
+        ("planted-teacher", 0.15, False),
+        ("random-target", 0.0, False),
+    ])
+    def test_exact(self, mode, drift, exact):
+        from lyapedit import EditStream
+
+        assert EditStream(small_spec(drift=drift, mode=mode))._exact() is exact
+
+    def test_the_bound_is_sound(self):
+        """Just below the bound every batch's residual U0 is exactly 0; at
+        it the stream is not called exact, wherever its wobbles round."""
+        from lyapedit import EditStream
+        from lyapedit.stream import _NORMAL_BOUND
+
+        w0 = EditStream(small_spec()).generate_preserved()[0]
+        bound = float(np.spacing(np.min(np.abs(w0)))) / 4.0 / _NORMAL_BOUND
+        below = EditStream(small_spec(drift=0.99 * bound))
+        assert below._exact()
+        assert not any(below.batch(t)._u0(w0).any() for t in range(1, 121))
+        assert not EditStream(small_spec(drift=bound))._exact()
+
+
 class TestRunInvariants:
     def test_queue_recomputation_matches_records(self):
         result = run(small_config(total=100))
@@ -145,25 +174,39 @@ class TestAbortPaths:
             steps = 4 if name == "z_history" else 3  # Z(1)..Z(4)
             assert np.array_equal(partial[name], getattr(full, name)[:steps]), name
 
-    def test_diverging_delta_aborts(self, monkeypatch):
+    @staticmethod
+    def diverging_run(monkeypatch, editor):
+        """Run ``editor`` with every step's edit made infinite; the step at
+        which the run aborts."""
         import lyapedit.harness as harness
         from lyapedit.editors import SolveReport
 
         original = harness._solve_step
 
         def diverge(config, mem, backlog, batch, params, z, carry):
-            # A lyaplock path carries D' alone: the solve leaves a
-            # non-finite D' there, and the step reads its losses from it.
-            _, w_new = original(config, mem, backlog, batch, params, z, carry)
+            original(config, mem, backlog, batch, params, z, carry)
             delta = np.full_like(carry.d, np.inf)
-            carry.d = carry.d + delta
+            if editor == "edit-only":
+                w_new = mem.w + delta
+            else:
+                carry.d, w_new = carry.d + delta, None
             return SolveReport(delta=delta, residual=0.0, ridge_applied=0.0,
                                condition_estimate=1.0), w_new
 
         monkeypatch.setattr(harness, "_solve_step", diverge)
         with pytest.raises(RunAborted) as err:
-            harness.run(small_config(total=10))
-        assert err.value.step == 1
+            harness.run(small_config(editor=editor, total=10))
+        return err.value.step
+
+    def test_diverging_delta_aborts(self, monkeypatch):
+        """A lyaplock path carries D' alone: a non-finite D' makes the
+        step's PL <E0, D'> non-finite."""
+        assert self.diverging_run(monkeypatch, "lyaplock") == 1
+
+    def test_diverging_edit_only_weights_abort(self, monkeypatch):
+        """Edit-only moves its memory to W + delta, whose finiteness check
+        rejects a non-finite one."""
+        assert self.diverging_run(monkeypatch, "edit-only") == 1
 
 
 class TestSolveDiagnostics:

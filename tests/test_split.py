@@ -8,7 +8,6 @@ reads, so they mean the same on a host with one CPU.
 """
 from __future__ import annotations
 
-import os
 import threading
 import warnings
 from pathlib import Path
@@ -158,22 +157,3 @@ class TestWorkerHalf:
             lapack.in_two(fail, lambda: ran.append("second"))
         assert ran == ["second"]
         assert len(starts) == 1
-
-    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
-                        reason="no CPU affinity on this platform")
-    def test_runs_off_the_callers_cpu(self, starts, monkeypatch):
-        """The worker takes the caller's mask less the caller's CPU; with one
-        CPU in the mask, as under ``taskset -c 0``, it keeps the mask."""
-        mask = os.sched_getaffinity(0)
-        cpu = max(mask)
-        monkeypatch.setattr(lapack, "current_cpu", lambda: cpu)
-        placed = []
-        lapack.in_two(lambda: placed.append(os.sched_getaffinity(0)), lambda: None)
-        assert placed == [mask - {cpu} if len(mask) >= 2 else mask]
-        assert os.sched_getaffinity(0) == mask
-        assert len(starts) == 1
-
-    def test_current_cpu_is_in_the_mask(self):
-        cpu = lapack.current_cpu()
-        if hasattr(os, "sched_getaffinity") and cpu is not None:
-            assert cpu in os.sched_getaffinity(0)
