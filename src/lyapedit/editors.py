@@ -35,9 +35,9 @@ at the absolute weights and carries D' only for the losses.
 Each solver takes an optional :class:`Carry`, which holds what a step loop
 keeps from step to step: the products E0 = D K0K0^T and Ep = D KpKp^T
 instead of recomputing them, D' K1 for the absorb, W' K1 - V1 for the
-editing loss, lyaplock's last residual, the last kept factor, and D'
-itself.  A solve leaves it at the post-edit deviation D'; with a carry,
-the preserving solves read D from it and not ``mem.w``.  Without a carry,
+editing loss, the last kept factor, and D' itself.  A solve leaves it at
+the post-edit deviation D'; with a carry, the preserving solves read D
+from it and not ``mem.w``.  Without a carry,
 the solver seeds one from ``mem``, at D = W - W0, and the backlog and
 forms the products densely, as a one-shot caller needs; with one, it is
 the step of a loop.  While the backlog Gram is empty, as on the probe and
@@ -50,22 +50,23 @@ then assembled in that buffer: it is negated, az E0 and v Ep are added by
 ``axpy`` and the batch term v (D' K1) K1^T by one ``gemm``.  An attempt
 after the first rebuilds RHS_D there; baseline's, whose E0 at D the first
 attempt moved, forms it densely as D K0K0^T.  A step thus holds RHS_D,
-the edit and D' beside the carry, and no copy of C.
+the edit and D' beside the carry, lyaplock's remainder too, and no copy
+of C.
 
-Carried residuals.  Lyaplock's target is U K1^T plus the remainder
-v (B - Ep) - az E0, with U = v (U0 - D K1), and that remainder is never
-assembled from the products.  After a step solves with az' and its batch is
-absorbed, KpKp^T and B have grown by that batch's K1 K1^T and U0 K1^T, so
-the next remainder is exactly
--(az - az') E0 + (v - v') (B - Ep) - R, where
-R = D' C - RHS_D is the residual matrix that step's check built with az'
-and v'.  The carry keeps R, az' and v'; each weight's term is formed only
-when that weight changed, so on a step at the queue floor the remainder is
--R, round-off.  A fresh carry seeds R = 0 and az' = v' = 0, which gives the
-remainder as it is written above: at the original weights against an
-empty backlog, exactly 0.  The residual check of every step judges the
-result, so an error in R cannot pass unseen: the step it enters misses
-``RESIDUAL_TARGET`` and is ridged.
+Lyaplock's remainder.  Lyaplock's target is U K1^T plus the remainder
+v B - v Ep - az E0, with U = v (U0 - D K1), formed from the carried
+products and the backlog's B on every step, by one multiply and an
+``axpy`` per product; the Ep term only while the backlog Gram is
+non-empty.  At step 1 it is exactly 0.  On a step at the same az and v as
+the last, as at the queue floor, it is round-off: the last step's batch,
+now absorbed, added its K1 K1^T and U0 K1^T to the backlog and
+(D' K1) K1^T to Ep, so the remainder is minus that step's residual
+D' C - RHS_D, which the residual check held to the round-off of its solve,
+and the direct form adds a few ulps of v B, v Ep and az E0.  So the
+rank-n rule below reads it as round-off there.  An error in a carried
+product enters the target, and the residual check, which reads the
+products once the Freivalds check or a dense recompute has put them at
+D', finds the miss: the step is ridged.
 
 Baseline's corner.  Baseline, the MEMIT-style batch update, solves
 lyaplock's system at v = az = 1, with the preservation term anchored at
@@ -73,8 +74,8 @@ the current weights and no backlog: its right-hand side holds the carried
 E0 = D K0K0^T where lyaplock's holds none, so the remainder is exactly 0,
 and the backlog is left out of C, of the RHS and of D' C.  Its target is
 U K1^T, C = K0K0^T + K1K1^T and RHS_D = E0 + U0 K1^T.  Both editors make
-one private solve; in the corner it leaves the carry's R, az' and v' as
-they were and moves E0, Ep, D' K1, D' and the kept factor as for lyaplock.
+one private solve; in the corner it moves E0, Ep, D' K1, D' and the
+kept factor as for lyaplock.
 
 Rank-n steps.  A step's perturbation has the form delta = U X^T whenever
 its target is U K1^T for the n keys K1 of the batch: then C X = K1 is a
@@ -82,13 +83,13 @@ solve for n columns, not d1, and the products follow by rank-n updates,
 E0 += U (K0K0^T X)^T and Ep += U (KpKp^T X)^T, each one in-place BLAS
 ``gemm``.  No dense d1 x d0^2 product is formed.  The target is exactly
 U K1^T for baseline and edit-only on every step, and for lyaplock when its
-remainder is 0 or -R.  The preserving solve tries the rank-n form on the
-unridged factor when the remainder is 0 or at most ``SNAP_THRESHOLD``
-||RHS_D||, round-off and not signal; the rule reads only the step's own
-inputs.  Edit-only always has this form, ridged or not.  Where the
-remainder is exactly 0, as in baseline's corner, the target U K1^T is
-formed for the snap rule's norm and dropped, and formed again only if the
-full target is solved for.
+remainder is 0, and up to round-off when az and v did not change.  The
+preserving solve tries the rank-n form on the unridged factor when the
+remainder is 0 or at most ``SNAP_THRESHOLD`` ||RHS_D||, round-off and not
+signal; the rule reads only the step's own inputs.  Edit-only always has
+this form, ridged or not.  Where the remainder is exactly 0, as in
+baseline's corner, the target U K1^T is formed for the snap rule's norm
+and dropped, and formed again only if the full target is solved for.
 
 Norms are taken in one frame: ``nrm2`` of a RHS_D whose entries are
 finite can still overflow, and then every norm the solve compares with
@@ -306,11 +307,6 @@ class Carry:
     - ``dk1``: D' K1 for the step's batch, which the absorb of the batch
       reads, and ``fit``: W' K1 - V1, the post-edit residual on the batch,
       which the editing loss reads
-    - ``resid``, ``az`` and ``v``: the residual matrix D' C - RHS_D of the
-      last lyaplock solve, the buffer its RHS_D was formed in, and the az
-      and v it solved with, from which the next lyaplock target is formed
-      (see the module docstring); the next solve builds its target in
-      ``resid``.  The other editors leave them.
     - ``kept``: the last solve's unridged factor, or the preserved Gram's,
       and the batches absorbed since (see the module docstring)
     - ``freivalds``: the fixed vector z of the Freivalds check and
@@ -321,9 +317,6 @@ class Carry:
     ep: np.ndarray
     kp_gram: np.ndarray
     d: np.ndarray
-    resid: np.ndarray | None = None
-    az: float = 0.0
-    v: float = 0.0
     dk1: np.ndarray | None = None
     fit: np.ndarray | None = None
     kept: _Kept = field(default_factory=_Kept)
@@ -333,14 +326,12 @@ class Carry:
     def start(cls, mem: AssociativeMemory, backlog: BacklogAccumulator) -> "Carry":
         """At the original weights ``mem.w0`` against the empty ``backlog``.
 
-        D, E0, Ep and R are zeros, so the first lyaplock target's remainder
-        is exactly 0 whatever its az and v.  ``np.zeros`` pages in no memory
-        until it is written, so R costs nothing resident for an editor that
-        never writes it, and Ep nothing until the first absorb.
+        D, E0 and Ep are zeros.  ``np.zeros`` pages in no memory until it is
+        written, so Ep costs nothing resident until the first absorb.
         """
         shape = mem.w0.shape
         return cls(e0=np.zeros(shape), ep=np.zeros(shape), kp_gram=backlog.kp_gram,
-                   d=np.zeros(shape), resid=np.zeros(shape))
+                   d=np.zeros(shape))
 
     def absorbed(self, batch: EditBatch) -> None:
         """Carry D KpKp^T across the absorb of ``batch``: a rank-n update.
@@ -353,13 +344,13 @@ class Carry:
     def copy(self) -> "Carry":
         """A carry at the same weights whose solves leave this one as it is.
 
-        A solve updates ``e0``, ``ep``, ``resid`` and ``kept``'s pending
-        lists in place, so those are copied.  It replaces ``d``, ``dk1``,
-        ``fit`` and every array ``kept`` holds without writing them, ``kp_gram`` is the
+        A solve updates ``e0``, ``ep`` and ``kept``'s pending lists in
+        place, so those are copied.  It replaces ``d``, ``dk1``, ``fit`` and
+        every array ``kept`` holds without writing them, ``kp_gram`` is the
         one backlog Gram and ``freivalds`` is fixed, so those are shared.
         """
         return replace(self, e0=self.e0.copy(), ep=self.ep.copy(),
-                       resid=self.resid.copy(), kept=self.kept.copy())
+                       kept=self.kept.copy())
 
 
 def _mean_diagonal(matrix: np.ndarray) -> float:
@@ -574,20 +565,19 @@ def _normal_solve(d: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
                   rest, rhs: np.ndarray, residual_at, kept: _Kept):
     """Solve ``delta @ C = U K1^T + rest`` at the deviation ``d``.
 
-    Returns the report, ``D + delta`` and the residual matrix
-    ``(D + delta) @ C - RHS``, whose norm over ||RHS|| is the reported
-    residual.  The target U K1^T + rest is RHS - D @ C, assembled from
-    residual products by the caller; ``rest`` is None when it is exactly 0,
-    and the target is then formed for its norm, dropped, and formed again
+    Returns the report and ``D + delta``.  The target U K1^T + rest is
+    RHS - D @ C, assembled from residual products by the caller; ``rest``
+    is None when it is exactly 0, and the target is then formed for its norm, dropped, and formed again
     only if the full target is solved for.
     ``system()`` assembles C as a new array, which is then factored in
     place; it is called only when a factorization is needed, and again for
     each ridged attempt.  ``rest`` is the caller's scratch, overwritten
     here.  ``rhs`` is read for its norm, the reference, before the first
     ``residual_at(d_new, x)``, which moves the caller's products to
-    ``d_new`` and returns ``d_new @ C - RHS``, assembled from them, in an
-    array the caller may reuse on its next call: by the rank-n update for
-    delta = U X^T, or densely when ``x`` is None.
+    ``d_new`` and returns ``d_new @ C - RHS``, assembled from them, whose
+    norm over ||RHS|| is the reported residual, in an array the caller may
+    reuse on its next call: by the rank-n update for delta = U X^T, or
+    densely when ``x`` is None.
 
     C is factored as it is, through its Fortran-ordered view, and only
     one of its triangles is read: it need not be exactly symmetric, and it
@@ -617,8 +607,7 @@ def _normal_solve(d: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
         snap = _target_norm(target, shift) <= SNAP_THRESHOLD * ref
 
     def checked(d_new, x):
-        resid = residual_at(d_new, x)
-        return _norm_in(resid, shift) / ref, resid
+        return _norm_in(residual_at(d_new, x), shift) / ref
 
     # Whether a kept attempt moved the products, so that only a dense
     # recompute puts them at the next candidate's weights.
@@ -629,20 +618,18 @@ def _normal_solve(d: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
             x, cond = solved
             delta = u @ x.T
             d_new = d + delta
-            residual, resid = checked(d_new, x)
+            residual = checked(d_new, x)
             if residual <= RESIDUAL_TARGET:
                 return SolveReport(delta=delta, residual=residual, ridge_applied=0.0,
-                                   condition_estimate=cond), d_new, resid
+                                   condition_estimate=cond), d_new
             moved = True
         kept.clear()
     c = system()
     if not np.isfinite(c).all():
         raise _assembly_overflowed()
     if snap:
-        residual, resid = checked(d, None)
-        return SolveReport(delta=np.zeros_like(d), residual=residual,
-                           ridge_applied=0.0,
-                           condition_estimate=float("nan")), d, resid
+        return SolveReport(delta=np.zeros_like(d), residual=checked(d, None),
+                           ridge_applied=0.0, condition_estimate=float("nan")), d
     last_cond = float("inf")
     for lam, factor, cond, unit in _ridge_attempts(c, system):
         last_cond = cond
@@ -653,7 +640,7 @@ def _normal_solve(d: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
             x = _cho_solve(factor, k1)
             delta = u @ x.T
             d_new = d + delta
-            residual, resid = checked(d_new, None if moved else x)
+            residual = checked(d_new, None if moved else x)
             if residual <= RESIDUAL_TARGET:
                 report = SolveReport(delta=delta, residual=residual,
                                      ridge_applied=lam, condition_estimate=cond)
@@ -662,14 +649,14 @@ def _normal_solve(d: np.ndarray, system, u: np.ndarray, k1: np.ndarray,
                 target = u @ k1.T
             delta = _cho_solve(factor, target.T).T
             d_new = d + delta
-            residual, resid = checked(d_new, None)
+            residual = checked(d_new, None)
             if not np.isfinite(residual) or (lam == 0.0 and residual > RESIDUAL_TARGET):
                 continue
             report = SolveReport(delta=delta, residual=residual, ridge_applied=lam,
                                  condition_estimate=cond)
         if lam == 0.0:
             kept.seed(factor, cond, unit)
-        return report, d_new, resid
+        return report, d_new
     raise SingularSystemError(
         f"normal-equation matrix is numerically singular "
         f"(condition estimate {last_cond:.3e}) after maximum ridge escalation",
@@ -718,8 +705,7 @@ def _preserving_solve(mem: AssociativeMemory, bk: BacklogAccumulator | None,
         d = mem.w - mem.w0
         kp_gram = np.zeros_like(mem.k0_gram) if bk is None else bk.kp_gram
         ep = np.zeros_like(d) if _empty(kp_gram) else d @ kp_gram
-        carry = Carry(e0=d @ mem.k0_gram, ep=ep, kp_gram=kp_gram, d=d,
-                      resid=np.zeros(d.shape))
+        carry = Carry(e0=d @ mem.k0_gram, ep=ep, kp_gram=kp_gram, d=d)
     d, e0, kept = carry.d, carry.e0, carry.kept
     # Ep, exactly 0 while the backlog Gram is empty, is then not read.
     backlog = not _empty(carry.kp_gram)
@@ -754,16 +740,11 @@ def _preserving_solve(mem: AssociativeMemory, bk: BacklogAccumulator | None,
         # Residual assembly: exact zeros survive, unlike rhs - d @ c.
         u = v_weight * (u0 - d @ k1)
         rest = None
-        if bk is not None:
-            # The remainder from the carried residual, in its buffer, plus a
-            # term for each weight that changed since R was built.
-            rest = np.negative(carry.resid, out=carry.resid)
-            if az != carry.az:  # not on a step at the floor
-                add_scaled(rest, carry.az - az, e0)
-            if v_weight != carry.v:
-                add_scaled(rest, v_weight - carry.v, cross)
-                if ep is not None:
-                    add_scaled(rest, carry.v - v_weight, ep)
+        if bk is not None:  # the remainder v (B - Ep) - az E0
+            rest = np.multiply(cross, v_weight)
+            if ep is not None:
+                add_scaled(rest, -v_weight, ep)
+            add_scaled(rest, -az, e0)
         holds_rhs = True
 
         def residual_at(d_new, x):
@@ -790,11 +771,8 @@ def _preserving_solve(mem: AssociativeMemory, bk: BacklogAccumulator | None,
             add_outer(c, k1, k1, v_weight)
             return c
 
-        report, carry.d, resid = _normal_solve(d, system, u, k1, rest, rhs,
-                                               residual_at, kept)
+        report, carry.d = _normal_solve(d, system, u, k1, rest, rhs, residual_at, kept)
     carry.fit = carry.dk1 - u0
-    if bk is not None:
-        carry.resid, carry.az, carry.v = resid, az, v_weight
     return report
 
 
@@ -813,10 +791,9 @@ def solve_lyaplock(mem: AssociativeMemory, bk: BacklogAccumulator,
     - carry: a step loop's :class:`Carry` at the deviation D, carried
       against ``bk.kp_gram``, whose D the solve reads in place of
       ``mem.w`` - ``mem.w0``, so ``mem.w`` is not read; the solve leaves
-      it at D' = D + delta, with this
-      solve's residual, ``az``, ``v_weight`` and kept factor.  Without one,
-      the solve seeds a carry with R = 0, az' = v' = 0 and no kept factor,
-      so the remainder is formed as it is written out.
+      it at D' = D + delta, with this solve's kept factor.  Without one,
+      the solve seeds a carry at D = ``mem.w`` - ``mem.w0``, with the
+      products formed densely and no kept factor.
 
     At an empty backlog and ``az`` = 1, C = K0K0^T + v_weight K1 K1^T, and
     the carry's kept factor is seeded with ``mem.k0_factor``, or cleared if

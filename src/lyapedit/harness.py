@@ -47,53 +47,52 @@ one member no split is made.
 
 A carry holds the products ``D K0K0^T`` and ``D KpKp^T`` of its path's
 deviation D = W - W0, the backlog Gram the latter is carried against, D
-itself, ``D' K1`` and the post-edit residual ``W' K1 - V1`` on the step's
-batch, and lyaplock's last residual matrix ``D' C - RHS_D`` with the az it
-solved with.  Each step calls the editor's public solver,
+itself, and ``D' K1`` and the post-edit residual ``W' K1 - V1`` on the
+step's batch.  Each step calls the editor's public solver,
 ``solve_lyaplock``, ``solve_baseline`` or ``solve_edit_only``, with the
-path's carry, and the solve leaves the carry at the post-edit deviation D';
-so the loop runs exactly what a one-shot caller runs.  A preserving path
-carries D' alone: its memory stays at W0, whose ``w`` the solves do not
-read, and its weights W0 + D are formed once, as the result's
+path's carry, and the solve leaves the carry at the post-edit deviation
+D'; so the loop runs exactly what a one-shot caller runs.  A preserving
+path carries D' alone: its memory stays at W0, whose ``w`` the solves do
+not read, and its weights W0 + D are formed once, as the result's
 ``w_final``.  A non-finite D' still aborts the step it appears in, since
 its PL <D K0K0^T, D> is then not finite.  Edit-only, which solves at the
 absolute weights, moves its path's memory to W + delta, with the memory's
 finiteness check, every step.  Baseline's solve is lyaplock's at
-v = a*Z = 1, anchored at the current weights and without the backlog, so
-it leaves the carry's residual and az as they were.  PL is the form
-<D K0K0^T, D>, BL reads ``D KpKp^T`` against the backlog's sums anchored
-at W0, EL reads the post-edit residual, and ``Carry.absorbed``, which the
-loop calls once per live path after the absorb, adds the rank-n term
-``(D' K1) K1^T`` to ``D KpKp^T``.  Lyaplock forms the part of its next
-target beyond the batch term from the residual: once the batch is
-absorbed, v (B - D KpKp^T) - az D K0K0^T, with B the backlog's sum of
-U0 K1^T, is exactly -(az - az') D K0K0^T minus that residual, and it is
-exactly 0 at step 1.  Whenever a step's edit is rank n (n = the batch size)
-the solve moves the products by rank-n updates instead of two dense
-d1 x d0^2 passes: on every baseline and edit-only step, and on a lyaplock
-step whose target part beyond the batch term is round-off, as it is
-whenever az did not change.  A Freivalds check after each rank-n update
-recomputes the products densely if they drift (see ``lyapedit.editors``).
-The carry also keeps its last solve's unridged factor: while a*Z and v
-hold, a lyaplock rank-n step solves by a Woodbury correction over the
-batches absorbed since, with no factorization, and its condition estimate
-is an upper estimate from the kept one.  Every solve at a*Z = 1 without a
-backlog seeds the carry's with the preserved Gram's factor: every path's
-step 1 at a*Z = 1, every baseline step and the probe, whose systems are
-K0K0^T with the step's batch pending.  A baseline step reseeds it each
-time, so its batches never join its next system.  A fork's carry copies
-the pending batches and shares the factors, so a path forked in such a
-stretch solves as it would alone.  The probe reads its PL from the
-``D' K0K0^T`` that its own solve left.
+v = a*Z = 1, anchored at the current weights and without the backlog.
+PL is the form <D K0K0^T, D>, BL reads ``D KpKp^T`` against the backlog's sums
+anchored at W0, EL reads the post-edit residual, and ``Carry.absorbed``,
+which the loop calls once per live path after the absorb, adds the rank-n
+term ``(D' K1) K1^T`` to ``D KpKp^T``.  Lyaplock forms the part of its
+target beyond the batch term, v (B - D KpKp^T) - az D K0K0^T with B the
+backlog's sum of U0 K1^T, from these products on every step; it is exactly
+0 at step 1, and round-off whenever a*Z did not change.  Whenever a step's
+edit is rank n (n = the batch size) the solve moves the products by rank-n
+updates instead of two dense d1 x d0^2 passes: on every baseline and
+edit-only step, and on a lyaplock step whose target part beyond the batch
+term is round-off, as it is whenever az did not change.  A Freivalds check
+after each rank-n update recomputes the products densely if they drift
+(see ``lyapedit.editors``).  The carry also keeps its last solve's
+unridged factor: while a*Z and v hold, a lyaplock rank-n step solves by a
+Woodbury correction over the batches absorbed since, with no
+factorization, and its condition estimate is an upper estimate from the
+kept one.  Every solve at a*Z = 1 without a backlog seeds the carry's with
+the preserved Gram's factor: every path's step 1 at a*Z = 1, every
+baseline step and the probe, whose systems are K0K0^T with the step's
+batch pending.  A baseline step reseeds it each time, so its batches never
+join its next system.  A fork's carry copies the pending batches and
+shares the factors, so a path forked in such a stretch solves as it would
+alone.  The probe reads its PL from the ``D' K0K0^T`` that its own solve
+left.
 
 A solve's working set is bounded (see ``lyapedit.editors``): it factors C
 in place and keeps no copy, drops baseline's target U K1^T once the snap
 rule has its norm, before C is formed, and forms it again only if the
 full target is solved for, leaves ``D KpKp^T`` untouched at 0 while the
 backlog is empty, and assembles its residual ``D' C - RHS_D`` in the
-buffer that held RHS_D.  So a kept step holds three d1 x d0 arrays beside
-the carry (RHS_D, the edit and D'), and the probe on a memory without the
-preserved Gram's factor also C.
+buffer that held RHS_D.  So a kept lyaplock step holds four d1 x d0
+arrays beside the carry's three (RHS_D, the remainder, the edit and D'),
+and the probe on a memory without the preserved Gram's factor holds the
+fresh carry's three, RHS_D, the edit, D', the empty backlog's Gram and C.
 """
 from __future__ import annotations
 
@@ -218,8 +217,8 @@ def estimate_d_base(stream: EditStream, mem: AssociativeMemory) -> float:
     """Preservation loss after one probe bi-objective edit of the first batch.
 
     The probe edits the original weights ``mem.w0``, whatever ``mem.w`` is,
-    starting from a carry at D = 0, and is then thrown away; only the
-    measured loss survives.  An exactly representable stream, one whose
+    starting from a carry at D = 0, which the solve reads in place of
+    ``mem.w``, and is then thrown away; only the measured loss survives.  An exactly representable stream, one whose
     values are exactly W0 K1 in every batch (a planted teacher at no drift,
     or at one that W0 + drift N rounds away at every entry), probes to a
     loss of 0, floored at the smallest positive normal so it still yields a
@@ -231,7 +230,7 @@ def estimate_d_base(stream: EditStream, mem: AssociativeMemory) -> float:
     """
     spec = stream.spec
     carry = Carry.start(mem, BacklogAccumulator.empty(mem.w0))
-    solve_baseline(replace(mem, w=mem.w0), stream.batch(1), carry)
+    solve_baseline(mem, stream.batch(1), carry)
     # The solve left D' and carry.e0 = D' K0K0^T, the product PL needs.
     pl = _psd_loss(carry.e0, carry.d)
     if math.isfinite(pl) and pl >= _D_BASE_FLOOR:

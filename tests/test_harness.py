@@ -715,57 +715,15 @@ class TestRankNSteps:
         u0 = batch.v1 - mem.w0 @ batch.k1
         return params.v_weight * (u0 @ batch.k1.T + backlog.u0kpt)
 
-    def test_carried_remainder_equals_the_explicit_one(self, monkeypatch):
-        """-(az - az') E0 - R is v (B - Ep) - az E0, with B the backlog's
-        sum of U0 K1^T.
+    @pytest.mark.parametrize("product", ["e0", "ep"])
+    def test_corrupted_carry_is_not_silent(self, monkeypatch, product):
+        """An error of 1e-6 ||RHS|| in a carried product ridges its step.
 
-        Checked on the carry each step starts from, and on the remainder the
-        solve then receives, both where a kept factor makes the first attempt
-        and where C is refactored.
-        """
-        from dataclasses import replace
-
-        import lyapedit.editors as editors
-        import lyapedit.harness as harness
-
-        config = replace(small_config(total=300), alpha=2.0)
-        gaps, explicit, received, az_values, kept = [], [], [], [], []
-        original_step, original_solve = harness._solve_step, editors._normal_solve
-
-        def step(config, mem, backlog, batch, params, weight, carry):
-            az, v = weight, params.v_weight
-            az_values.append(az)
-            scale = np.linalg.norm(self.rhs(mem, backlog, batch, params, weight))
-            # Read before the solve, which builds its target in carry.resid.
-            carried = -(az - carry.az) * carry.e0 - carry.resid
-            written = v * (backlog.u0kpt - carry.ep) - az * carry.e0
-            gaps.append(np.linalg.norm(carried - written) / scale)
-            explicit.append((written, scale))
-            return original_step(config, mem, backlog, batch, params, weight, carry)
-
-        def normal_solve(d, system, u, k1, rest, rhs_full, times_c, held=None):
-            if rest is not None:  # a lyaplock remainder; the probe passes None
-                received.append(rest.copy())
-                kept.append(held.factor is not None)
-            return original_solve(d, system, u, k1, rest, rhs_full, times_c, held)
-
-        monkeypatch.setattr(harness, "_solve_step", step)
-        monkeypatch.setattr(editors, "_normal_solve", normal_solve)
-        run(config)
-        assert len(gaps) == len(received) == config.stream.total_batches
-        changed = sum(a != b for a, b in zip(az_values, az_values[1:]))
-        assert 0 < changed < config.stream.total_batches - 1
-        assert 0 < sum(kept) < config.stream.total_batches
-        gaps += [np.linalg.norm(rest - written) / scale
-                 for rest, (written, scale) in zip(received, explicit)]
-        assert max(gaps) <= 1e-12
-
-    def test_corrupted_carry_is_not_silent(self, monkeypatch):
-        """An error of 1e-6 ||RHS|| in the carried residual ridges its step.
-
-        The residual check reads the products, not the carried residual, so
+        The target is formed from the products, so the step solves for the
+        wrong one.  The Freivalds check or the dense recompute puts the
+        products back at D', the residual check then reads the miss, and
         the step misses the residual target on its unridged attempts.  The
-        residual it carries on is its own, and the next step is ridge-free.
+        next step starts from correct products and is ridge-free.
         """
         from dataclasses import replace
 
@@ -786,7 +744,7 @@ class TestRankNSteps:
             def step(config, mem, backlog, batch, params, weight, carry):
                 calls.append(None)
                 if len(calls) == s:
-                    carry.resid[0, 0] += 1e-6 * np.linalg.norm(
+                    getattr(carry, product)[0, 0] += 1e-6 * np.linalg.norm(
                         self.rhs(mem, backlog, batch, params, weight))
                 return original(config, mem, backlog, batch, params, weight, carry)
 
@@ -979,9 +937,10 @@ class TestWorkingSet:
     tracemalloc counts every array allocated inside the traced call at its
     full size, ``np.zeros`` included.  At d0 = 256, d1 = 192 the system C is
     4/3 of a unit.  A kept lyaplock step holds the RHS buffer, which then
-    holds the residual, the edit and D' (3 units); the probe on a
-    ``new_memory`` memory adds the fresh carry's four zero arrays, the
-    empty backlog's Gram and C (about 9.8 units).
+    holds the residual, the remainder, which then holds the target, the
+    edit and D' (4 units) beside the carry's E0, Ep and D; the probe on a
+    ``new_memory`` memory adds the fresh carry's three zero arrays, the
+    empty backlog's Gram and C (about 8.8 units).
     """
 
     SPEC = StreamSpec(dims=Dims(d0=256, d1=192), n_per_batch=8, total_batches=4,
@@ -1005,11 +964,15 @@ class TestWorkingSet:
 
         original, potrf = harness._solve_step, editors._potrf
         steps, factored = [], []
+        shape = (self.SPEC.dims.d1, self.SPEC.dims.d0)
 
         def step(*args):
             before = len(factored)
             out, peak = self.traced(lambda: original(*args))
-            steps.append((peak, sum(factored[before:])))
+            # The d1 x d0 arrays the carry holds from step to step.
+            held = sum(isinstance(a, np.ndarray) and a.shape == shape
+                       for a in vars(args[-1]).values())
+            steps.append((held + peak, sum(factored[before:])))
             return out
 
         def recording(a, *args, **kwargs):
@@ -1022,7 +985,7 @@ class TestWorkingSet:
         # On the queue's floor every step is kept: from the preserved Gram's
         # factor, with no d0 x d0 system factored.
         assert [systems for _, systems in steps] == [0] * self.SPEC.total_batches
-        assert max(peak for peak, _ in steps) <= 3.5
+        assert max(total for total, _ in steps) <= 7.5
 
     @pytest.mark.parametrize("editor", ["baseline", "lyaplock"])
     @pytest.mark.parametrize("factor", [True, False])
@@ -1056,7 +1019,7 @@ class TestWorkingSet:
         stream.batch(1)  # the stream's block, made before the trace
         d_base, peak = self.traced(lambda: estimate_d_base(stream, mem))
         assert d_base > 0.0
-        assert peak <= 10.5
+        assert peak <= 9.5
 
 
 class TestKeptFactor:
