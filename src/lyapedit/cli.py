@@ -47,9 +47,6 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-# numpy loads numpy.random on first use; load it with the CLI, so that
-# ``verify``'s first draw does not pay for the import.
-import numpy.random  # noqa: F401
 
 from . import oracle
 from .errors import ConfigError, InputError, LyapeditError, RunAborted

@@ -22,10 +22,16 @@ from .controller import QueueParams
 from .errors import InputError, OracleFailure
 from .memory import (AssociativeMemory, BacklogAccumulator, Dims, EditBatch,
                      absorb, new_memory)
-from .stream import (SplitMix64, StreamSpec, derive_seed, load_matrix_file,
-                     save_matrix_file)
+from .stream import (_CHUNK_PAIRS, StreamSpec, _mix64, _normal_rows, _steps,
+                     derive_seed, load_matrix_file, save_matrix_file)
 
 _TINY = float(np.finfo(np.float64).tiny)
+# Sub-stream tags of the suite's instances: instance i of a check is drawn
+# from derive_seed(seed, tag, i).  The fuzz draws from derive_seed(seed, 0xF022).
+_TAG_NORMAL_EQUATIONS = 0xC4EC
+_TAG_OPTIMALITY = 0xC0F7
+_TAG_GRADIENT = 0xC6AD
+_TAG_ROUND_TRIP = 0xC4B1
 
 
 def _deviation(mem: AssociativeMemory, batch: EditBatch, delta: np.ndarray):
@@ -165,32 +171,58 @@ class FuzzReport:
         return self.violations == 0
 
 
+def _fuzz_uniforms(seed: int, samples: int):
+    """The fuzz's uniforms, in ``(4, m)`` chunks of ``_CHUNK_PAIRS`` samples.
+
+    Sample k of column r is word ``r * samples + k + 1`` of
+    ``SplitMix64(derive_seed(seed, 0xF022))``, so the chunks, joined along
+    their second axis, are that generator's ``uniform(4 * samples)``
+    reshaped to ``(4, samples)``, bit for bit.  Each chunk is written into
+    the buffer of the one before it.
+    """
+    state = np.uint64(derive_seed(seed, 0xF022))
+    draws = np.empty((4, min(samples, _CHUNK_PAIRS)))
+    for k0 in range(0, samples, _CHUNK_PAIRS):
+        m = min(_CHUNK_PAIRS, samples - k0)
+        for r in range(4):
+            words = state + _steps(r * samples + k0 + 1, m)
+            _mix64(words, np.empty_like(words))
+            np.multiply(words >> np.uint64(11), 2.0 ** -53, out=draws[r, :m])
+        del words  # not held while the caller checks the chunk
+        yield draws[:, :m]
+
+
+def _square_bound_violations(a, b, c, z) -> np.ndarray:
+    """Indices where (max(a + b - c, z))^2 exceeds its bound by more than the slack."""
+    lhs = np.maximum(a + b - c, z) ** 2
+    rhs = a * a + b * b + c * c + 2.0 * a * (b - c) + z * z
+    return np.flatnonzero(lhs - rhs - 1e-9 * (1.0 + rhs) > 0.0)
+
+
 def check_inequality_fuzz(samples: int, seed: int,
                           bounds: tuple[float, float] = (0.0, 10.0)) -> FuzzReport:
     """Fuzz the queue-update square bound on nonnegative quadruples.
 
     Checks (max(a + b - c, z))^2 <= a^2 + b^2 + c^2 + 2a(b - c) + z^2 for
     draws uniform over ``bounds`` in each coordinate, with absolute slack
-    1e-9 * (1 + RHS).
+    1e-9 * (1 + RHS).  The draws are made and checked in chunks
+    (:func:`_fuzz_uniforms`), so memory stays bounded at any ``samples``.
     """
     if samples < 1:
         raise InputError(f"samples must be >= 1, got {samples}")
     lo, hi = bounds
     if not (0.0 <= lo < hi):
         raise InputError(f"bounds must satisfy 0 <= lo < hi, got {bounds}")
-    rng = SplitMix64(derive_seed(seed, 0xF022))
-    draws = lo + (hi - lo) * rng.uniform(4 * samples).reshape(4, samples)
-    a, b, c, z = draws
-    lhs = np.maximum(a + b - c, z) ** 2
-    rhs = a * a + b * b + c * c + 2.0 * a * (b - c) + z * z
-    excess = lhs - rhs - 1e-9 * (1.0 + rhs)
-    bad = np.flatnonzero(excess > 0.0)
-    counterexample = None
-    if bad.size:
-        first = int(bad[0])
-        counterexample = (float(a[first]), float(b[first]), float(c[first]),
-                          float(z[first]))
-    return FuzzReport(samples=samples, violations=int(bad.size),
+    violations, counterexample = 0, None
+    for draws in _fuzz_uniforms(seed, samples):
+        # lo + (hi - lo) * draws, in place.
+        draws *= hi - lo
+        draws += lo
+        bad = _square_bound_violations(*draws)
+        if bad.size and counterexample is None:
+            counterexample = tuple(float(x) for x in draws[:, bad[0]])
+        violations += int(bad.size)
+    return FuzzReport(samples=samples, violations=violations,
                       counterexample=counterexample)
 
 
@@ -287,53 +319,89 @@ def gradient_mismatch(cases) -> float:
     return worst
 
 
-def kvmx_round_trip_failures(count: int, rng, max_side: int) -> list[int]:
-    """Indices of ``count`` random matrices (sides 1..max_side) a KVMX file changes."""
+def kvmx_round_trip_failures(count: int, seed: int, max_side: int) -> list[int]:
+    """Indices of ``count`` random matrices (sides 1..max_side) a KVMX file changes.
+
+    Matrix i comes from sub-stream ``derive_seed(seed, _TAG_ROUND_TRIP, i)``:
+    its first two words give its sides, and the normals after them its
+    entries.  All sides are made in one pass and all entries in one
+    ``_normal_rows`` call.
+    """
+    seeds = np.array([derive_seed(seed, _TAG_ROUND_TRIP, i) for i in range(count)],
+                     dtype=np.uint64)
+    words = seeds[:, None] + _steps(1, 2)
+    _mix64(words, np.empty_like(words))
+    sides = 1 + words % np.uint64(max_side)
+    entries = _normal_rows(seeds, max_side * max_side, drawn=2)
     failures = []
     with tempfile.TemporaryDirectory() as tmpdir:
         path = Path(tmpdir) / "m.kvmx"
-        for i in range(count):
-            matrix = rng.standard_normal((rng.integers(1, max_side + 1),
-                                          rng.integers(1, max_side + 1)))
+        for i, ((rows, cols), row) in enumerate(zip(sides.tolist(), entries)):
+            matrix = row[:rows * cols].reshape(rows, cols)
             save_matrix_file(path, matrix)
             if not np.array_equal(load_matrix_file(path), matrix):
                 failures.append(i)
     return failures
 
 
+def _instances(seed: int, tag: int, d0: int, d1: int, n: int, m0: int,
+               absorbed: list[int], extra: tuple[int, int] = (0, 0)):
+    """Random instances ``(mem, bk, batch, x)`` of one check, one per entry of
+    ``absorbed``.
+
+    Instance i holds ``absorbed[i]`` backlog batches of two edits, and ``x``
+    is an ``extra``-shaped normal array.  Its normals are row i of one
+    ``_normal_rows`` call, from sub-stream ``derive_seed(seed, tag, i)``;
+    every row is drawn at the check's largest instance and sliced, in the
+    order W0, K0, K1, V1, x, then the backlog's keys and values.
+    """
+    shapes = [(d1, d0), (d0, m0), (d0, n), (d1, n), extra]
+    shapes += [(d0, 2), (d1, 2)] * max(absorbed)
+    ends = np.cumsum([r * c for r, c in shapes]).tolist()
+    draws = _normal_rows([derive_seed(seed, tag, i) for i in range(len(absorbed))],
+                         ends[-1])
+    for count, row in zip(absorbed, draws):
+        w0, k0, k1, v1, x, *backlog = (row[end - r * c:end].reshape(r, c)
+                                       for end, (r, c) in zip(ends, shapes))
+        mem = new_memory(w0, k0)
+        bk = BacklogAccumulator.empty(mem.w0)
+        for kp, vp in zip(backlog[0:2 * count:2], backlog[1:2 * count:2]):
+            absorb(bk, EditBatch(k1=kp, v1=vp))
+        yield mem, bk, EditBatch(k1=k1, v1=v1), x
+
+
 def suite(seed: int):
     """``(name, check)`` pairs in report order; each check returns ``(passed, detail)``.
 
-    Every random instance comes from one generator seeded by ``seed``.
+    Every random instance comes from the package's own SplitMix64: each check
+    draws from sub-streams of its own tag (:func:`_instances`,
+    :func:`kvmx_round_trip_failures`, :func:`check_inequality_fuzz`), so a
+    check's instances depend on ``seed`` alone, not on which checks ran
+    before it.
     """
-    rng = np.random.default_rng(seed)
-
-    def instance(d0, d1, n, m0, absorbed):
-        mem = new_memory(rng.standard_normal((d1, d0)), rng.standard_normal((d0, m0)))
-        bk = BacklogAccumulator.empty(mem.w0)
-        for _ in range(absorbed):
-            absorb(bk, EditBatch(k1=rng.standard_normal((d0, 2)),
-                                 v1=rng.standard_normal((d1, 2))))
-        return mem, bk, EditBatch(k1=rng.standard_normal((d0, n)),
-                                  v1=rng.standard_normal((d1, n)))
 
     def check_fuzz():
         report = check_inequality_fuzz(100_000, seed)
         return report.passed, f"{report.samples} samples, {report.violations} violations"
 
     def check_normal_equations():
-        worst, _ = closed_form_errors(instance(6, 4, 3, 24, i % 3) + (0.5 + i * 0.1,)
-                                      for i in range(25))
+        instances = _instances(seed, _TAG_NORMAL_EQUATIONS, 6, 4, 3, 24,
+                               [i % 3 for i in range(25)])
+        worst, _ = closed_form_errors((mem, bk, batch, 0.5 + i * 0.1)
+                                      for i, (mem, bk, batch, _) in enumerate(instances))
         return worst <= 1e-8, f"worst relative residual {worst:.3e}"
 
     def check_optimality():
-        _, worst = closed_form_errors((instance(5, 4, 2, 20, i % 2) + (1.0,)
-                                       for i in range(10)), cg_steps=2000)
+        instances = _instances(seed, _TAG_OPTIMALITY, 5, 4, 2, 20,
+                               [i % 2 for i in range(10)])
+        _, worst = closed_form_errors(((mem, bk, batch, 1.0)
+                                       for mem, bk, batch, _ in instances), cg_steps=2000)
         return worst <= 1e-6, f"worst objective excess {worst:.3e}"
 
     def check_gradient():
-        worst = gradient_mismatch(inst + (0.7, rng.standard_normal((4, 3)) * 0.1)
-                                  for inst in (instance(3, 4, 2, 12, 1) for _ in range(5)))
+        instances = _instances(seed, _TAG_GRADIENT, 3, 4, 2, 12, [1] * 5, extra=(4, 3))
+        worst = gradient_mismatch((mem, bk, batch, 0.7, x * 0.1)
+                                  for mem, bk, batch, x in instances)
         return worst <= 1e-5, f"worst gradient mismatch {worst:.3e}"
 
     def check_sufficiency():
@@ -348,7 +416,7 @@ def suite(seed: int):
             f"avg_pl={report.measured_avg_pl:.6g} <= bound={report.implied_bound:.6g}")
 
     def check_round_trip():
-        failures = kvmx_round_trip_failures(50, rng, max_side=8)
+        failures = kvmx_round_trip_failures(50, seed, max_side=8)
         return not failures, (f"round trip {failures[0]} diverged" if failures
                               else "50 random matrices bit-exact")
 

@@ -117,7 +117,7 @@ def _normal_rows(seeds, n: int, drawn: int = 0) -> np.ndarray:
     rows = seeds.size
     out = np.empty((rows, 2 * pairs))
     width = max(1, min(pairs, _CHUNK_PAIRS))
-    height = min(rows, _CHUNK_PAIRS // width)
+    height = max(1, min(rows, _CHUNK_PAIRS // width))
     # Word k of a row is mix(seed + k * GOLDEN); a pass adds its first k's
     # term to the seeds and the terms of 0 .. width - 1 to that.
     offsets = _steps(0, width)

@@ -30,8 +30,8 @@ def test_verify_measure_and_trace_pass(perfbench):
     for result in (child.measure(verify, seed), traced):
         assert result["errors"] == []
         assert result["failed"] == 0
-    assert traced["metrics"]["oracle.objective.calls"] == 191
-    assert traced["metrics"]["oracle.gradient.calls"] == 116
+    assert traced["metrics"]["oracle.objective.calls"] == 192
+    assert traced["metrics"]["oracle.gradient.calls"] == 117
     # The oracle's 35 solves and the 300 steps of its telescoped-bound run,
     # whose probe is the one baseline solve.
     assert traced["metrics"]["editors.lyaplock.calls"] == 35 + 300

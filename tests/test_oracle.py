@@ -1,6 +1,9 @@
 """Independent verifiers: residuals, conjugate gradient, fuzzing, queue bounds."""
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from lyapedit import (
     Dims,
     RunConfig,
     StreamSpec,
+    harness,
     oracle,
     run,
     solve_lyaplock,
@@ -23,6 +27,7 @@ from lyapedit.oracle import (
     quadratic_objective,
     verify_normal_equations,
 )
+from lyapedit.stream import _CHUNK_PAIRS, SplitMix64, derive_seed
 
 from conftest import build_instance
 
@@ -192,6 +197,63 @@ class TestInequalityFuzz:
         with pytest.raises(InputError):
             check_inequality_fuzz(0, seed=1)
 
+    @staticmethod
+    def one_shot_draws(samples, seed):
+        return SplitMix64(derive_seed(seed, 0xF022)).uniform(4 * samples).reshape(
+            4, samples)
+
+    @classmethod
+    def one_shot_fuzz(cls, samples, seed, bounds=(0.0, 10.0)):
+        """The fuzz with all its draws made at once."""
+        lo, hi = bounds
+        a, b, c, z = lo + (hi - lo) * cls.one_shot_draws(samples, seed)
+        lhs = np.maximum(a + b - c, z) ** 2
+        rhs = a * a + b * b + c * c + 2.0 * a * (b - c) + z * z
+        bad = np.flatnonzero(lhs - rhs - 1e-9 * (1.0 + rhs) > 0.0)
+        counterexample = None
+        if bad.size:
+            first = int(bad[0])
+            counterexample = (float(a[first]), float(b[first]), float(c[first]),
+                              float(z[first]))
+        return oracle.FuzzReport(samples=samples, violations=int(bad.size),
+                                 counterexample=counterexample)
+
+    @pytest.mark.parametrize("samples", [1, _CHUNK_PAIRS - 1, _CHUNK_PAIRS,
+                                         _CHUNK_PAIRS + 1, 3 * _CHUNK_PAIRS + 7])
+    def test_chunks_are_the_one_shot_draws(self, samples):
+        # Each chunk is written into the last one's buffer, so keep copies.
+        chunks = [chunk.copy() for chunk in oracle._fuzz_uniforms(188, samples)]
+        assert len(chunks) == -(-samples // _CHUNK_PAIRS)
+        joined = np.concatenate(chunks, axis=1)
+        assert joined.tobytes() == self.one_shot_draws(samples, 188).tobytes()
+        for bounds in ((0.0, 10.0), (0.0, 1e-12), (2.0, 3.0)):
+            assert (check_inequality_fuzz(samples, 188, bounds)
+                    == self.one_shot_fuzz(samples, 188, bounds))
+
+    def test_violations_count_across_chunks(self, monkeypatch):
+        # A stricter predicate, so that there are violations to count.
+        def above(a, b, c, z):
+            return np.flatnonzero(a > 9.999)
+
+        samples = 3 * _CHUNK_PAIRS + 7
+        monkeypatch.setattr(oracle, "_square_bound_violations", above)
+        report = check_inequality_fuzz(samples, 188)
+        draws = 10.0 * self.one_shot_draws(samples, 188)
+        bad = np.flatnonzero(draws[0] > 9.999)
+        assert bad.size > 1
+        assert report.violations == bad.size
+        assert report.counterexample == tuple(float(x) for x in draws[:, bad[0]])
+
+    def test_memory_is_bounded(self):
+        check_inequality_fuzz(100_000, 188)
+        tracemalloc.start()
+        try:
+            check_inequality_fuzz(100_000, 188)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2 ** 20
+
 
 class TestSufficiency:
     def _short_run(self, editor="lyaplock", total=200):
@@ -242,3 +304,62 @@ class TestSufficiency:
         params = derive_params(4.0, 1.0)
         with pytest.raises(InputError):
             check_sufficiency_empirical(np.ones(5), np.ones(5), params)
+
+
+class TestSuite:
+    @staticmethod
+    def results(checks):
+        return [(name, *check()) for name, check in checks]
+
+    @pytest.mark.parametrize("seed", [7, 188])
+    def test_checks_do_not_depend_on_order(self, seed):
+        in_order = self.results(oracle.suite(seed))
+        assert self.results(reversed(oracle.suite(seed)))[::-1] == in_order
+        # Each check alone, from a fresh suite.
+        alone = [(name, *dict(oracle.suite(seed))[name]()) for name, _, _ in in_order]
+        assert alone == in_order
+
+    def test_verify_never_imports_numpy_random(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import lyapedit
+
+        src = str(Path(lyapedit.__file__).resolve().parent.parent)
+        probe = ("import contextlib, io, sys\n"
+                 "import lyapedit.cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 "    code = lyapedit.cli.main(['verify', '--seed', '188'])\n"
+                 "print(code, 'numpy.random' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", probe],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=True)
+        assert done.stdout.split() == ["0", "False"]
+
+    def test_scaled_solve_fails_normal_equations(self, monkeypatch):
+        real = harness.solve_lyaplock
+
+        def scaled(*args, **kwargs):
+            report = real(*args, **kwargs)
+            return dataclasses.replace(report, delta=report.delta * (1 + 1e-6))
+
+        monkeypatch.setattr(harness, "solve_lyaplock", scaled)
+        passed, detail = dict(oracle.suite(188))["normal-equations"]()
+        assert not passed, detail
+
+    def test_one_flipped_bit_fails_the_round_trip(self, monkeypatch):
+        real, loads = oracle.load_matrix_file, []
+
+        def flipping(path):
+            matrix = real(path)
+            loads.append(None)
+            if len(loads) == 17:
+                matrix.view(np.uint64)[0, 0] ^= np.uint64(1)
+            return matrix
+
+        monkeypatch.setattr(oracle, "load_matrix_file", flipping)
+        passed, detail = dict(oracle.suite(188))["kvmx-round-trip"]()
+        assert not passed
+        assert detail == "round trip 16 diverged"

@@ -438,8 +438,9 @@ class TestKvmxFormat:
         assert back.shape == (3, 2)
         assert np.array_equal(back, matrix)
 
-    def test_many_random_round_trips(self, rng):
-        assert kvmx_round_trip_failures(200, rng, max_side=11) == []
+    def test_many_random_round_trips(self):
+        assert kvmx_round_trip_failures(200, 0xED17, max_side=11) == []
+        assert kvmx_round_trip_failures(0, 0xED17, max_side=11) == []
 
     def test_complex_matrix_is_refused_before_writing(self, tmp_path):
         path = tmp_path / "c.kvmx"
