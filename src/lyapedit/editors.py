@@ -123,9 +123,9 @@ factor and falls through to the ridge ladder, which recomputes the products
 densely if the kept attempt moved them; the ladder's unridged factor, if
 it solves the step, is kept in turn.
 
-The preserved Gram's factor.  A memory built by
-``EditStream.preserved_memory`` carries the unridged factor of K0K0^T that
-the stream's check made (``mem.k0_factor``, from :func:`_factor_gram`).
+The preserved Gram's factor.  A memory built by ``memory.new_memory``
+carries the unridged factor of K0K0^T that it made when it formed the Gram
+(``mem.k0_factor``, from ``lapack._factor_gram``).
 At az = 1 and without a backlog, C is K0K0^T + v K1K1^T, that is
 C(s) = K0K0^T with the step's batch pending.  So whenever az = 1 and the
 system has no backlog, the solve seeds the carry's kept factor from it, or
@@ -134,8 +134,9 @@ baseline call, the probe included, so a baseline batch never joins its own
 next system, and on lyaplock's steps at an empty backlog, which with the
 queue floored at exactly 1 is every path's step 1; lyaplock's stretch then
 goes on as above.  Its estimate is pocon's for K0K0^T times
-1 + v ||K1||_F^2 / (tr(K0K0^T)/d0).  A memory without it, as
-``new_memory`` builds, factors C on those steps.
+1 + v ||K1||_F^2 / (tr(K0K0^T)/d0).  A memory without it, as ``new_memory``
+builds where the Gram is not positive definite, its mean diagonal is
+subnormal or its trace overflows, factors C on those steps.
 """
 from __future__ import annotations
 
@@ -146,7 +147,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatchError, InputError, SingularSystemError
-from .lapack import _lange, _norm, _pocon, _potrf, _potrs, add_outer, add_scaled
+from .lapack import (_TINY, _condition, _even_shift, _lange, _mean_diagonal, _norm,
+                     _potrf, _potrs, add_outer, add_scaled)
 from .memory import AssociativeMemory, BacklogAccumulator, EditBatch
 
 RIDGE_LADDER = (1e-10, 1e-8, 1e-6)
@@ -160,7 +162,6 @@ SNAP_THRESHOLD = 1e-10
 # every editor at d0=64 the gap stayed below 7e-16, and the carried products
 # within 6e-15 of the dense ones.
 CARRY_TOLERANCE = 1e-12
-_TINY = float(np.finfo(np.float64).tiny)
 _NO_CORE = np.zeros((0, 0))
 
 
@@ -203,7 +204,7 @@ class _Kept:
 
     ``factor`` is (L, shift) from :func:`_ridge_attempts` for C(s), the
     system of the step s that factored it at ``v`` and ``az``, or from
-    :func:`_factor_gram` for C(s) = K0K0^T at az = 1, with pocon's
+    ``lapack._factor_gram`` for C(s) = K0K0^T at az = 1, with pocon's
     ``cond`` and ``unit`` = tr(C(s))/d0 * 2^-shift.  Each later step t adds
     its batch's v K_t K_t^T, so C(t) = C(s) + v K~ K~^T for the keys K~ of
     the batches since s, the step's own included.  ``keys`` holds those
@@ -353,24 +354,6 @@ class Carry:
                        kept=self.kept.copy())
 
 
-def _mean_diagonal(matrix: np.ndarray) -> float:
-    """tr(C)/dim, inf where the trace overflows."""
-    with np.errstate(over="ignore"):
-        return float(np.trace(matrix)) / matrix.shape[0]
-
-
-def _even_shift(scale: float) -> int:
-    """The even power of two that brings ``scale`` into [1/2, 2)."""
-    return 2 * (math.frexp(scale)[1] // 2)
-
-
-def _condition(factor: np.ndarray, anorm: float) -> float:
-    """pocon's estimate of the condition of the matrix whose Cholesky factor
-    is ``factor`` and whose 1-norm is ``anorm``; inf if it finds none."""
-    rcond, info = _pocon(factor, anorm, uplo="L")
-    return 1.0 / float(rcond) if info == 0 and rcond > 0.0 else float("inf")
-
-
 def _ridge_attempts(matrix: np.ndarray, rebuild):
     """Yield (lam, factor, condition_estimate, unit) over the ladder.
 
@@ -422,34 +405,6 @@ def _ridge_attempts(matrix: np.ndarray, rebuild):
             continue
         cond = _condition(factor, anorm)
         yield lam, ((factor, shift) if cond <= CONDITION_LIMIT else None), cond, scale * unit
-
-
-def _factor_gram(gram: np.ndarray, keep: bool):
-    """``potrf`` of a finite symmetric Gram, as the unridged rung of
-    :func:`_ridge_attempts` would factor it: (info, kept).
-
-    The Gram is factored on one scaled copy, by the same power of two, and
-    ``gram`` is left as it is.  ``info`` is ``potrf``'s, nonzero when the
-    Gram is not positive definite.  ``kept`` is None, or, with ``keep``,
-    (factor, cond, unit) for :meth:`_Kept.seed`: the factor (L, shift)
-    made read-only, pocon's estimate and tr(G)/dim * 2^-shift.  A Gram
-    whose mean diagonal is subnormal or whose trace overflows, which
-    ``_ridge_attempts`` would reject or scale by another rule, is checked
-    by ``potrf`` unscaled and keeps no factor; so does a failed one.
-    """
-    scale = _mean_diagonal(gram)
-    if not _TINY <= scale < math.inf:
-        _, info = _potrf(gram.T, lower=True, clean=False)
-        return info, None
-    shift = _even_shift(scale)
-    unit = math.ldexp(1.0, -shift)
-    scaled = np.multiply(gram, unit)
-    anorm = float(_lange("I", scaled.T)) if keep else None
-    factor, info = _potrf(scaled.T, lower=True, clean=False, overwrite_a=1)
-    if info != 0 or not keep:
-        return info, None
-    factor.flags.writeable = False
-    return 0, ((factor, shift), _condition(factor, anorm), scale * unit)
 
 
 def _cho_solve(factor, b: np.ndarray) -> np.ndarray:

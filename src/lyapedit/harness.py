@@ -14,9 +14,9 @@ step's update.
 
 Runs over one stream share one step loop.  ``run`` is its one-member case;
 ``compare`` and ``sweep_alpha`` step all their members together.  Set-up
-happens once: one stream, one preserved Gram (formed and checked by the
-stream, then kept by the memory with the check's unridged factor; the raw
-keys are dropped), one memory and one probe.  Set-up forms no d1 x d0^2
+happens once: one stream, one preserved Gram (formed and factored once by
+``new_memory``, which keeps both, and checked by the stream; the raw keys
+are dropped), one memory and one probe.  Set-up forms no d1 x d0^2
 product: the losses and solves work in deviation coordinates D = W - W0,
 where the preserved values V0 = W0 K0 drop out, and the probe and the first
 path start from D = 0.  Each batch is generated once per step, its residual
@@ -91,8 +91,9 @@ full target is solved for, leaves ``D KpKp^T`` untouched at 0 while the
 backlog is empty, and assembles its residual ``D' C - RHS_D`` in the
 buffer that held RHS_D.  So a kept lyaplock step holds four d1 x d0
 arrays beside the carry's three (RHS_D, the remainder, the edit and D'),
-and the probe on a memory without the preserved Gram's factor holds the
-fresh carry's three, RHS_D, the edit, D', the empty backlog's Gram and C.
+and the probe holds the fresh carry's three, RHS_D, the edit, D' and the
+empty backlog's Gram, and C too on a memory without the preserved Gram's
+factor.
 """
 from __future__ import annotations
 

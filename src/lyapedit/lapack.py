@@ -23,6 +23,10 @@ into Fortran order with a transpose.  A symmetric matrix is its own
 transpose, so callers hand ``potrf`` the Fortran-ordered view ``c.T``, and
 ``add_outer`` updates the view ``m.T`` in place.
 
+``_factor_gram`` factors a preserved Gram K0 K0^T as the solvers' unridged
+rung would, with the scale helpers it shares with ``editors._ridge_attempts``;
+``memory.new_memory`` keeps the factor it makes.
+
 ``in_two`` runs the two halves of one large dense kernel at once, one on a
 worker thread: numpy releases the interpreter lock inside its ufunc loops
 and BLAS calls, so the halves overlap on two cores.
@@ -32,6 +36,7 @@ from __future__ import annotations
 import contextvars
 import importlib.machinery
 import importlib.util
+import math
 import os
 import threading
 
@@ -59,6 +64,7 @@ _potrf, _potrs, _pocon = _flapack.dpotrf, _flapack.dpotrs, _flapack.dpocon
 _lange = _flapack.dlange
 _fblas = _load_compiled("_fblas")
 _nrm2, _gemm, _axpy = _fblas.dnrm2, _fblas.dgemm, _fblas.daxpy
+_TINY = float(np.finfo(np.float64).tiny)
 
 
 def _norm(x: np.ndarray) -> float:
@@ -96,6 +102,49 @@ def add_scaled(m: np.ndarray, alpha: float, x: np.ndarray) -> None:
         _axpy(x.ravel(), m.ravel(), a=alpha)
     else:
         m += alpha * x
+
+
+def _mean_diagonal(matrix: np.ndarray) -> float:
+    """tr(C)/dim, inf where the trace overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.trace(matrix)) / matrix.shape[0]
+
+
+def _even_shift(scale: float) -> int:
+    """The even power of two that brings ``scale`` into [1/2, 2)."""
+    return 2 * (math.frexp(scale)[1] // 2)
+
+
+def _condition(factor: np.ndarray, anorm: float) -> float:
+    """pocon's estimate of the condition of the matrix whose Cholesky factor
+    is ``factor`` and whose 1-norm is ``anorm``; inf if it finds none."""
+    rcond, info = _pocon(factor, anorm, uplo="L")
+    return 1.0 / float(rcond) if info == 0 and rcond > 0.0 else float("inf")
+
+
+def _factor_gram(gram: np.ndarray):
+    """The unridged Cholesky factor of a symmetric Gram, as the unridged rung
+    of ``editors._ridge_attempts`` would make it, or None.
+
+    The Gram is factored on one copy scaled by the same even power of two,
+    and ``gram`` is left as it is.  The result is (factor, cond, unit) for
+    ``editors._Kept.seed``: the factor (L, shift) made read-only, pocon's
+    estimate and tr(G)/dim * 2^-shift.  None where ``potrf`` finds the
+    Gram not positive definite, and, unfactored, where its mean diagonal is
+    subnormal or its trace overflows, which the ridge ladder would reject
+    or scale by another rule.
+    """
+    scale = _mean_diagonal(gram)
+    if not _TINY <= scale < math.inf:
+        return None
+    shift = _even_shift(scale)
+    scaled = np.multiply(gram, math.ldexp(1.0, -shift))
+    anorm = float(_lange("I", scaled.T))
+    factor, info = _potrf(scaled.T, lower=True, clean=False, overwrite_a=1)
+    if info != 0:
+        return None
+    factor.flags.writeable = False
+    return (factor, shift), _condition(factor, anorm), math.ldexp(scale, -shift)
 
 
 def _cpu_count() -> int:

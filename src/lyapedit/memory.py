@@ -26,7 +26,7 @@ from .errors import (
     NonFiniteError,
     NumericalInstabilityError,
 )
-from .lapack import add_outer, in_two
+from .lapack import _factor_gram, add_outer, in_two
 
 # Relative budget for harmless cancellation in the Gram-form backlog loss.
 CANCELLATION_GUARD = 1e-6
@@ -123,9 +123,9 @@ class AssociativeMemory:
 
     ``w`` is the current weight matrix; ``w0`` stays frozen at the original
     weights.  ``k0_gram`` is K0*K0^T; raw K0/V0 are not retained, since
-    V0 = W0*K0.  ``k0_factor`` is None or the unridged Cholesky factor of
-    K0*K0^T that the stream's check made, in the form
-    ``editors._factor_gram`` returns: the solvers start from it.
+    V0 = W0*K0.  ``k0_factor`` is the unridged Cholesky factor of K0*K0^T
+    that :func:`new_memory` made, in the form ``lapack._factor_gram``
+    returns, or None where it made none: the solvers start from it.
     """
 
     w: np.ndarray
@@ -175,7 +175,10 @@ def new_memory(w0, k0) -> AssociativeMemory:
 
     Only Gram products of ``k0`` are retained, so ``k0`` may have far more
     columns than d0.  Under this convention the preservation loss of ``w0``
-    itself is exactly zero.
+    itself is exactly zero.  The Gram K0*K0^T is formed once, and the
+    memory keeps its unridged factor as ``k0_factor``; that is None where
+    the Gram is not positive definite, its mean diagonal is subnormal or its
+    trace overflows.  Any finite ``k0`` is accepted.
     """
     w0 = _as_matrix("w0", w0)
     k0 = _as_matrix("k0", k0)
@@ -185,8 +188,10 @@ def new_memory(w0, k0) -> AssociativeMemory:
         )
     if k0.shape[1] < 1:
         raise InputError("k0 must contain at least one column")
-    return AssociativeMemory(w=w0, w0=w0, k0_gram=_preserved_gram(k0),
-                             dims=Dims(d0=w0.shape[1], d1=w0.shape[0]))
+    gram = _preserved_gram(k0)
+    return AssociativeMemory(w=w0, w0=w0, k0_gram=gram,
+                             dims=Dims(d0=w0.shape[1], d1=w0.shape[0]),
+                             k0_factor=_factor_gram(gram))
 
 
 def _split_row(rows: int) -> int:

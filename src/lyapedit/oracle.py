@@ -11,6 +11,7 @@ gate runs, on instances of its own, through the same check functions.
 """
 from __future__ import annotations
 
+import math
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -193,10 +194,14 @@ def _fuzz_uniforms(seed: int, samples: int):
 
 
 def _square_bound_violations(a, b, c, z) -> np.ndarray:
-    """Indices where (max(a + b - c, z))^2 exceeds its bound by more than the slack."""
-    lhs = np.maximum(a + b - c, z) ** 2
-    rhs = a * a + b * b + c * c + 2.0 * a * (b - c) + z * z
-    return np.flatnonzero(lhs - rhs - 1e-9 * (1.0 + rhs) > 0.0)
+    """Indices where (max(a + b - c, z))^2 exceeds its bound by more than the
+    slack, or where either side is not finite: an overflowed square checks
+    nothing."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        lhs = np.maximum(a + b - c, z) ** 2
+        rhs = a * a + b * b + c * c + 2.0 * a * (b - c) + z * z
+        held = lhs - rhs - 1e-9 * (1.0 + rhs) <= 0.0
+    return np.flatnonzero(~(held & np.isfinite(lhs) & np.isfinite(rhs)))
 
 
 def check_inequality_fuzz(samples: int, seed: int,
@@ -205,14 +210,15 @@ def check_inequality_fuzz(samples: int, seed: int,
 
     Checks (max(a + b - c, z))^2 <= a^2 + b^2 + c^2 + 2a(b - c) + z^2 for
     draws uniform over ``bounds`` in each coordinate, with absolute slack
-    1e-9 * (1 + RHS).  The draws are made and checked in chunks
+    1e-9 * (1 + RHS).  A sample whose either side is not finite counts as a
+    violation.  The draws are made and checked in chunks
     (:func:`_fuzz_uniforms`), so memory stays bounded at any ``samples``.
     """
     if samples < 1:
         raise InputError(f"samples must be >= 1, got {samples}")
     lo, hi = bounds
-    if not (0.0 <= lo < hi):
-        raise InputError(f"bounds must satisfy 0 <= lo < hi, got {bounds}")
+    if not (0.0 <= lo < hi < math.inf):
+        raise InputError(f"bounds must be finite and satisfy 0 <= lo < hi, got {bounds}")
     violations, counterexample = 0, None
     for draws in _fuzz_uniforms(seed, samples):
         # lo + (hi - lo) * draws, in place.
@@ -278,24 +284,31 @@ def check_sufficiency_empirical(pl_history, z_history,
 # --- the check suite -----------------------------------------------------------
 # Calls go through this module's globals, so a replacement made here sees them.
 
+def _worse(worst: float, value: float) -> float:
+    """The larger of the two, NaN if either is: ``max`` drops a NaN
+    ``value``, and a check would then pass over it."""
+    return float(np.maximum(worst, value))
+
+
 def closed_form_errors(instances, cg_steps: int | None = None) -> tuple[float, float]:
     """Worst normal-equation residual and worst relative objective excess.
 
     ``instances`` yields ``(mem, bk, batch, az)``, solved by ``solve_lyaplock``
     at unit edit weight.  The excess of the closed form over ``cg_steps`` CG
-    steps reads 0 when ``cg_steps`` is None.
+    steps reads 0 when ``cg_steps`` is None.  A NaN on any instance makes
+    its worst NaN, which fails every check that bounds it.
     """
     worst_residual = worst_excess = 0.0
     for mem, bk, batch, az in instances:
         # Looked up on harness per call, where a wrapper on the solver sees it.
         delta = harness.solve_lyaplock(mem, bk, batch, v_weight=1.0, az=az).delta
-        worst_residual = max(worst_residual, verify_normal_equations(
+        worst_residual = _worse(worst_residual, verify_normal_equations(
             mem, bk, batch, 1.0, az, delta))
         if cg_steps is not None:
             closed = quadratic_objective(mem, bk, batch, 1.0, az, delta)
             _, iterated = minimize_iteratively(mem, bk, batch, 1.0, az, steps=cg_steps)
-            worst_excess = max(worst_excess,
-                               (closed - iterated) / max(abs(iterated), _TINY))
+            worst_excess = _worse(worst_excess,
+                                  (closed - iterated) / max(abs(iterated), _TINY))
     return worst_residual, worst_excess
 
 
@@ -303,6 +316,7 @@ def gradient_mismatch(cases) -> float:
     """Worst ||g - fd|| / ||fd||, with fd by central differences of step 1e-6.
 
     ``cases`` yields ``(mem, bk, batch, az, delta)``; the edit weight is 1.
+    A NaN mismatch on any case makes the worst NaN.
     """
     eps = 1e-6
     worst = 0.0
@@ -315,7 +329,7 @@ def gradient_mismatch(cases) -> float:
             hi = quadratic_objective(mem, bk, batch, 1.0, az, delta + bump)
             lo = quadratic_objective(mem, bk, batch, 1.0, az, delta - bump)
             fd[idx] = (hi - lo) / (2 * eps)
-        worst = max(worst, float(np.linalg.norm(grad - fd) / np.linalg.norm(fd)))
+        worst = _worse(worst, float(np.linalg.norm(grad - fd) / np.linalg.norm(fd)))
     return worst
 
 

@@ -51,9 +51,8 @@ from .errors import (
     StreamExhausted,
 )
 from . import lapack
-from .editors import _factor_gram
 from .lapack import in_two
-from .memory import AssociativeMemory, Dims, EditBatch, _preserved_gram
+from .memory import AssociativeMemory, Dims, EditBatch, new_memory
 
 _U64_MASK = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -206,33 +205,6 @@ _BLOCK_VALUES = 1 << 17
 _AHEAD_VALUES = 1 << 20
 
 
-def _checked_gram(k0: np.ndarray, key_scale: float, keep: bool):
-    """The preserved Gram of ``k0``, checked finite and positive definite,
-    and with ``keep`` its unridged factor: (gram, factor or None).
-
-    Finiteness is tested first: ``potrf`` can factor an overflowed Gram
-    without complaint.  ``editors._factor_gram`` factors one scaled copy of
-    the Gram, as the solvers' unridged rung would, and with ``keep`` that
-    copy becomes the factor the memory carries.  The smallest eigenvalue
-    is computed only to report a rank deficiency.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = _preserved_gram(k0)
-    if not np.isfinite(gram).all():
-        raise GenerationError(
-            f"preserved key Gram K0 K0^T overflowed at key_scale={key_scale!r}; "
-            f"the keys are not representable in double precision"
-        )
-    info, factor = _factor_gram(gram, keep)
-    if info != 0:
-        smallest = float(np.linalg.eigvalsh(gram)[0])
-        raise GenerationError(
-            f"preserved keys are rank deficient (smallest Gram eigenvalue "
-            f"{smallest!r}); check key_scale, got {key_scale!r}"
-        )
-    return gram, factor
-
-
 @dataclass(frozen=True)
 class StreamSpec:
     """Full description of a synthetic edit stream; batches are a pure function of it."""
@@ -280,9 +252,9 @@ class EditStream:
     ``t`` inside it without generating again.  Inside :meth:`ahead` a block
     may have been made in a forked child; it is the same block.  Every
     batch's arrays are read-only, since repeated calls return the same
-    object.  Of the preserved set the stream keeps w0 and the checked Gram
-    K0 K0^T, and the factor of that check if :meth:`preserved_memory` made
-    it, never the raw d0 x m0 keys K0.
+    object.  Of the preserved set the stream keeps w0 alone: never the raw
+    d0 x m0 keys K0, nor their Gram K0 K0^T or its factor, which the
+    memory of :meth:`preserved_memory` holds.
     """
 
     def __init__(self, spec: StreamSpec):
@@ -291,9 +263,6 @@ class EditStream:
         # The last tag, 0, is the draw: one per stream.
         self._w0 = (SplitMix64(derive_seed(spec.seed, _TAG_W0, 0))
                     .matrix(d1, d0) / np.sqrt(d0))
-        self._k0_gram = self._k0_factor = None
-        # Whether the check keeps the Gram's factor: only for preserved_memory.
-        self._keep_factor = False
         # Normals generated per batch.
         self._per_batch = d0 * n
         if spec.value_mode == "random-target":
@@ -309,39 +278,46 @@ class EditStream:
         """Return (w0, k0): original weights and preserved keys.
 
         w0 entries are standard Gaussian scaled by 1/sqrt(d0); k0 columns are
-        standard Gaussian scaled by key_scale; each call draws k0 again.
-        The key Gram K0 K0^T is formed once and checked: it must be finite,
-        and one Cholesky factorization must find it positive definite.
-        Otherwise this raises GenerationError.  Such a failure comes from
-        key_scale (zero, or beyond the range of double precision), so a
-        fresh draw would not help and none is made.
-        :meth:`preserved_memory` reuses the Gram.  This call keeps no
-        factor of it.
+        standard Gaussian scaled by key_scale; each call draws k0 again.  It
+        only draws: :meth:`preserved_memory` builds the memory and checks it.
         """
         spec = self.spec
         k0 = SplitMix64(derive_seed(spec.seed, _TAG_K0, 0)).matrix(spec.dims.d0,
                                                                    spec.m0)
         k0 *= spec.key_scale
-        if self._k0_gram is None:
-            self._k0_gram, self._k0_factor = _checked_gram(k0, spec.key_scale,
-                                                           self._keep_factor)
         return self._w0, k0
 
     def preserved_memory(self) -> AssociativeMemory:
-        """The memory of ``generate_preserved()``, built on its checked Gram.
+        """``new_memory(*self.generate_preserved())``, checked.
 
-        If this call makes the check, the check's unridged factor of the
-        Gram is kept and the memory carries it as ``k0_factor``; after an
-        earlier ``generate_preserved()`` call the memory carries none.
+        The key Gram K0 K0^T must be finite and positive definite; otherwise
+        this raises GenerationError.  Such a failure comes from key_scale
+        (zero, or beyond the range of double precision), so a fresh draw
+        would not help and none is made.  Finiteness is tested first, on
+        every call: ``potrf`` can factor an overflowed Gram without
+        complaint.  A memory that kept the Gram's factor is positive
+        definite; only one that kept none is checked by ``potrf`` on the
+        unscaled Gram, and the smallest eigenvalue is computed only to
+        report a rank deficiency.
         """
-        if self._k0_gram is None:
-            self._keep_factor = True
+        key_scale = self.spec.key_scale
+        with np.errstate(over="ignore", invalid="ignore"):
+            w0, k0 = self.generate_preserved()
             try:
-                self.generate_preserved()
-            finally:
-                self._keep_factor = False
-        return AssociativeMemory(w=self._w0, w0=self._w0, k0_gram=self._k0_gram,
-                                 dims=self.spec.dims, k0_factor=self._k0_factor)
+                mem = new_memory(w0, k0)
+            except NonFiniteError:  # K0 itself overflowed
+                mem = None
+        if mem is None or not np.isfinite(mem.k0_gram).all():
+            raise GenerationError(
+                f"preserved key Gram K0 K0^T overflowed at key_scale={key_scale!r}; "
+                f"the keys are not representable in double precision")
+        gram = mem.k0_gram
+        if mem.k0_factor is None and lapack._potrf(gram.T, lower=True, clean=False)[1]:
+            raise GenerationError(
+                f"preserved keys are rank deficient (smallest Gram eigenvalue "
+                f"{float(np.linalg.eigvalsh(gram)[0])!r}); check key_scale, got "
+                f"{key_scale!r}")
+        return mem
 
     def _exact(self) -> bool:
         """Whether every batch's values are exactly W0 K1.

@@ -220,9 +220,8 @@ class TestSolveBaseline:
     def same_bits_as_lyaplock(spec):
         stream = EditStream(spec)
         with_factor = stream.preserved_memory()
-        plain = new_memory(*EditStream(spec).generate_preserved())
-        assert with_factor.k0_factor is not None and plain.k0_factor is None
-        for mem in (with_factor, plain):
+        assert with_factor.k0_factor is not None
+        for mem in (with_factor, replace(with_factor, k0_factor=None)):
             backlog = empty_backlog(mem)
             for t in range(1, spec.total_batches + 1):
                 batch = stream.batch(t)
@@ -437,6 +436,9 @@ class TestDirectLapack:
         cases = [make_instance(d0=d0, d1=d1, n=n, m0=4 * d0, absorbed=a, seed=s)
                  for s, (d0, d1, n, a) in enumerate(
                      [(4, 3, 2, 0), (6, 4, 3, 2), (9, 7, 5, 1), (16, 12, 8, 3)] * 3)]
+        # The wrappers' ladder makes every factor; none is kept to start from.
+        for inst in cases:
+            inst.mem = replace(inst.mem, k0_factor=None)
         bound = []
         for i, inst in enumerate(cases):
             az = 0.5 + 0.25 * i
@@ -580,15 +582,16 @@ class TestNativeLayout:
     @pytest.fixture
     def potrf_layouts(self, monkeypatch):
         """Whether each matrix handed to ``potrf`` was F-contiguous."""
-        seen = []
+        seen, potrf = [], lapack._potrf
 
         def recording(a, *args, **kwargs):
             seen.append(a.flags.f_contiguous)
-            return lapack._potrf(a, *args, **kwargs)
+            return potrf(a, *args, **kwargs)
 
-        # The stream's check of the preserved Gram factors it through
-        # editors._factor_gram, so this one name sees every call.
+        # The solvers call potrf by editors' name for it; new_memory's factor
+        # of the preserved Gram and the stream's check call lapack's.
         monkeypatch.setattr(editors, "_potrf", recording)
+        monkeypatch.setattr(lapack, "_potrf", recording)
         return seen
 
     @pytest.mark.parametrize("editor", ["lyaplock", "baseline", "edit-only"])
@@ -638,8 +641,8 @@ class TestNativeLayout:
 class TestKeptFactor:
     """Lyaplock steps at an unchanged (v, az) solve by the kept factor; every
     other step refactors C, and the next unridged factor is kept.  Step 1 at
-    az = 1 starts from the preserved Gram's factor, which the memory of
-    ``preserved_memory`` carries."""
+    az = 1 starts from the preserved Gram's factor, which a ``new_memory``
+    memory carries."""
 
     # cap = max(n, d0 // 4) = 4: two kept steps on the preserved Gram's
     # factor, a full cap, then a factored step and two kept steps.
@@ -747,12 +750,11 @@ class TestKeptFactor:
         assert carry.copy().kept.factor[0] is mem.k0_factor[0][0]
 
     def test_a_memory_without_the_factor_solves_as_the_ladder(self, refactors):
-        """``new_memory`` keeps no factor: its solves factor C, and match
-        the bits of a preserved memory with the factor dropped."""
+        """A memory without the factor factors C on every solve, with the
+        same bits whether ``new_memory`` or ``preserved_memory`` built it."""
         stream = EditStream(self.SPEC)
         with_factor = stream.preserved_memory()
-        plain = new_memory(*stream.generate_preserved())
-        assert plain.k0_factor is None
+        plain = replace(new_memory(*stream.generate_preserved()), k0_factor=None)
         assert plain.k0_gram.tobytes() == with_factor.k0_gram.tobytes()
         batch = stream.batch(1)
 

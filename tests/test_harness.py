@@ -434,7 +434,6 @@ class TestLockstep:
         from pathlib import Path
 
         import lyapedit.memory as memory
-        import lyapedit.stream as stream
         from lyapedit.cli import load_config
 
         config = load_config(Path(__file__).resolve().parent.parent
@@ -446,9 +445,8 @@ class TestLockstep:
             calls.append(k0.shape)
             return original(k0)
 
-        # The one construction site, under both names that bind it.
+        # The one construction site, which new_memory calls.
         monkeypatch.setattr(memory, "_preserved_gram", counting)
-        monkeypatch.setattr(stream, "_preserved_gram", counting)
         run(config)
         assert calls == [(16, 64)]
 
@@ -939,8 +937,9 @@ class TestWorkingSet:
     4/3 of a unit.  A kept lyaplock step holds the RHS buffer, which then
     holds the residual, the remainder, which then holds the target, the
     edit and D' (4 units) beside the carry's E0, Ep and D; the probe on a
-    ``new_memory`` memory adds the fresh carry's three zero arrays, the
-    empty backlog's Gram and C (about 8.8 units).
+    ``new_memory`` memory, which carries the preserved Gram's factor, adds
+    the fresh carry's three zero arrays and the empty backlog's Gram (about
+    7.5 units).
     """
 
     SPEC = StreamSpec(dims=Dims(d0=256, d1=192), n_per_batch=8, total_batches=4,
@@ -1019,7 +1018,27 @@ class TestWorkingSet:
         stream.batch(1)  # the stream's block, made before the trace
         d_base, peak = self.traced(lambda: estimate_d_base(stream, mem))
         assert d_base > 0.0
-        assert peak <= 9.5
+        assert peak <= 8.0
+
+    @pytest.mark.parametrize("acceptance", [False, True])
+    def test_set_up_probe_gives_the_runs_d_base(self, acceptance):
+        """A set-up of ``new_memory`` on the drawn preserved set and the probe
+        yields the run's d_base bit for bit: both probe on the factor of one
+        Gram.  The probe reads batch 1 only, so a short stream serves."""
+        from dataclasses import replace
+        from pathlib import Path
+
+        from lyapedit import EditStream, estimate_d_base, new_memory
+        from lyapedit.cli import load_config
+
+        spec = self.SPEC
+        if acceptance:
+            spec = load_config(Path(__file__).resolve().parent.parent / "configs"
+                               / "acceptance.cfg")["run"].stream
+        spec = replace(spec, total_batches=4)
+        stream = EditStream(spec)
+        d_base = estimate_d_base(stream, new_memory(*stream.generate_preserved()))
+        assert d_base == run(RunConfig(stream=spec, editor="lyaplock", alpha=60.0)).d_base
 
 
 class TestKeptFactor:
@@ -1081,20 +1100,22 @@ class TestKeptFactor:
         """d0 = 64, n = 2 and T = 8, so T n = d0 / 4: the preserved Gram's
         factor, with every batch since pending, serves each lyaplock step on
         the queue's floor, and a fresh one each baseline step and the probe.
-        The one d0 x d0 ``potrf`` is the stream's check of the Gram."""
+        The one d0 x d0 ``potrf`` is new_memory's factor of the Gram."""
         from lyapedit import lapack
         import lyapedit.editors as editors
 
         spec = StreamSpec(dims=Dims(d0=64, d1=48), n_per_batch=2, total_batches=8,
                           key_scale=1.0, value_mode="planted-teacher",
                           teacher_drift=0.1, seed=188, m0=256)
-        factored = []
+        factored, potrf = [], lapack._potrf
 
         def recording(a, *args, **kwargs):
             factored.append(a.shape[0])
-            return lapack._potrf(a, *args, **kwargs)
+            return potrf(a, *args, **kwargs)
 
+        # The solvers' name for potrf, and the one lapack._factor_gram calls.
         monkeypatch.setattr(editors, "_potrf", recording)
+        monkeypatch.setattr(lapack, "_potrf", recording)
         result = run(RunConfig(stream=spec, editor=editor, alpha=60.0))
         assert factored.count(64) == 1
         assert not result.ridge_history.any()

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -244,6 +245,32 @@ class TestInequalityFuzz:
         assert report.violations == bad.size
         assert report.counterexample == tuple(float(x) for x in draws[:, bad[0]])
 
+    @pytest.mark.parametrize("bounds", [(0.0, math.inf), (0.0, math.nan),
+                                        (math.nan, 1.0), (-math.inf, 1.0)])
+    def test_non_finite_bounds_rejected(self, bounds):
+        with pytest.raises(InputError, match="finite"):
+            check_inequality_fuzz(10, 188, bounds)
+
+    def test_overflowing_squares_are_violations(self):
+        """At (0, 1e308) every square overflows: no sample checks anything."""
+        report = check_inequality_fuzz(1000, 188, (0.0, 1e308))
+        assert report.violations == 1000
+        first = 1e308 * self.one_shot_draws(1000, 188)[:, 0]
+        assert report.counterexample == tuple(float(x) for x in first)
+
+    @pytest.mark.parametrize("seed", [0, 188])
+    def test_finite_sides_are_judged_as_before(self, seed):
+        """On finite sides the predicate is the plain comparison: the default
+        fuzz is the one-shot fuzz, and on normal draws, whose signs let the
+        bound fail, the violations are those of the comparison alone."""
+        assert check_inequality_fuzz(100_000, seed) == self.one_shot_fuzz(100_000, seed)
+        a, b, c, z = np.random.default_rng(seed).standard_normal((4, 1000))
+        lhs = np.maximum(a + b - c, z) ** 2
+        rhs = a * a + b * b + c * c + 2.0 * a * (b - c) + z * z
+        plain = np.flatnonzero(lhs - rhs - 1e-9 * (1.0 + rhs) > 0.0)
+        assert plain.size > 0
+        assert oracle._square_bound_violations(a, b, c, z).tolist() == plain.tolist()
+
     def test_memory_is_bounded(self):
         check_inequality_fuzz(100_000, 188)
         tracemalloc.start()
@@ -348,6 +375,29 @@ class TestSuite:
         monkeypatch.setattr(harness, "solve_lyaplock", scaled)
         passed, detail = dict(oracle.suite(188))["normal-equations"]()
         assert not passed, detail
+
+    @pytest.mark.parametrize("name,detail", [
+        ("normal-equations", "worst relative residual nan"),
+        ("closed-form-optimality", "worst objective excess nan")])
+    def test_nan_solve_fails(self, monkeypatch, name, detail):
+        real = harness.solve_lyaplock
+
+        def nan(*args, **kwargs):
+            report = real(*args, **kwargs)
+            return dataclasses.replace(report, delta=np.full_like(report.delta, np.nan))
+
+        monkeypatch.setattr(harness, "solve_lyaplock", nan)
+        assert dict(oracle.suite(188))[name]() == (False, detail)
+
+    def test_nan_gradient_fails_the_finite_difference_check(self, monkeypatch):
+        real = oracle.objective_gradient
+
+        def nan(*args):
+            return np.full_like(real(*args), np.nan)
+
+        monkeypatch.setattr(oracle, "objective_gradient", nan)
+        assert (dict(oracle.suite(188))["gradient-finite-difference"]()
+                == (False, "worst gradient mismatch nan"))
 
     def test_one_flipped_bit_fails_the_round_trip(self, monkeypatch):
         real, loads = oracle.load_matrix_file, []

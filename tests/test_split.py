@@ -144,7 +144,7 @@ class TestWorkerHalf:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(GenerationError, match="overflowed"):
-                EditStream(spec).generate_preserved()
+                EditStream(spec).preserved_memory()
         assert len(starts) == 3  # the draws of w0 and K0, and the Gram
 
     def test_exception_reaches_the_caller(self, starts):

@@ -286,12 +286,12 @@ class TestGeneratePreserved:
     def test_zero_key_scale_rejected(self):
         stream = EditStream(spec(key_scale=0.0))
         with pytest.raises(GenerationError):
-            stream.generate_preserved()
+            stream.preserved_memory()
 
     def test_rank_deficiency_reports_smallest_eigenvalue(self):
         stream = EditStream(spec(key_scale=0.0))
         with pytest.raises(GenerationError, match=r"smallest Gram eigenvalue 0\.0\)"):
-            stream.generate_preserved()
+            stream.preserved_memory()
 
     def test_overflowed_gram_rejected_before_factoring(self):
         # K0 K0^T overflows here, though potrf factors the result without
@@ -299,16 +299,24 @@ class TestGeneratePreserved:
         stream = EditStream(spec(d0=16, d1=12, m0=64, key_scale=3.35e153))
         with pytest.raises(GenerationError, match=r"K0 K0\^T overflowed at "
                                                   r"key_scale=3\.35e\+153"):
-            stream.generate_preserved()
+            stream.preserved_memory()
+
+    def test_overflowed_keys_rejected(self):
+        # K0 itself overflows here, with no RuntimeWarning.
+        stream = EditStream(spec(d0=16, d1=12, m0=64, key_scale=1e308))
+        with pytest.raises(GenerationError, match=r"K0 K0\^T overflowed at "
+                                                  r"key_scale=1e\+308"):
+            stream.preserved_memory()
 
     def test_stream_keeps_no_raw_k0(self):
+        """Nor the Gram K0 K0^T or its factor: the memory holds those."""
         stream = EditStream(spec(d0=8, d1=6, m0=32))
         stream.preserved_memory()
         held = []
         for value in vars(stream).values():
             held += value if isinstance(value, (tuple, list)) else [value]
         assert not [v for v in held
-                    if isinstance(v, np.ndarray) and v.shape == (8, 32)]
+                    if isinstance(v, np.ndarray) and v.shape in ((8, 32), (8, 8))]
         # A later call draws the same keys again, and they are the caller's.
         _, k0 = stream.generate_preserved()
         assert np.array_equal(k0, EditStream(spec(d0=8, d1=6, m0=32))
@@ -319,7 +327,8 @@ class TestGeneratePreserved:
         assert dropped() is None
 
     def test_transient_memory_is_small(self):
-        """Besides K0 itself, the draw and the checked Gram hold about a MiB.
+        """Besides K0 itself, the draw holds about 1.1 MiB more than w0's
+        bytes, and forms no Gram.
 
         The kernel forms its counters per pass and K0 is scaled in place; the
         whole-row counters and a scaled copy took another 2 and 1 K0's bytes.
@@ -335,15 +344,13 @@ class TestGeneratePreserved:
         assert peak <= k0.nbytes + w0.nbytes + 8 * d0 * d0 + (1 << 20)
 
     def test_preserved_memory_carries_the_checks_factor(self):
-        """The check's factor of K0 K0^T, scaled by an even power of two as
-        the solvers' unridged rung scales, read-only; generate_preserved
-        keeps none."""
-        plain = EditStream(spec(d0=16, d1=12, m0=64))
-        plain.generate_preserved()
-        assert plain._k0_factor is None
-        assert plain.preserved_memory().k0_factor is None
-
-        mem = EditStream(spec(d0=16, d1=12, m0=64)).preserved_memory()
+        """The factor of K0 K0^T that new_memory made, scaled by an even
+        power of two as the solvers' unridged rung scales, read-only; a
+        draw before it changes nothing, and a new_memory memory of the same
+        draw carries the same bits."""
+        stream = EditStream(spec(d0=16, d1=12, m0=64))
+        stream.generate_preserved()
+        mem = stream.preserved_memory()
         (lower, shift), cond, unit = mem.k0_factor
         assert not lower.flags.writeable
         low = np.tril(lower)
@@ -353,8 +360,10 @@ class TestGeneratePreserved:
                            atol=1e-14 * np.abs(gram).max())
         assert unit == np.trace(gram) / 16 * 2.0 ** -shift
         assert 1.0 <= cond <= 1e3
-        assert new_memory(*EditStream(spec(d0=16, d1=12, m0=64))
-                          .generate_preserved()).k0_factor is None
+        (plain_lower, plain_shift), plain_cond, plain_unit = new_memory(
+            *EditStream(spec(d0=16, d1=12, m0=64)).generate_preserved()).k0_factor
+        assert plain_lower.tobytes() == lower.tobytes()
+        assert (plain_shift, plain_cond, plain_unit) == (shift, cond, unit)
 
     @pytest.mark.parametrize("key_scale", [1.1e-161, 2.0 ** 508])
     def test_no_factor_where_the_ridge_ladder_would_not_scale_the_gram(self,
