@@ -30,10 +30,7 @@ from .memory import (
     Dims,
     EditBatch,
     absorb,
-    backlog_loss,
-    editing_loss,
     new_memory,
-    preservation_loss,
 )
 from .stream import (
     EditStream,
@@ -61,15 +58,12 @@ __all__ = [
     "SplitMix64",
     "StreamSpec",
     "absorb",
-    "backlog_loss",
     "compare",
     "derive_params",
     "derive_seed",
-    "editing_loss",
     "estimate_d_base",
     "load_matrix_file",
     "new_memory",
-    "preservation_loss",
     "run",
     "save_matrix_file",
     "solve_baseline",

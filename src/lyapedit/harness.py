@@ -118,21 +118,16 @@ from .errors import (
     RunAborted,
     SingularSystemError,
 )
-# backlog_loss, editing_loss, new_memory and preservation_loss have no
-# caller here but stay importable from it: perfbench's traced run wraps them
-# here, and its measured set-up (workloads.setup) calls harness.new_memory.
-from .memory import (  # noqa: F401
+from .memory import (
     AssociativeMemory,
     BacklogAccumulator,
     _psd_loss,
     absorb,
-    backlog_loss,
-    editing_loss,
     fit_loss,
     gram_loss,
-    new_memory,
-    preservation_loss,
 )
+# No caller here: perfbench/workloads.setup calls harness.new_memory.
+from .memory import new_memory  # noqa: F401
 from .stream import EditStream, StreamSpec
 
 EDITOR_NAMES = ("lyaplock", "baseline", "edit-only")

@@ -1,4 +1,5 @@
-"""Associative-memory state kept in Gram form, plus the three quadratic losses.
+"""Associative-memory state kept in Gram form, and the loss kernels a step
+loop reads.
 
 The preserved key/value set is never stored raw.  Preserved values follow
 one convention, V0 = W(0)*K0, so the preservation loss of weights W is
@@ -11,8 +12,9 @@ The running backlog of already-applied edits is anchored at W0 too: it keeps
 Kp*Kp^T and the sums of U0*K1^T and ||U0||_F^2 over its batches, where
 U0 = V1 - W0*K1 is a batch's residual at the original weights.  Its loss is
 evaluated through that Gram identity and can dip slightly below zero through
-floating cancellation; it is clamped at zero inside a guard band and raises
-once the deficit is large enough to indicate corrupted state.
+floating cancellation; it is clamped at zero inside a guard band, relative
+to the size of its terms, and raises once the deficit is large enough to
+indicate corrupted state.
 """
 from __future__ import annotations
 
@@ -28,7 +30,8 @@ from .errors import (
 )
 from .lapack import _factor_gram, add_outer, in_two
 
-# Relative budget for harmless cancellation in the Gram-form backlog loss.
+# Relative budget for harmless cancellation in the Gram-form backlog loss,
+# against the sum of its terms' magnitudes.
 CANCELLATION_GUARD = 1e-6
 # A preserved Gram of at least this many multiply-adds (about 10 ms on one
 # core) is formed in two halves at once.
@@ -53,16 +56,16 @@ def gram_loss(w: np.ndarray, w_gram: np.ndarray, cross: np.ndarray,
     W*(K*K^T) skip the one dense d1 x d0^2 pass.  Clamps tiny negative
     round-off to zero; a deficit beyond the guard band means the accumulated
     state is inconsistent and raises instead, as does a -inf from overflow.
+    The band is ``CANCELLATION_GUARD`` times the sum of the three terms'
+    magnitudes, so it scales with the keys and values as the loss does.
     """
-    raw = (
-        float(np.einsum("ij,ij->", w_gram, w))
-        - 2.0 * float(np.einsum("ij,ij->", w, cross))
-        + trace_term
-    )
+    quad = float(np.einsum("ij,ij->", w_gram, w))
+    mixed = float(np.einsum("ij,ij->", w, cross))
+    raw = quad - 2.0 * mixed + trace_term
     if raw == -np.inf:
         raise NumericalInstabilityError(
             "Gram-form loss evaluated to -inf: its terms overflowed double precision")
-    if raw < -CANCELLATION_GUARD * (1.0 + trace_term):
+    if raw < -CANCELLATION_GUARD * (abs(quad) + 2.0 * abs(mixed) + abs(trace_term)):
         raise NumericalInstabilityError(
             f"Gram-form loss evaluated to {raw!r}, beyond the cancellation "
             "guard; recompute with explicit matrices to diagnose"
@@ -247,31 +250,6 @@ def _psd_loss(product: np.ndarray, d: np.ndarray) -> float:
     return 0.0 if -np.inf < raw < 0.0 else raw
 
 
-def preservation_loss(mem: AssociativeMemory, w) -> float:
-    """Squared Frobenius residual of ``w`` on the preserved key/value set,
-    ||(W - W0)*K0||_F^2."""
-    d = mem.with_weights(w).w - mem.w0  # checked as the memory's own weights are
-    return _psd_loss(d @ mem.k0_gram, d)
-
-
-def editing_loss(w, batch: EditBatch) -> float:
-    """Squared Frobenius residual of ``w`` on the batch's target pairs.
-
-    Computed from the explicit matrices; batches are small so no Gram shortcut
-    is taken.
-    """
-    w = _as_matrix("w", w)
-    if w.shape[1] != batch.k1.shape[0]:
-        raise DimensionMismatchError(
-            f"w has {w.shape[1]} columns but k1 has {batch.k1.shape[0]} rows"
-        )
-    if w.shape[0] != batch.v1.shape[0]:
-        raise DimensionMismatchError(
-            f"w has {w.shape[0]} rows but v1 has {batch.v1.shape[0]}"
-        )
-    return fit_loss(w @ batch.k1 - batch.v1)
-
-
 def fit_loss(resid: np.ndarray) -> float:
     """||R||_F^2 of a residual matrix R = W K - V, unchecked.
 
@@ -279,20 +257,6 @@ def fit_loss(resid: np.ndarray) -> float:
     carry, and the editing loss reads it without forming W K again.
     """
     return float(np.einsum("ij,ij->", resid, resid))
-
-
-def backlog_loss(w, bk: BacklogAccumulator) -> float:
-    """Squared Frobenius residual of ``w`` on every previously absorbed batch."""
-    if bk.absorbed == 0:
-        return 0.0
-    w = _as_matrix("w", w)
-    if w.shape != bk.w0.shape:
-        raise DimensionMismatchError(
-            f"w has shape {w.shape} but the backlog is anchored at weights of "
-            f"shape {bk.w0.shape}"
-        )
-    d = w - bk.w0
-    return gram_loss(d, d @ bk.kp_gram, bk.u0kpt, bk.tr_u0u0)
 
 
 def absorb(bk: BacklogAccumulator, batch: EditBatch) -> BacklogAccumulator:

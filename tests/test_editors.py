@@ -16,10 +16,7 @@ from lyapedit import (
     RunConfig,
     StreamSpec,
     absorb,
-    backlog_loss,
-    editing_loss,
     new_memory,
-    preservation_loss,
     run,
     solve_baseline,
     solve_edit_only,
@@ -28,6 +25,7 @@ from lyapedit import (
 from lyapedit import editors, lapack
 from lyapedit.errors import InputError, SingularSystemError
 from lyapedit.oracle import closed_form_errors, quadratic_objective
+from reference import fro2
 
 
 def scalar_memory():
@@ -58,8 +56,10 @@ class TestSolveLyaplock:
                                 v_weight=1.0, az=1.0)
         assert report.delta == pytest.approx(np.array([[1.0]]))
         w_new = mem.w + report.delta
-        assert editing_loss(w_new, scalar_batch()) == pytest.approx(1.0)
-        assert preservation_loss(mem, w_new) == pytest.approx(1.0)
+        batch = scalar_batch()
+        assert fro2(w_new @ batch.k1 - batch.v1) == pytest.approx(1.0)
+        # K0 = [1], so PL = ||(W - W0) K0||^2 = ||W - W0||^2.
+        assert fro2(w_new - mem.w0) == pytest.approx(1.0)
 
     def test_residual_contract(self, make_instance):
         for i in range(10):
@@ -180,9 +180,9 @@ class TestSolveLyaplock:
             report = solve_lyaplock(inst.mem, inst.bk, inst.batch,
                                     v_weight=1.0, az=az)
             w_new = inst.mem.w + report.delta
-            pls.append(preservation_loss(inst.mem, w_new))
-            elbls.append(editing_loss(w_new, inst.batch)
-                         + backlog_loss(w_new, inst.bk))
+            pls.append(fro2((w_new - inst.mem.w0) @ inst.k0))
+            elbls.append(fro2(w_new @ inst.batch.k1 - inst.batch.v1)
+                         + fro2(w_new @ inst.kp - inst.vp))
         for lo, hi in zip(pls[1:], pls[:-1]):
             assert lo <= hi + 1e-9
         for lo, hi in zip(elbls[:-1], elbls[1:]):
@@ -306,13 +306,15 @@ class TestSolveEditOnly:
         mem = scalar_memory()
         report = solve_edit_only(mem, scalar_batch())
         assert report.delta == pytest.approx(np.array([[2.0]]))
-        assert editing_loss(mem.w + report.delta, scalar_batch()) == pytest.approx(0.0, abs=1e-30)
+        batch = scalar_batch()
+        fit = (mem.w + report.delta) @ batch.k1 - batch.v1
+        assert fro2(fit) == pytest.approx(0.0, abs=1e-30)
 
     def test_full_rank_fit_is_exact(self, make_instance):
         for i in range(6):
             inst = make_instance(d0=6, d1=4, n=3, m0=24, seed=600 + i)
             report = solve_edit_only(inst.mem, inst.batch)
-            el = editing_loss(inst.mem.w + report.delta, inst.batch)
+            el = fro2((inst.mem.w + report.delta) @ inst.batch.k1 - inst.batch.v1)
             assert el <= 1e-10 * float(np.sum(inst.batch.v1 ** 2))
 
     def test_minimum_norm_choice(self, make_instance):
@@ -326,7 +328,7 @@ class TestSolveEditOnly:
         rng = np.random.default_rng(1)
         for _ in range(5):
             other = report.delta + rng.standard_normal((3, 5)) @ null
-            fit = editing_loss(inst.mem.w + other, inst.batch)
+            fit = fro2((inst.mem.w + other) @ inst.batch.k1 - inst.batch.v1)
             assert fit <= 1e-8 * float(np.sum(inst.batch.v1 ** 2))
             assert np.linalg.norm(other) >= np.linalg.norm(report.delta) - 1e-12
 

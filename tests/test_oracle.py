@@ -115,14 +115,15 @@ class TestMinimizeIteratively:
             previous = obj
 
     def test_vanishing_edit_weight_tracks_preservation_minimizer(self, make_instance):
-        from lyapedit import preservation_loss
+        from reference import fro2
         inst = make_instance(d0=4, d1=3, n=2, m0=16, seed=70)
         delta, _ = minimize_iteratively(inst.mem, inst.bk, inst.batch,
                                         v_weight=0.0, az=1.0, steps=5000)
-        pl_iter = preservation_loss(inst.mem, inst.mem.w + delta)
+        # At the memory's own weights W = W0, PL of W + delta is ||delta K0||^2.
+        pl_iter = fro2(delta @ inst.k0)
         report = solve_lyaplock(inst.mem, inst.bk, inst.batch,
                                 v_weight=1e-12, az=1.0)
-        pl_closed = preservation_loss(inst.mem, inst.mem.w + report.delta)
+        pl_closed = fro2(report.delta @ inst.k0)
         assert pl_iter <= pl_closed + 1e-6
 
     def test_rejects_bad_steps(self, make_instance):
